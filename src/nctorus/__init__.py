@@ -85,7 +85,7 @@ from .tensor import (
     verify_identification,
     verify_z_covariance,
 )
-from .theta import ThetaParams, theta, theta_st, theta_truncated, truncation_radius
+from .theta import theta, theta_truncated, truncation_radius
 
 __version__ = "0.1.0"
 
@@ -111,7 +111,6 @@ __all__ = [
     "RIGHT",
     "SignAssumptionViolated",
     "StructureConstants",
-    "ThetaParams",
     "TorusElement",
     "WrongSide",
     "act_U1",
@@ -146,7 +145,6 @@ __all__ = [
     "theta",
     "theta_double_prime",
     "theta_prime",
-    "theta_st",
     "theta_truncated",
     "trace",
     "truncation_radius",

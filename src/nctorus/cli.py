@@ -8,8 +8,8 @@ Subcommands
     verify-all           every identity suite at the given parameters
 
 Exit codes: 0 when every computed residual is within tolerance, 1 when a
-residual exceeds its tolerance, 2 on invalid arguments or violated
-preconditions.
+residual exceeds its tolerance, 2 on invalid arguments, violated
+preconditions, or an arithmetic error such as a floating-point overflow.
 
 theta accepts a tiny expression grammar over integers, decimals and
 sqrt<N>: for example "0.2", "sqrt2-1", "(1+sqrt5)/2".  Complex flags are
@@ -34,7 +34,7 @@ import math
 import random
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 from . import gaussians as gs
@@ -72,6 +72,7 @@ from .modules import (
     module_tag,
 )
 from .tensor import (
+    DEFAULT_QMAX,
     PROBE_ZS,
     product_basis,
     product_params,
@@ -183,17 +184,19 @@ def parse_int_pair(text: str) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    theta: float = 0.2
-    nm: tuple[int, int] = (1, 2)
-    kl: tuple[int, int] = (1, 3)
-    tau: complex = -1j
-    c1: complex = 0j
-    c2: complex = 0j
-    tol: float = 1e-9
-    qmax: int = 16384
-    seed: int = 0
-    output: str | None = None
-    fmt: str = "json"
+    """The common options, one field per argparse dest of :func:`build_parser`."""
+
+    theta: float
+    nm: tuple[int, int]
+    kl: tuple[int, int]
+    tau: complex
+    c1: complex
+    c2: complex
+    tol: float
+    qmax: int
+    seed: int
+    output: str | None
+    fmt: str
 
     def to_json(self) -> dict:
         return {
@@ -615,8 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="second connection offset")
     common.add_argument("--tol", type=float, default=1e-9,
                         help="tolerance for identity residuals (default 1e-9)")
-    common.add_argument("--qmax", type=int, default=16384,
-                        help="series truncation cap (default 16384)")
+    common.add_argument("--qmax", type=int, default=DEFAULT_QMAX,
+                        help="series truncation cap (default %(default)s)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized instances (default 0)")
     common.add_argument("--output", default=None, help="write the report here instead of stdout")
@@ -654,25 +657,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits on usage errors; keep main() returning a code
         return int(exc.code or 0)
-    cfg = RunConfig(
-        theta=args.theta,
-        nm=args.nm,
-        kl=args.kl,
-        tau=args.tau,
-        c1=args.c1,
-        c2=args.c2,
-        tol=args.tol,
-        qmax=args.qmax,
-        seed=args.seed,
-        output=args.output,
-        fmt=args.fmt,
-    )
+    cfg = RunConfig(**{field.name: getattr(args, field.name) for field in fields(RunConfig)})
     try:
         return COMMANDS[args.command](cfg, args)
-    except NCTorusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (NCTorusError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -51,6 +51,11 @@ class ComplexStructure:
     def lambda1(self) -> complex:
         return self.tau * self.lambda2
 
+    @property
+    def offset(self) -> complex:
+        """Linear coefficient c of the holomorphic Gaussians (module docstring)."""
+        return (self.lambda1 * self.c1 + self.lambda2 * self.c2) / (TWO_PI * self.lambda2)
+
     def to_json(self) -> dict:
         return {
             "tau": [self.tau.real, self.tau.imag],
@@ -121,8 +126,7 @@ def holomorphic_basis(tag: ModuleTag, cs: ComplexStructure) -> list[g.PolyGaussV
         raise NoHolomorphicVectors(
             f"Re(i*tau*m/D) = {sigma.real:.6g} <= 0 for tau = {cs.tau}, D = {tag.denominator:.6g}"
         )
-    c = (cs.lambda1 * cs.c1 + cs.lambda2 * cs.c2) / (TWO_PI * cs.lambda2)
-    return [g.gaussian(tag.m, sigma, c, mu) for mu in range(tag.m)]
+    return [g.gaussian(tag.m, sigma, cs.offset, mu) for mu in range(tag.m)]
 
 
 def dbar_residual(

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from . import gaussians as gs
-from .algebra import TWO_PI_I, BezoutPair, bezout
+from .algebra import TWO_PI_I, BezoutPair, bezout, theta_prime
 from .connections import ComplexStructure
 from .errors import (
     DegenerateDenominator,
@@ -58,8 +58,18 @@ from .errors import (
     NonConvergent,
     SignAssumptionViolated,
 )
-from .modules import BimoduleProfile, bimodule_profile
-from .theta import DEFAULT_EPS, theta_st
+from .modules import (
+    LEFT,
+    RIGHT,
+    BimoduleProfile,
+    ModuleTag,
+    act_U1,
+    act_U2,
+    act_Z1,
+    act_Z2,
+    bimodule_profile,
+)
+from .theta import DEFAULT_EPS, theta
 
 # Probe points in z used by the verification routines.
 PROBE_ZS: tuple[float, ...] = (-1.0, -0.5, 0.0, 0.3, 0.7, 1.0)
@@ -71,11 +81,12 @@ SHELL_TOL = 1e-13
 
 @dataclass(frozen=True)
 class ProductParams:
-    """Labels, Bezout pairs, and derived constants of one tensor product.
+    """Labels, factor modules, and derived constants of one tensor product.
 
-    Build through :func:`product_params`.  ``profile`` carries the
-    endomorphism invariants and is present only when both denominators
-    are positive; the q-sum itself needs neither sign.
+    Build through :func:`product_params`.  A, B, M, r and L are stored,
+    not derived, because the q-sum reads them once per summand.
+    ``profile`` carries the endomorphism invariants and is present only
+    when both denominators are positive; the q-sum itself needs neither sign.
     """
 
     n: int
@@ -83,37 +94,22 @@ class ProductParams:
     k: int
     l: int
     theta: float
-    pair_nm: BezoutPair
-    pair_kl: BezoutPair
+    right: ModuleTag
+    left: ModuleTag
     profile: BimoduleProfile | None
-
-    @property
-    def A(self) -> float:
-        return self.n + self.m * self.theta
-
-    @property
-    def B(self) -> float:
-        return self.k - self.l * self.theta
-
-    @property
-    def M(self) -> int:
-        return self.n * self.l + self.m * self.k
-
-    @property
-    def r(self) -> int:
-        return math.gcd(self.m, self.l)
-
-    @property
-    def L(self) -> int:
-        return self.m * self.l // self.r
+    A: float
+    B: float
+    M: int
+    r: int
+    L: int
 
     @property
     def theta_prime(self) -> float:
-        return (self.pair_nm.b + self.pair_nm.a * self.theta) / self.A
+        return theta_prime(self.theta, self.right.pair)
 
     @property
     def N_prime(self) -> int:
-        return self.pair_nm.a * self.k + self.pair_nm.b * self.l
+        return self.right.pair.a * self.k + self.right.pair.b * self.l
 
     def to_json(self) -> dict:
         doc = {
@@ -122,10 +118,10 @@ class ProductParams:
             "k": self.k,
             "l": self.l,
             "theta": self.theta,
-            "a": self.pair_nm.a,
-            "b": self.pair_nm.b,
-            "c": self.pair_kl.a,
-            "d": self.pair_kl.b,
+            "a": self.right.pair.a,
+            "b": self.right.pair.b,
+            "c": self.left.pair.a,
+            "d": self.left.pair.b,
             "M": self.M,
             "r": self.r,
             "N_prime": self.N_prime,
@@ -173,7 +169,14 @@ def product_params(
     profile = None
     if a_val > 0 and b_val > 0:
         profile = bimodule_profile(n, m, k, l, theta, pnm, pkl)
-    return ProductParams(n, m, k, l, theta, pnm, pkl, profile)
+    # The constructor, not module_tag: strict=False admits k - l*theta = 0.
+    right = ModuleTag(n, m, theta, RIGHT, pnm)
+    left = ModuleTag(k, l, theta, LEFT, pkl)
+    r = math.gcd(m, l)
+    return ProductParams(
+        n, m, k, l, theta, right, left, profile,
+        A=a_val, B=b_val, M=n * l + m * k, r=r, L=m * l // r,
+    )
 
 
 def crt_q0(alpha: int, beta: int, delta: int, p: ProductParams) -> int | None:
@@ -183,7 +186,7 @@ def crt_q0(alpha: int, beta: int, delta: int, p: ProductParams) -> int | None:
     a*delta - alpha != beta (mod gcd(m, l)).
     """
     m, l, r = p.m, p.l, p.r
-    rhs = (p.pair_nm.a * delta - alpha) % m
+    rhs = (p.right.pair.a * delta - alpha) % m
     beta_mod = beta % l
     if (rhs - beta_mod) % r != 0:
         return None
@@ -208,7 +211,7 @@ def _summand(
     delta: int,
     q: int,
 ) -> complex:
-    mu = (p.pair_nm.a * delta - q) % p.m
+    mu = (p.right.pair.a * delta - q) % p.m
     nu = q % p.l
     return gs.evaluate(f, _f_argument(p, z, delta, q), mu) * gs.evaluate(
         g, _g_argument(p, z, delta, q), nu
@@ -347,7 +350,7 @@ class ProductClosedForm:
         if q0 is None:
             return 0j
         t = self.t_value(z, delta, q0)
-        return theta_st(self.s, t, eps) * cmath.exp(self.xi_exponent(z, delta, q0))
+        return theta(self.s, t, eps) * cmath.exp(self.xi_exponent(z, delta, q0))
 
 
 def tensor_gaussian_closed(
@@ -410,8 +413,12 @@ def tensor_gaussian_closed(
 
 def _common_holomorphic_data(
     p: ProductParams, cs: ComplexStructure
-) -> tuple[complex, complex, complex]:
-    """(sigma1, sigma2, c) of the factor Gaussians holomorphic for cs."""
+) -> tuple[complex, complex, complex, complex, complex]:
+    """Holomorphic Gaussian data of the two factors and of the product.
+
+    Returns (sigma1, sigma2, c) of the factor Gaussians holomorphic for cs,
+    then the width sigma' and linear coefficient c' of the product basis.
+    """
     if p.B == 0:
         raise DegenerateDenominator(
             f"k - l*theta = 0 for ({p.k}, {p.l}) at theta = {p.theta}"
@@ -423,22 +430,14 @@ def _common_holomorphic_data(
             f"factor widths i*tau*m/A = {sigma1:.6g}, i*tau*l/B = {sigma2:.6g} "
             "must both have positive real part"
         )
-    c = (cs.lambda1 * cs.c1 + cs.lambda2 * cs.c2) / (2 * math.pi * cs.lambda2)
-    return sigma1, sigma2, c
-
-
-def product_sigma(p: ProductParams, cs: ComplexStructure) -> complex:
-    """Gaussian width i*tau*M*A/B of the product basis vectors."""
-    sigma1, sigma2, _ = _common_holomorphic_data(p, cs)
-    # i*tau*(m/A + l/B)*A**2 = i*tau*M*A/B via l*A + m*B = M.
-    return (sigma1 + sigma2) * p.A * p.A
+    c = cs.offset
+    # sigma' = i*tau*(m/A + l/B)*A**2 = i*tau*M*A/B via l*A + m*B = M.
+    return sigma1, sigma2, c, (sigma1 + sigma2) * p.A * p.A, 2 * c * p.A
 
 
 def product_basis(p: ProductParams, cs: ComplexStructure) -> list[gs.PolyGaussVector]:
     """The M Gaussian vectors phi_gamma spanning products of holomorphic pairs."""
-    sigma1, sigma2, c = _common_holomorphic_data(p, cs)
-    sigma_p = (sigma1 + sigma2) * p.A * p.A
-    c_p = 2 * c * p.A
+    *_, sigma_p, c_p = _common_holomorphic_data(p, cs)
     return [gs.gaussian(p.M, sigma_p, c_p, gamma) for gamma in range(p.M)]
 
 
@@ -498,7 +497,7 @@ def structure_constants(
     phi_gamma with phi_gamma from :func:`product_basis`; the coefficient
     is the closed form at z = 0, where phi_gamma(0) = 1.
     """
-    sigma1, sigma2, c = _common_holomorphic_data(p, cs)
+    sigma1, sigma2, c, sigma_p, c_p = _common_holomorphic_data(p, cs)
     values = []
     provenance: dict[tuple[int, int, int], dict] = {}
     for alpha in range(p.m):
@@ -513,7 +512,7 @@ def structure_constants(
                     continue
                 t = form.t_value(0.0, gamma, q0)
                 k_exp = form.xi_exponent(0.0, gamma, q0)
-                col.append(theta_st(form.s, t, eps) * cmath.exp(k_exp))
+                col.append(theta(form.s, t, eps) * cmath.exp(k_exp))
                 provenance[(alpha, beta, gamma)] = {
                     "s": form.s,
                     "t": t,
@@ -526,9 +525,7 @@ def structure_constants(
     params_doc["tau"] = [cs.tau.real, cs.tau.imag]
     params_doc["c1"] = [cs.c1.real, cs.c1.imag]
     params_doc["c2"] = [cs.c2.real, cs.c2.imag]
-    sigma_p = (sigma1 + sigma2) * p.A * p.A
     params_doc["sigma_prime"] = [sigma_p.real, sigma_p.imag]
-    c_p = 2 * c * p.A
     params_doc["c_prime"] = [c_p.real, c_p.imag]
     return StructureConstants(
         shape=(p.m, p.l, p.M),
@@ -536,33 +533,6 @@ def structure_constants(
         provenance=provenance,
         params_doc=params_doc,
     )
-
-
-def _u1_right(f: gs.PolyGaussVector, p: ProductParams) -> gs.PolyGaussVector:
-    return gs.roll(gs.shift(f, p.A / p.m), 1)
-
-
-def _u2_right(f: gs.PolyGaussVector, p: ProductParams) -> gs.PolyGaussVector:
-    factors = [cmath.exp(-TWO_PI_I * mu * p.n / p.m) for mu in range(p.m)]
-    return gs.component_scale(gs.mul_exp(f, TWO_PI_I), factors)
-
-
-def _u1_left(g: gs.PolyGaussVector, p: ProductParams) -> gs.PolyGaussVector:
-    return gs.roll(gs.shift(g, p.B / p.l), 1)
-
-
-def _u2_left(g: gs.PolyGaussVector, p: ProductParams) -> gs.PolyGaussVector:
-    factors = [cmath.exp(-TWO_PI_I * nu * p.k / p.l) for nu in range(p.l)]
-    return gs.component_scale(gs.mul_exp(g, TWO_PI_I), factors)
-
-
-def _z1_right(f: gs.PolyGaussVector, p: ProductParams) -> gs.PolyGaussVector:
-    return gs.roll(gs.shift(f, 1 / p.m), p.pair_nm.a)
-
-
-def _z2_right(f: gs.PolyGaussVector, p: ProductParams) -> gs.PolyGaussVector:
-    factors = [cmath.exp(-TWO_PI_I * mu / p.m) for mu in range(p.m)]
-    return gs.component_scale(gs.mul_exp(f, TWO_PI_I / p.A), factors)
 
 
 def _check_factors(f: gs.PolyGaussVector, g: gs.PolyGaussVector, p: ProductParams) -> None:
@@ -585,12 +555,10 @@ def verify_identification(
     1 + max |reference| over z in PROBE_ZS and delta in range(M).
     """
     _check_factors(f, g, p)
-    if generator == "U1":
-        fu, gu = _u1_right(f, p), _u1_left(g, p)
-    elif generator == "U2":
-        fu, gu = _u2_right(f, p), _u2_left(g, p)
-    else:
+    act = {"U1": act_U1, "U2": act_U2}.get(generator)
+    if act is None:
         raise ValueError(f"generator must be 'U1' or 'U2', got {generator!r}")
+    fu, gu = act(f, p.right), act(g, p.left)
     worst = 0.0
     ref = 0.0
     for z in PROBE_ZS:
@@ -637,8 +605,8 @@ def verify_z_covariance(
     Both are normalized like :func:`verify_identification`.
     """
     _check_factors(f, g, p)
-    z1f = _z1_right(f, p)
-    z2f = _z2_right(f, p)
+    z1f = act_Z1(f, p.right)
+    z2f = act_Z2(f, p.right)
     shift_z = -p.N_prime / p.M + p.theta_prime
     worst1 = ref1 = 0.0
     worst2 = ref2 = 0.0

@@ -12,23 +12,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidS
 
 DEFAULT_EPS = 1e-13
-
-
-@dataclass(frozen=True)
-class ThetaParams:
-    """Validated argument pair for the theta series."""
-
-    s: complex
-    t: complex
-
-    def __post_init__(self) -> None:
-        if self.s.imag <= 0:
-            raise InvalidS(f"Im(s) must be positive, got s = {self.s}")
 
 
 def tail_bound(s: complex, t: complex, radius: int) -> float:
@@ -73,12 +60,9 @@ def theta_truncated(s: complex, t: complex, radius: int) -> complex:
     return complex(math.fsum(res), math.fsum(ims))
 
 
-def theta(params: ThetaParams, eps: float = DEFAULT_EPS) -> complex:
-    """Theta(s, t) with certified absolute truncation error below eps."""
-    radius = truncation_radius(params.s, params.t, eps)
-    return theta_truncated(params.s, params.t, radius)
+def theta(s: complex, t: complex, eps: float = DEFAULT_EPS) -> complex:
+    """Theta(s, t) with certified absolute truncation error below eps.
 
-
-def theta_st(s: complex, t: complex, eps: float = DEFAULT_EPS) -> complex:
-    """Convenience wrapper validating s on the fly."""
-    return theta(ThetaParams(s, t), eps)
+    Raises InvalidS unless Im(s) > 0.
+    """
+    return theta_truncated(s, t, truncation_radius(s, t, eps))

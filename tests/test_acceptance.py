@@ -53,7 +53,7 @@ from nctorus.tensor import (
     verify_identification,
     verify_z_covariance,
 )
-from nctorus.theta import theta_st
+from nctorus.theta import theta
 
 from conftest import coprime_pair, random_element, random_gaussian, random_vector
 
@@ -316,12 +316,12 @@ def test_criterion_8_theta_function():
         s = complex(rng.uniform(-1, 1), rng.uniform(0.3, 1.5))
         t = complex(rng.uniform(-1, 1), rng.uniform(-0.4, 0.4))
         phase = cmath.exp(-1j * math.pi * s - 2j * math.pi * t)
-        lhs = theta_st(s, t + s, eps)
-        rhs = phase * theta_st(s, t, eps)
+        lhs = theta(s, t + s, eps)
+        rhs = phase * theta(s, t, eps)
         worst = max(worst, abs(lhs - rhs) / (eps * (2 + abs(phase) + abs(rhs))))
-    pinned = abs(theta_st(1j, 0.0) - 1.0864348112)
+    pinned = abs(theta(1j, 0.0) - 1.0864348112)
     brute = sum(math.exp(-math.pi * u * u) for u in range(-30, 31))
-    brute_gap = abs(theta_st(1j, 0.0) - brute)
+    brute_gap = abs(theta(1j, 0.0) - brute)
     ok = worst <= 5.0 and pinned <= 1e-9 and brute_gap <= 1e-12
     _verdict("criterion 8 (theta function)", ok,
              f"quasi-periodicity within {worst:.2f}x certified eps,"

@@ -70,6 +70,15 @@ def test_bad_theta_expression(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_arithmetic_overflow_is_usage_error(capsys):
+    # the closed form overflows here; the CLI reports it instead of a traceback
+    assert main(["structure-constants", "--theta", "sqrt2-1", "--nm", "2,5",
+                 "--kl", "3,7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
 def test_theta_basis_reports_width(capsys):
     assert main(["theta-basis", "--nm", "1,2", "--theta", "0.3"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -16,12 +16,11 @@ from nctorus.errors import (
     NotCoprime,
     SignAssumptionViolated,
 )
-from nctorus.modules import module_tag
+from nctorus.modules import LEFT, module_tag
 from nctorus.tensor import (
     crt_q0,
     product_basis,
     product_params,
-    product_sigma,
     structure_constants,
     tensor_direct,
     tensor_gaussian_closed,
@@ -67,6 +66,13 @@ def test_product_params_validation():
         product_params(-1, 2, 1, 3, 0.5)
 
 
+def test_product_params_hold_factor_modules():
+    for n, m, k, l, theta in ((1, 2, 1, 3, 0.2), (3, 2, 2, 3, math.sqrt(2) - 1)):
+        p = product_params(n, m, k, l, theta)
+        assert p.right == module_tag(n, m, theta)
+        assert p.left == module_tag(k, l, theta, side=LEFT)
+
+
 def test_relaxed_signs_allow_negative_B():
     p = product_params(1, 2, 1, 3, math.sqrt(2) - 1, strict=False)
     assert p.B < 0
@@ -98,7 +104,7 @@ def test_crt_matches_brute_force():
             beta = rng.randrange(l)
             delta = rng.randrange(-p.M, 2 * p.M)
             brute = [q for q in range(p.L)
-                     if (q + alpha - p.pair_nm.a * delta) % m == 0
+                     if (q + alpha - p.right.pair.a * delta) % m == 0
                      and (q - beta) % l == 0]
             got = crt_q0(alpha, beta, delta, p)
             if brute:
@@ -229,6 +235,16 @@ def test_generator_identification():
         verify_identification(fb[0], gb[0], p, "U3")
 
 
+def test_identification_with_vanishing_B():
+    # k - l*theta = 0 is admitted by strict=False, though module_tag rejects it
+    from nctorus.gaussians import gaussian
+    p = product_params(1, 2, 1, 2, 0.5, strict=False)
+    assert p.B == 0
+    f = gaussian(2, 1.1, c=0.2, mu=0)
+    g = gaussian(2, 0.9, c=-0.1j, mu=1)
+    assert verify_identification(f, g, p, "U1") <= 1e-9
+
+
 def test_delta_period_and_z_covariance():
     p = _canonical()
     fb, gb = _factor_bases(p)
@@ -244,7 +260,7 @@ def test_product_sigma_oracle():
     # (1,2) x (1,3) at theta = 0.2, tau = -i: i tau M A / B = 5*1.4/0.4
     p = _canonical()
     cs = ComplexStructure(tau=-1j)
-    assert abs(product_sigma(p, cs) - 17.5) < 1e-12
+    assert abs(product_basis(p, cs)[0].terms[0].sigma - 17.5) < 1e-12
 
 
 def test_product_basis_layout():
@@ -273,12 +289,12 @@ def test_structure_constants_shape_and_zeros():
 
 
 def test_structure_constants_provenance_reproduces_values():
-    from nctorus.theta import theta_st
+    from nctorus.theta import theta
     p = _canonical()
     cs = ComplexStructure(tau=-1j)
     sc = structure_constants(p, cs)
     for (alpha, beta, gamma), prov in sc.provenance.items():
-        rebuilt = theta_st(prov["s"], prov["t"]) * cmath.exp(prov["K"])
+        rebuilt = theta(prov["s"], prov["t"]) * cmath.exp(prov["K"])
         assert rebuilt == sc.value(alpha, beta, gamma)
 
 

@@ -9,14 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nctorus.errors import InvalidS
-from nctorus.theta import (
-    ThetaParams,
-    tail_bound,
-    theta,
-    theta_st,
-    theta_truncated,
-    truncation_radius,
-)
+from nctorus.theta import tail_bound, theta, theta_truncated, truncation_radius
 
 
 def _brute(s, t, radius=80):
@@ -28,7 +21,7 @@ def _brute(s, t, radius=80):
 
 
 def test_pinned_value_at_lattice_point():
-    value = theta_st(1j, 0.0)
+    value = theta(1j, 0.0)
     assert abs(value - 1.0864348112133082) < 1e-13
     assert abs(value - _brute(1j, 0.0)) < 1e-14
 
@@ -38,7 +31,7 @@ def test_against_brute_force_samples():
     for _ in range(25):
         s = complex(rng.uniform(-1, 1), rng.uniform(0.3, 2.0))
         t = complex(rng.uniform(-1, 1), rng.uniform(-0.6, 0.6))
-        got = theta_st(s, t, eps=1e-13)
+        got = theta(s, t, eps=1e-13)
         want = _brute(s, t)
         assert abs(got - want) <= 1e-12 * (1 + abs(want))
 
@@ -50,29 +43,29 @@ def test_quasi_periodicity(sre, sim, tre, tim):
     s = complex(sre, sim)
     t = complex(tre, tim)
     eps = 1e-13
-    lhs = theta_st(s, t + s, eps)
-    rhs = cmath.exp(-1j * math.pi * s - 2j * math.pi * t) * theta_st(s, t, eps)
+    lhs = theta(s, t + s, eps)
+    rhs = cmath.exp(-1j * math.pi * s - 2j * math.pi * t) * theta(s, t, eps)
     assert abs(lhs - rhs) <= 20 * eps * (1 + abs(rhs))
 
 
 def test_integer_periodicity_in_t():
     s = 0.3 + 0.8j
     t = 0.17 - 0.05j
-    assert abs(theta_st(s, t + 1) - theta_st(s, t)) < 1e-12
+    assert abs(theta(s, t + 1) - theta(s, t)) < 1e-12
 
 
 def test_even_in_t():
     # the symmetric accumulation makes this exact, not just close
     s = -0.4 + 1.1j
     t = 0.23 + 0.31j
-    assert theta_st(s, t) == theta_st(s, -t)
+    assert theta(s, t) == theta(s, -t)
 
 
 def test_validation():
     with pytest.raises(InvalidS):
-        ThetaParams(1.0 + 0j, 0.0)
+        theta(1.0 + 0j, 0.0)
     with pytest.raises(InvalidS):
-        ThetaParams(0.5 - 0.1j, 0.0)
+        theta(0.5 - 0.1j, 0.0)
     with pytest.raises(InvalidS):
         truncation_radius(1.0 + 0j, 0.0)
 
@@ -103,12 +96,6 @@ def test_wide_imaginary_offset():
     # large |Im t| pushes the peak away from u = 0; the bound must follow it
     s = 1.5j
     t = 0.3 + 2.0j
-    got = theta_st(s, t, eps=1e-12)
+    got = theta(s, t, eps=1e-12)
     want = _brute(s, t, radius=60)
     assert abs(got - want) <= 1e-11 * (1 + abs(want))
-
-
-def test_theta_params_wrapper_consistency():
-    s = 0.2 + 0.9j
-    t = -0.35 + 0.1j
-    assert theta(ThetaParams(s, t)) == theta_st(s, t)
