@@ -45,6 +45,7 @@ from .errors import (
     NoHolomorphicVectors,
     NonConvergent,
     NotCoprime,
+    SeriesOverflow,
     SignAssumptionViolated,
     WrongSide,
 )
@@ -109,6 +110,7 @@ __all__ = [
     "ProductClosedForm",
     "ProductParams",
     "RIGHT",
+    "SeriesOverflow",
     "SignAssumptionViolated",
     "StructureConstants",
     "TorusElement",

@@ -44,12 +44,6 @@ class TorusElement:
 
     coeffs: Mapping[Index, complex]
 
-    def __add__(self, other: "TorusElement") -> "TorusElement":
-        return add(self, other)
-
-    def __sub__(self, other: "TorusElement") -> "TorusElement":
-        return sub(self, other)
-
 
 def element(coeffs: Mapping[Index, complex] | Iterable[tuple[Index, complex]]) -> TorusElement:
     """Canonical constructor: casts indices, drops coefficients equal to 0."""

@@ -60,10 +60,11 @@ from .connections import (
     holomorphic_basis,
     leibniz_defect,
 )
-from .errors import DegenerateDenominator, IndexOutOfRange, NCTorusError
+from .errors import DegenerateDenominator, IndexOutOfRange, NCTorusError, SeriesOverflow
 from .modules import (
     LEFT,
     RIGHT,
+    ModuleTag,
     act_element,
     act_U1,
     act_U2,
@@ -361,6 +362,12 @@ def _connection_checks(cfg: RunConfig, checks: CheckList) -> None:
         )
 
 
+def _closure(tag: ModuleTag, cs: ComplexStructure) -> tuple[list[gs.PolyGaussVector], float]:
+    """The holomorphic basis of tag and its worst relative dbar residual."""
+    basis = holomorphic_basis(tag, cs)
+    return basis, max(dbar_residual(v, tag, cs) / gs.grid_abs_max(v) for v in basis)
+
+
 def _holomorphic_checks(cfg: RunConfig, checks: CheckList) -> None:
     cs = ComplexStructure(cfg.tau, cfg.c1, cfg.c2)
     pairs = (
@@ -368,9 +375,7 @@ def _holomorphic_checks(cfg: RunConfig, checks: CheckList) -> None:
         ("left_mirror", module_tag(cfg.kl[0], cfg.kl[1], -cfg.theta)),
     )
     for label, tag in pairs:
-        basis = holomorphic_basis(tag, cs)
-        worst = max(dbar_residual(v, tag, cs) / gs.grid_abs_max(v) for v in basis)
-        checks.add(f"holomorphic_closure_{label}", worst, BASIS_TOL)
+        checks.add(f"holomorphic_closure_{label}", _closure(tag, cs)[1], BASIS_TOL)
 
 
 def _identity_checks(cfg: RunConfig, checks: CheckList) -> None:
@@ -419,10 +424,8 @@ def _structure_constant_checks(cfg: RunConfig, checks: CheckList) -> dict:
     cs = ComplexStructure(cfg.tau, cfg.c1, cfg.c2)
     sc = structure_constants(p, cs)
     basis = product_basis(p, cs)
-    tag_f = module_tag(n, m, cfg.theta)
-    tag_g = module_tag(k, l, -cfg.theta)
-    basis_f = holomorphic_basis(tag_f, cs)
-    basis_g = holomorphic_basis(tag_g, cs)
+    basis_f = holomorphic_basis(p.right, cs)
+    basis_g = holomorphic_basis(p.left, cs)
     cmax = max(
         abs(sc.values[a][b][gmm]) for a in range(m) for b in range(l) for gmm in range(p.M)
     )
@@ -443,16 +446,22 @@ def _structure_constant_checks(cfg: RunConfig, checks: CheckList) -> dict:
     return sc.to_json()
 
 
-def _emit(doc: dict, cfg: RunConfig) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write(text: str, cfg: RunConfig) -> None:
     if cfg.output:
-        with open(cfg.output, "w") as handle:
+        with open(cfg.output, "w", newline="") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_csv(entries: list[dict], cfg: RunConfig) -> None:
+def _report(cfg: RunConfig, command: str, ok: bool, **fields) -> int:
+    """Write the schema-1 JSON report of command; the exit code is 0 iff ok."""
+    doc = {"schema": 1, "command": command, "config": cfg.to_json(), **fields, "pass": ok}
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg)
+    return 0 if ok else 1
+
+
+def _csv_table(entries: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["alpha", "beta", "gamma", "re", "im", "q0"])
@@ -461,53 +470,28 @@ def _emit_csv(entries: list[dict], cfg: RunConfig) -> None:
             [e["alpha"], e["beta"], e["gamma"], repr(e["re"]), repr(e["im"]),
              "" if e["q0"] is None else e["q0"]]
         )
-    if cfg.output:
-        with open(cfg.output, "w", newline="") as handle:
-            handle.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    return buf.getvalue()
 
 
 def cmd_algebra_check(cfg: RunConfig, args: argparse.Namespace) -> int:
     checks = CheckList()
     _algebra_checks(cfg, checks)
     _connection_checks(cfg, checks)
-    doc = {
-        "schema": 1,
-        "command": "algebra-check",
-        "config": cfg.to_json(),
-        "checks": checks.entries,
-        "pass": checks.ok,
-    }
-    _emit(doc, cfg)
-    return 0 if checks.ok else 1
+    return _report(cfg, "algebra-check", checks.ok, checks=checks.entries)
 
 
 def cmd_theta_basis(cfg: RunConfig, args: argparse.Namespace) -> int:
     n, m = cfg.nm
     side = LEFT if args.side == "left" else RIGHT
     tag = module_tag(n, m, cfg.theta, side=side)
-    cs = ComplexStructure(cfg.tau, cfg.c1, cfg.c2)
-    basis = holomorphic_basis(tag, cs)
-    worst = max(dbar_residual(v, tag, cs) / gs.grid_abs_max(v) for v in basis)
-    kappa = curvature_constant(tag)
+    basis, worst = _closure(tag, ComplexStructure(cfg.tau, cfg.c1, cfg.c2))
     first = basis[0].terms[0]
-    doc = {
-        "schema": 1,
-        "command": "theta-basis",
-        "config": cfg.to_json(),
-        "side": side,
-        "sigma": _c2p(first.sigma),
-        "c": _c2p(first.c),
-        "count": len(basis),
-        "curvature": _c2p(kappa),
-        "dbar_residual": worst,
-        "tol": BASIS_TOL,
-        "pass": worst <= BASIS_TOL,
-        "vectors": [gs.to_json(v) for v in basis],
-    }
-    _emit(doc, cfg)
-    return 0 if worst <= BASIS_TOL else 1
+    return _report(
+        cfg, "theta-basis", worst <= BASIS_TOL,
+        side=side, sigma=_c2p(first.sigma), c=_c2p(first.c), count=len(basis),
+        curvature=_c2p(curvature_constant(tag)), dbar_residual=worst, tol=BASIS_TOL,
+        vectors=[gs.to_json(v) for v in basis],
+    )
 
 
 def cmd_tensor(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -519,10 +503,8 @@ def cmd_tensor(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise IndexOutOfRange(f"alpha = {args.alpha} outside range(0, {m})")
     if not 0 <= args.beta < l:
         raise IndexOutOfRange(f"beta = {args.beta} outside range(0, {l})")
-    tag_f = module_tag(n, m, cfg.theta)
-    tag_g = module_tag(k, l, -cfg.theta)
-    fv = holomorphic_basis(tag_f, cs)[args.alpha]
-    gv = holomorphic_basis(tag_g, cs)[args.beta]
+    fv = holomorphic_basis(p.right, cs)[args.alpha]
+    gv = holomorphic_basis(p.left, cs)[args.beta]
     sig_f = fv.terms[0]
     sig_g = gv.terms[0]
     form = tensor_gaussian_closed(
@@ -531,41 +513,23 @@ def cmd_tensor(cfg: RunConfig, args: argparse.Namespace) -> int:
     direct = tensor_direct(fv, gv, p, args.z, args.delta, cfg.qmax)
     closed = form.evaluate(args.z, args.delta)
     diff = abs(closed - direct)
-    ok = diff <= cfg.tol * (1 + abs(direct))
-    doc = {
-        "schema": 1,
-        "command": "tensor",
-        "config": cfg.to_json(),
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "z": args.z,
-        "delta": args.delta,
-        "q0": form.q0(args.delta),
-        "direct": _c2p(direct),
-        "closed_form": _c2p(closed),
-        "abs_diff": diff,
-        "pass": ok,
-    }
-    _emit(doc, cfg)
-    return 0 if ok else 1
+    return _report(
+        cfg, "tensor", diff <= cfg.tol * (1 + abs(direct)),
+        alpha=args.alpha, beta=args.beta, z=args.z, delta=args.delta, q0=form.q0(args.delta),
+        direct=_c2p(direct), closed_form=_c2p(closed), abs_diff=diff,
+    )
 
 
 def cmd_structure_constants(cfg: RunConfig, args: argparse.Namespace) -> int:
     checks = CheckList()
     sc_doc = _structure_constant_checks(cfg, checks)
     if cfg.fmt == "csv":
-        _emit_csv(sc_doc["entries"], cfg)
+        _write(_csv_table(sc_doc["entries"]), cfg)
         return 0 if checks.ok else 1
-    doc = {
-        "schema": 1,
-        "command": "structure-constants",
-        "config": cfg.to_json(),
-        "structure_constants": sc_doc,
-        "checks": checks.entries,
-        "pass": checks.ok,
-    }
-    _emit(doc, cfg)
-    return 0 if checks.ok else 1
+    return _report(
+        cfg, "structure-constants", checks.ok,
+        structure_constants=sc_doc, checks=checks.entries,
+    )
 
 
 def cmd_verify_all(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -580,17 +544,11 @@ def cmd_verify_all(cfg: RunConfig, args: argparse.Namespace) -> int:
         checks.skip("holomorphic_closure", str(exc))
     try:
         _structure_constant_checks(cfg, checks)
+    except SeriesOverflow:
+        raise  # a failed evaluation, not an inapplicable stage
     except NCTorusError as exc:
         checks.skip("structure_constants", str(exc))
-    doc = {
-        "schema": 1,
-        "command": "verify-all",
-        "config": cfg.to_json(),
-        "checks": checks.entries,
-        "pass": checks.ok,
-    }
-    _emit(doc, cfg)
-    return 0 if checks.ok else 1
+    return _report(cfg, "verify-all", checks.ok, checks=checks.entries)
 
 
 COMMANDS: dict[str, Callable[[RunConfig, argparse.Namespace], int]] = {

@@ -12,11 +12,11 @@ base torus, and its curvature is the constant
 
     [nabla_1, nabla_2] = -4*pi**2*i*m/D.
 
-A complex structure is a choice tau with Im(tau) != 0, weighting the
-antiholomorphic operator nabla-bar = lambda_1*nabla_1 + lambda_2*nabla_2
-with lambda_1 = tau*lambda_2.  Solving nabla-bar f = 0 on Gaussians gives
-sigma = i*tau*m/D and c = (lambda_1*c1 + lambda_2*c2)/(2*pi*lambda_2); one
-Gaussian per component, m in total, exists precisely when Re(sigma) > 0.
+A complex structure is a choice tau with Im(tau) != 0, fixing the
+antiholomorphic operator nabla-bar = tau*nabla_1 + nabla_2.  Solving
+nabla-bar f = 0 on Gaussians gives sigma = i*tau*m/D and
+c = (tau*c1 + c2)/(2*pi); one Gaussian per component, m in total, exists
+precisely when Re(sigma) > 0.
 """
 
 from __future__ import annotations
@@ -34,35 +34,20 @@ TWO_PI = 2 * math.pi
 
 @dataclass(frozen=True)
 class ComplexStructure:
-    """tau with Im(tau) != 0, connection offsets, and the weight lambda_2."""
+    """tau with Im(tau) != 0 and the connection offsets c1, c2."""
 
     tau: complex
     c1: complex = 0j
     c2: complex = 0j
-    lambda2: complex = 1.0 + 0j
 
     def __post_init__(self) -> None:
         if self.tau.imag == 0:
             raise ValueError(f"Im(tau) must be nonzero, got tau = {self.tau}")
-        if self.lambda2 == 0:
-            raise ValueError("lambda2 must be nonzero")
-
-    @property
-    def lambda1(self) -> complex:
-        return self.tau * self.lambda2
 
     @property
     def offset(self) -> complex:
         """Linear coefficient c of the holomorphic Gaussians (module docstring)."""
-        return (self.lambda1 * self.c1 + self.lambda2 * self.c2) / (TWO_PI * self.lambda2)
-
-    def to_json(self) -> dict:
-        return {
-            "tau": [self.tau.real, self.tau.imag],
-            "c1": [self.c1.real, self.c1.imag],
-            "c2": [self.c2.real, self.c2.imag],
-            "lambda2": [self.lambda2.real, self.lambda2.imag],
-        }
+        return (self.tau * self.c1 + self.c2) / TWO_PI
 
 
 def nabla1(v: g.PolyGaussVector, tag: ModuleTag, c1: complex = 0j) -> g.PolyGaussVector:
@@ -132,10 +117,5 @@ def holomorphic_basis(tag: ModuleTag, cs: ComplexStructure) -> list[g.PolyGaussV
 def dbar_residual(
     v: g.PolyGaussVector, tag: ModuleTag, cs: ComplexStructure
 ) -> float:
-    """Grid sup of (lambda_1*nabla_1 + lambda_2*nabla_2) v."""
-    w = g.axpy(
-        cs.lambda1,
-        nabla1(v, tag, cs.c1),
-        g.scale(cs.lambda2, nabla2(v, tag, cs.c2)),
-    )
-    return g.grid_abs_max(w)
+    """Grid sup of (tau*nabla_1 + nabla_2) v."""
+    return g.grid_abs_max(g.axpy(cs.tau, nabla1(v, tag, cs.c1), nabla2(v, tag, cs.c2)))

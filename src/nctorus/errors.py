@@ -47,3 +47,7 @@ class NoHolomorphicVectors(NCTorusError):
 
 class NonConvergent(NCTorusError):
     """A truncated series failed to converge within the term cap."""
+
+
+class SeriesOverflow(NCTorusError):
+    """A theta-series value overflowed double precision."""

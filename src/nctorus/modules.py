@@ -56,6 +56,8 @@ class ModuleTag:
 
     Build through :func:`module_tag`, which validates coprimality, m >= 1,
     and a nonvanishing denominator n + m*theta (resp. n - m*theta).
+    ``tensor.product_params`` calls the constructor on purpose: with
+    strict=False it admits a left factor with k - l*theta = 0.
     """
 
     n: int

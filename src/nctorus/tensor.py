@@ -44,7 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import gaussians as gs
 from .algebra import TWO_PI_I, BezoutPair, bezout, theta_prime
@@ -56,6 +56,7 @@ from .errors import (
     InvalidSigma,
     NoHolomorphicVectors,
     NonConvergent,
+    SeriesOverflow,
     SignAssumptionViolated,
 )
 from .modules import (
@@ -250,6 +251,13 @@ def _q_sum(
         radius = new_radius
 
 
+def _check_factors(f: gs.PolyGaussVector, g: gs.PolyGaussVector, p: ProductParams) -> None:
+    if f.m != p.m or g.m != p.l:
+        raise DimensionMismatch(
+            f"factors on Z_{f.m} x Z_{g.m}, label needs Z_{p.m} x Z_{p.l}"
+        )
+
+
 def tensor_direct(
     f: gs.PolyGaussVector,
     g: gs.PolyGaussVector,
@@ -259,10 +267,7 @@ def tensor_direct(
     qmax: int = DEFAULT_QMAX,
 ) -> complex:
     """The bilinear map evaluated pointwise by direct summation over q."""
-    if f.m != p.m:
-        raise DimensionMismatch(f"right factor on Z_{f.m}, label needs Z_{p.m}")
-    if g.m != p.l:
-        raise DimensionMismatch(f"left factor on Z_{g.m}, label needs Z_{p.l}")
+    _check_factors(f, g, p)
     if not 0 <= delta < p.M:
         raise IndexOutOfRange(f"delta = {delta} outside range(0, {p.M})")
     return _q_sum(f, g, p, z, delta, qmax)
@@ -512,7 +517,13 @@ def structure_constants(
                     continue
                 t = form.t_value(0.0, gamma, q0)
                 k_exp = form.xi_exponent(0.0, gamma, q0)
-                col.append(theta(form.s, t, eps) * cmath.exp(k_exp))
+                try:
+                    col.append(theta(form.s, t, eps) * cmath.exp(k_exp))
+                except OverflowError as exc:
+                    raise SeriesOverflow(
+                        f"structure_constants: {exc} at entry (alpha, beta, gamma) = ({alpha}, "
+                        f"{beta}, {gamma}) of ({p.n}, {p.m}) x ({p.k}, {p.l}) at theta = {p.theta}"
+                    ) from exc
                 provenance[(alpha, beta, gamma)] = {
                     "s": form.s,
                     "t": t,
@@ -535,11 +546,17 @@ def structure_constants(
     )
 
 
-def _check_factors(f: gs.PolyGaussVector, g: gs.PolyGaussVector, p: ProductParams) -> None:
-    if f.m != p.m or g.m != p.l:
-        raise DimensionMismatch(
-            f"factors on Z_{f.m} x Z_{g.m}, label needs Z_{p.m} x Z_{p.l}"
-        )
+def _residual(
+    p: ProductParams, sides: Callable[[float, int], tuple[complex, complex]]
+) -> float:
+    """max |lhs - rhs| / (1 + max |lhs|) of (lhs, rhs) = sides(z, delta) on the probe grid."""
+    worst = ref = 0.0
+    for z in PROBE_ZS:
+        for delta in range(p.M):
+            lhs, rhs = sides(z, delta)
+            worst = max(worst, abs(lhs - rhs))
+            ref = max(ref, abs(lhs))
+    return worst / (1 + ref)
 
 
 def verify_identification(
@@ -551,23 +568,15 @@ def verify_identification(
 ) -> float:
     """Residual of (f.U) (x) g = f (x) (U.g) over the probe grid.
 
-    generator is "U1" or "U2".  Returns max |difference| normalized by
-    1 + max |reference| over z in PROBE_ZS and delta in range(M).
+    generator is "U1" or "U2"; lhs is the product with the operator applied
+    to the right factor, normalized as in :func:`_residual`.
     """
     _check_factors(f, g, p)
     act = {"U1": act_U1, "U2": act_U2}.get(generator)
     if act is None:
         raise ValueError(f"generator must be 'U1' or 'U2', got {generator!r}")
     fu, gu = act(f, p.right), act(g, p.left)
-    worst = 0.0
-    ref = 0.0
-    for z in PROBE_ZS:
-        for delta in range(p.M):
-            lhs = _q_sum(fu, g, p, z, delta, qmax)
-            rhs = _q_sum(f, gu, p, z, delta, qmax)
-            worst = max(worst, abs(lhs - rhs))
-            ref = max(ref, abs(lhs))
-    return worst / (1 + ref)
+    return _residual(p, lambda z, d: (_q_sum(fu, g, p, z, d, qmax), _q_sum(f, gu, p, z, d, qmax)))
 
 
 def verify_delta_period(
@@ -576,17 +585,11 @@ def verify_delta_period(
     p: ProductParams,
     qmax: int = DEFAULT_QMAX,
 ) -> float:
-    """Residual of h(z, delta + M) = h(z, delta) over the probe grid."""
+    """Residual of h(z, delta + M) = h(z, delta) over the probe grid, lhs = h(z, delta)."""
     _check_factors(f, g, p)
-    worst = 0.0
-    ref = 0.0
-    for z in PROBE_ZS:
-        for delta in range(p.M):
-            base = _q_sum(f, g, p, z, delta, qmax)
-            shifted = _q_sum(f, g, p, z, delta + p.M, qmax)
-            worst = max(worst, abs(shifted - base))
-            ref = max(ref, abs(base))
-    return worst / (1 + ref)
+    return _residual(
+        p, lambda z, d: (_q_sum(f, g, p, z, d, qmax), _q_sum(f, g, p, z, d + p.M, qmax))
+    )
 
 
 def verify_z_covariance(
@@ -605,20 +608,12 @@ def verify_z_covariance(
     Both are normalized like :func:`verify_identification`.
     """
     _check_factors(f, g, p)
-    z1f = act_Z1(f, p.right)
-    z2f = act_Z2(f, p.right)
+    z1f, z2f = act_Z1(f, p.right), act_Z2(f, p.right)
     shift_z = -p.N_prime / p.M + p.theta_prime
-    worst1 = ref1 = 0.0
-    worst2 = ref2 = 0.0
-    for z in PROBE_ZS:
-        for delta in range(p.M):
-            base = _q_sum(f, g, p, z, delta, qmax)
-            lhs1 = _q_sum(z1f, g, p, z, delta, qmax)
-            rhs1 = _q_sum(f, g, p, z + shift_z, delta - 1, qmax)
-            worst1 = max(worst1, abs(lhs1 - rhs1))
-            ref1 = max(ref1, abs(lhs1))
-            lhs2 = _q_sum(z2f, g, p, z, delta, qmax)
-            rhs2 = cmath.exp(TWO_PI_I * (z - p.N_prime * delta / p.M)) * base
-            worst2 = max(worst2, abs(lhs2 - rhs2))
-            ref2 = max(ref2, abs(lhs2))
-    return worst1 / (1 + ref1), worst2 / (1 + ref2)
+    return (
+        _residual(p, lambda z, d: (
+            _q_sum(z1f, g, p, z, d, qmax), _q_sum(f, g, p, z + shift_z, d - 1, qmax))),
+        _residual(p, lambda z, d: (
+            _q_sum(z2f, g, p, z, d, qmax),
+            cmath.exp(TWO_PI_I * (z - p.N_prime * d / p.M)) * _q_sum(f, g, p, z, d, qmax))),
+    )

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import nctorus.cli as cli
 from nctorus.cli import main, parse_complex, parse_int_pair, parse_theta
 
 
@@ -75,8 +76,34 @@ def test_arithmetic_overflow_is_usage_error(capsys):
     assert main(["structure-constants", "--theta", "sqrt2-1", "--nm", "2,5",
                  "--kl", "3,7"]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:")
+    assert captured.err.startswith("error: structure_constants:")
+    assert "(alpha, beta, gamma) = (" in captured.err
+    assert "(2, 5) x (3, 7)" in captured.err
+    assert f"theta = {math.sqrt(2) - 1}" in captured.err
     assert captured.out == ""
+
+
+def test_verify_all_does_not_skip_an_overflow(capsys, monkeypatch):
+    # structure constants that overflow fail verify-all, they are not skipped
+    # as an inapplicable stage; the slow q-sum stages are stubbed out here
+    monkeypatch.setattr(cli, "_identity_checks", lambda cfg, checks: None)
+    monkeypatch.setattr(cli, "_oracle_checks", lambda cfg, checks: None)
+    assert main(["verify-all", "--theta", "sqrt2-1", "--nm", "2,5", "--kl", "3,7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: structure_constants:")
+    assert captured.out == ""
+
+
+def test_negative_complex_flag_needs_equals_form(capsys):
+    # argparse reads "--c2 -0.3,0.1" as a new option; "--c2=-0.3,0.1" works
+    tau, c1, c2 = 0.3 - 1.2j, 0.1 + 0.2j, -0.3 + 0.1j
+    assert main(["theta-basis", "--tau", "0.3,-1.2", "--c1", "0.1,0.2",
+                 "--c2=-0.3,0.1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    c = (tau * c1 + c2) / (2 * math.pi)
+    assert doc["c"] == [c.real, c.imag]
+    assert doc["config"]["c2"] == [-0.3, 0.1]
+    assert main(["theta-basis", "--c2", "-0.3,0.1"]) == 2
 
 
 def test_theta_basis_reports_width(capsys):

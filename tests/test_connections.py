@@ -205,24 +205,28 @@ def test_dbar_detects_perturbation():
     assert dbar_residual(axpy(0.01, off, v), tag, cs) > 1e-4
 
 
-def test_dbar_scales_with_lambda2():
-    tag = module_tag(1, 2, 0.3)
-    cs1 = ComplexStructure(tau=-1j, lambda2=1.0)
-    cs2 = ComplexStructure(tau=-1j, lambda2=2.5)
-    rng = random.Random(7)
-    v = random_gaussian(rng, 2)
-    r1 = dbar_residual(v, tag, cs1)
-    r2 = dbar_residual(v, tag, cs2)
-    assert abs(r2 - 2.5 * r1) < 1e-9 * (1 + r2)
+def test_offset_with_nonzero_connection_offsets():
+    # Re(tau) != 0 and complex c1, c2: c = (tau*c1 + c2)/(2*pi) is the one
+    # linear coefficient killed by tau*nabla_1 + nabla_2
+    tau, c1, c2 = 0.3 - 1.2j, 0.1 + 0.2j, -0.3 + 0.1j
+    cs = ComplexStructure(tau, c1, c2)
+    assert cs.offset == (tau * c1 + c2) / (2 * math.pi)
+    for tag in (module_tag(1, 2, 0.2), module_tag(2, 3, -0.2), module_tag(1, 4, 0.41)):
+        basis = holomorphic_basis(tag, cs)
+        assert len(basis) == tag.m
+        for v in basis:
+            assert dbar_residual(v, tag, cs) <= 1e-12 * grid_abs_max(v)
+        sigma = holomorphic_sigma(tag, cs)
+        for eps in (1e-4, 1e-4j):
+            for mu in range(tag.m):
+                wrong = gaussian(tag.m, sigma, cs.offset + eps, mu)
+                # the defect is exactly 2*pi*|eps| relative
+                assert dbar_residual(wrong, tag, cs) > 1e-4 * grid_abs_max(wrong)
 
 
 def test_complex_structure_validation():
     with pytest.raises(ValueError):
         ComplexStructure(tau=0.5)
-    with pytest.raises(ValueError):
-        ComplexStructure(tau=-1j, lambda2=0)
-    cs = ComplexStructure(tau=-2j, lambda2=0.5)
-    assert cs.lambda1 == -2j * 0.5
 
 
 # ---------------------------------------------------------- anti-Hermitian

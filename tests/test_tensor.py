@@ -14,6 +14,7 @@ from nctorus.errors import (
     InvalidSigma,
     NonConvergent,
     NotCoprime,
+    SeriesOverflow,
     SignAssumptionViolated,
 )
 from nctorus.modules import LEFT, module_tag
@@ -346,3 +347,13 @@ def test_structure_constants_need_matching_tau_sign():
     p = _canonical()
     with pytest.raises(Exception):
         structure_constants(p, ComplexStructure(tau=1j))
+
+
+def test_structure_constants_overflow_is_typed():
+    # exp(2*pi*i*t*u) overflows at Im(s) ~ 160; the error names the entry
+    p = product_params(2, 5, 3, 7, math.sqrt(2) - 1)
+    with pytest.raises(SeriesOverflow) as info:
+        structure_constants(p, ComplexStructure(tau=-1j))
+    assert isinstance(info.value.__cause__, OverflowError)
+    assert "structure_constants" in str(info.value)
+    assert "(2, 5) x (3, 7)" in str(info.value)

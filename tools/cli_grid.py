@@ -1,0 +1,126 @@
+"""Record and compare the CLI's output over a fixed grid of calls.
+
+Usage:
+    python3 tools/cli_grid.py record SRC OUT.json
+    python3 tools/cli_grid.py compare A.json B.json
+
+``record`` runs ``python -m nctorus.cli`` with ``PYTHONPATH=SRC/src`` once
+per argv of the grid and stores its exit code, stdout and stderr, plus the
+files written by the ``--output`` calls.  ``compare`` lists every argv whose
+record differs between two recordings and exits 1 if any does, so a
+refactor that must not change output can be checked against the parent
+checkout:
+
+    git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
+    python3 tools/cli_grid.py record /tmp/parent /tmp/parent.json
+    python3 tools/cli_grid.py record . /tmp/change.json
+    python3 tools/cli_grid.py compare /tmp/parent.json /tmp/change.json
+
+The grid covers every subcommand over the five benchmark label pairs at
+two angles, ``verify-all`` at edge labels and at nonzero connection
+offsets, one closed-form overflow, every ``--help`` text and one JSON and
+one CSV ``--output`` file.  Pure stdlib.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PAIRS = ("1,2 1,3", "3,2 2,3", "1,4 2,3", "1,3 2,5", "2,3 3,5")
+THETAS = ("0.2", "sqrt2-1")
+PER_POINT = (
+    ["verify-all"],
+    ["structure-constants"],
+    ["structure-constants", "--format", "csv"],
+    ["tensor", "--alpha", "0", "--beta", "0", "--z", "0.3", "--delta", "1"],
+    ["algebra-check", "--seed", "7"],
+    ["theta-basis"],
+    ["theta-basis", "--side", "left"],
+)
+OFFSETS = ["--tau", "0.3,-1.2", "--c1", "0.1,0.2", "--c2=-0.3,0.1"]
+EDGES = (
+    ["--nm", "1,2", "--kl", "14,1"],
+    ["--theta", "0.5", "--kl", "1,2"],
+    ["--tau", "0,1"],
+    ["--nm=-1,2", "--theta", "0.5"],
+    OFFSETS,
+)
+COMMANDS = ("algebra-check", "theta-basis", "tensor", "structure-constants", "verify-all")
+# Calls run with "--output NAME" in a scratch directory, keyed by NAME.
+OUTPUT_CALLS = {
+    "out.json": ["structure-constants"],
+    "out.csv": ["structure-constants", "--format", "csv"],
+}
+
+
+def grid() -> list[list[str]]:
+    calls = []
+    for pair in PAIRS:
+        nm, kl = pair.split()
+        for theta in THETAS:
+            for cmd in PER_POINT:
+                calls.append([*cmd, "--theta", theta, "--nm", nm, "--kl", kl])
+    calls += [["verify-all", *edge] for edge in EDGES]
+    calls += [[cmd, *OFFSETS] for cmd in ("theta-basis", "tensor", "structure-constants")]
+    calls.append(["structure-constants", "--theta", "sqrt2-1", "--nm", "2,5", "--kl", "3,7"])
+    calls += [["--help"]] + [[cmd, "--help"] for cmd in COMMANDS]
+    return calls
+
+
+def run(src: Path, argv: list[str], cwd: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src / "src"), COLUMNS="80")
+    done = subprocess.run(
+        [sys.executable, "-m", "nctorus.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=600,
+    )
+    return {"exit": done.returncode, "stdout": done.stdout, "stderr": done.stderr}
+
+
+def record(src: Path, out: Path) -> int:
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in grid():
+            results[" ".join(argv)] = run(src, argv, tmp)
+        for name, cmd in OUTPUT_CALLS.items():
+            path = Path(tmp, name)
+            entry = run(src, [*cmd, "--output", str(path)], tmp)
+            entry["file"] = path.read_text() if path.exists() else None
+            results[" ".join([*cmd, "--output", name])] = entry
+    out.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(results)} calls to {out}")
+    return 0
+
+
+def compare(a: Path, b: Path) -> int:
+    left = json.loads(a.read_text())
+    right = json.loads(b.read_text())
+    differ = []
+    for key in sorted(left.keys() | right.keys()):
+        if key not in left or key not in right:
+            differ.append(f"{key}: only in {a if key in left else b}")
+        elif left[key] != right[key]:
+            parts = [f for f in ("exit", "stdout", "stderr", "file")
+                     if left[key].get(f) != right[key].get(f)]
+            differ.append(f"{key}: {', '.join(parts)} differ")
+    for line in differ:
+        print(line)
+    print(f"{len(differ)} of {len(left.keys() | right.keys())} calls differ")
+    return 1 if differ else 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "record":
+        return record(Path(argv[1]).resolve(), Path(argv[2]))
+    if len(argv) == 3 and argv[0] == "compare":
+        return compare(Path(argv[1]), Path(argv[2]))
+    print(__doc__, file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
