@@ -44,7 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import gaussians as gs
 from .algebra import TWO_PI_I, BezoutPair, bezout, theta_prime
@@ -85,7 +85,7 @@ class ProductParams:
     """Labels, factor modules, and derived constants of one tensor product.
 
     Build through :func:`product_params`.  A, B, M, r and L are stored,
-    not derived, because the q-sum reads them once per summand.
+    not derived, because every q-sum call reads them.
     ``profile`` carries the endomorphism invariants and is present only
     when both denominators are positive; the q-sum itself needs neither sign.
     """
@@ -196,29 +196,6 @@ def crt_q0(alpha: int, beta: int, delta: int, p: ProductParams) -> int | None:
     return beta_mod + l * y
 
 
-def _f_argument(p: ProductParams, z: float, delta: int, q: int) -> float:
-    return p.A * z - (p.A / p.m) * q + (p.l * p.A / (p.m * p.M)) * delta
-
-
-def _g_argument(p: ProductParams, z: float, delta: int, q: int) -> float:
-    return p.A * z + (p.B / p.l) * q - (p.B / p.M) * delta
-
-
-def _summand(
-    f: gs.PolyGaussVector,
-    g: gs.PolyGaussVector,
-    p: ProductParams,
-    z: float,
-    delta: int,
-    q: int,
-) -> complex:
-    mu = (p.right.pair.a * delta - q) % p.m
-    nu = q % p.l
-    return gs.evaluate(f, _f_argument(p, z, delta, q), mu) * gs.evaluate(
-        g, _g_argument(p, z, delta, q), nu
-    )
-
-
 def _q_sum(
     f: gs.PolyGaussVector,
     g: gs.PolyGaussVector,
@@ -231,20 +208,38 @@ def _q_sum(
 
     Convergence is certified by the last doubled shell contributing no more
     than SHELL_TOL relative to the running total; NonConvergent means the
-    cap qmax was reached before any shell certified.
+    cap qmax was reached before any shell certified.  A q whose component
+    a*delta - q (mod m) of f or q (mod l) of g carries no term is skipped:
+    its summand is 0j times a finite value, an exact zero, and partial sums
+    that start at +0 never become -0, so skipping changes no bit.
     """
+    supp_f = {t.mu for t in f.terms}
+    supp_g = {t.mu for t in g.terms}
+    evaluate = gs.evaluate
+    m, l, a_delta = p.m, p.l, p.right.pair.a * delta
+    az = p.A * z
+    f_q, f_delta = p.A / p.m, (p.l * p.A / (p.m * p.M)) * delta
+    g_q, g_delta = p.B / p.l, (p.B / p.M) * delta
+
+    def partial(qs: Iterable[int]) -> complex:
+        acc = 0j
+        for q in qs:
+            mu, nu = (a_delta - q) % m, q % l
+            if mu in supp_f and nu in supp_g:
+                acc += evaluate(f, az - f_q * q + f_delta, mu) * evaluate(
+                    g, az + g_q * q - g_delta, nu
+                )
+        return acc
+
     radius = min(BASE_RADIUS, qmax)
-    total = sum(_summand(f, g, p, z, delta, q) for q in range(-radius, radius + 1))
+    total = partial(range(-radius, radius + 1))
     while True:
         new_radius = min(2 * radius, qmax)
         if new_radius == radius:
             raise NonConvergent(
                 f"q-series not certified within |q| <= {qmax} at z = {z}, delta = {delta}"
             )
-        shell = 0j
-        for q in range(radius + 1, new_radius + 1):
-            shell += _summand(f, g, p, z, delta, q)
-            shell += _summand(f, g, p, z, delta, -q)
+        shell = partial(q for u in range(radius + 1, new_radius + 1) for q in (u, -u))
         total += shell
         if abs(shell) <= SHELL_TOL * (1 + abs(total)):
             return total
@@ -355,7 +350,15 @@ class ProductClosedForm:
         if q0 is None:
             return 0j
         t = self.t_value(z, delta, q0)
-        return theta(self.s, t, eps) * cmath.exp(self.xi_exponent(z, delta, q0))
+        try:
+            return theta(self.s, t, eps) * cmath.exp(self.xi_exponent(z, delta, q0))
+        except OverflowError as exc:
+            p = self.params
+            raise SeriesOverflow(
+                f"ProductClosedForm.evaluate: {exc} at (alpha, beta) = ({self.alpha}, "
+                f"{self.beta}), delta = {delta}, z = {z} of ({p.n}, {p.m}) x ({p.k}, {p.l}) "
+                f"at theta = {p.theta}"
+            ) from exc
 
 
 def tensor_gaussian_closed(

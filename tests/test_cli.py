@@ -83,6 +83,18 @@ def test_arithmetic_overflow_is_usage_error(capsys):
     assert captured.out == ""
 
 
+def test_tensor_closed_form_overflow_is_typed(capsys):
+    # ProductClosedForm.evaluate overflows before structure_constants is reached
+    assert main(["tensor", "--alpha", "0", "--beta", "0", "--delta", "1", "--theta",
+                 "sqrt2-1", "--nm", "2,5", "--kl", "3,7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ProductClosedForm.evaluate:")
+    assert "(alpha, beta) = (0, 0), delta = 1, z = 0.0" in captured.err
+    assert "(2, 5) x (3, 7)" in captured.err
+    assert f"theta = {math.sqrt(2) - 1}" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_all_does_not_skip_an_overflow(capsys, monkeypatch):
     # structure constants that overflow fail verify-all, they are not skipped
     # as an inapplicable stage; the slow q-sum stages are stubbed out here

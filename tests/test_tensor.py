@@ -17,6 +17,8 @@ from nctorus.errors import (
     SeriesOverflow,
     SignAssumptionViolated,
 )
+from nctorus import gaussians as gs
+from nctorus import tensor
 from nctorus.modules import LEFT, module_tag
 from nctorus.tensor import (
     crt_q0,
@@ -30,6 +32,7 @@ from nctorus.tensor import (
     verify_z_covariance,
 )
 
+from conftest import random_vector
 
 
 def _canonical(theta=0.2):
@@ -131,6 +134,87 @@ def test_direct_sum_input_validation():
         tensor_direct(fb[0], gb[0], p, 0.0, 0, qmax=8)
 
 
+def _reference_q_sum(f, g, p, z, delta, qmax):
+    """The q-series summed over every q, one argument expression per factor."""
+
+    def summand(q):
+        mu = (p.right.pair.a * delta - q) % p.m
+        nu = q % p.l
+        x = p.A * z - (p.A / p.m) * q + (p.l * p.A / (p.m * p.M)) * delta
+        y = p.A * z + (p.B / p.l) * q - (p.B / p.M) * delta
+        return gs.evaluate(f, x, mu) * gs.evaluate(g, y, nu)
+
+    radius = min(tensor.BASE_RADIUS, qmax)
+    total = sum(summand(q) for q in range(-radius, radius + 1))
+    while True:
+        new_radius = min(2 * radius, qmax)
+        if new_radius == radius:
+            raise NonConvergent(
+                f"q-series not certified within |q| <= {qmax} at z = {z}, delta = {delta}"
+            )
+        shell = 0j
+        for q in range(radius + 1, new_radius + 1):
+            shell += summand(q)
+            shell += summand(-q)
+        total += shell
+        if abs(shell) <= tensor.SHELL_TOL * (1 + abs(total)):
+            return total
+        radius = new_radius
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except NonConvergent as exc:
+        return f"NonConvergent: {exc}"
+
+
+def test_q_sum_skip_is_bit_exact():
+    # skipping q whose factor components carry no term changes no bit of
+    # the value, not even the sign of a zero, nor the NonConvergent text
+    rng = random.Random(57)
+    outcomes = set()
+    for n, m, k, l in ((1, 2, 1, 4), (1, 4, 1, 6)):
+        p = product_params(n, m, k, l, 0.2, strict=False)
+        assert p.r == 2
+        # the last pair is incompatible where a*delta is even: an exact zero
+        factors = [(random_vector(rng, m, nterms=3), random_vector(rng, l, nterms=3))
+                   for _ in range(3)]
+        factors.append((gs.gaussian(m, 1.0, mu=0), gs.gaussian(l, 1.0, mu=1)))
+        for f, g in factors:
+            for delta in (-1, 0, p.M - 1, p.M):
+                for qmax in (16, 24, tensor.DEFAULT_QMAX):
+                    for z in (-0.7, 0.0, 0.45):
+                        got = _outcome(tensor._q_sum, f, g, p, z, delta, qmax)
+                        want = _outcome(_reference_q_sum, f, g, p, z, delta, qmax)
+                        assert got == want
+                        outcomes.add(got)
+    assert "0j" in outcomes
+    assert any(o.startswith("NonConvergent") for o in outcomes)
+
+
+def test_q_sum_evaluates_only_live_residues(monkeypatch):
+    # with one term per factor only q in one class mod L = lcm(m, l) are
+    # evaluated, two evaluate calls each, over the 65 summands of |q| <= 32
+    p = product_params(3, 2, 2, 3, 0.2)
+    assert p.L == 6
+    fb, gb = _factor_bases(p)
+    calls = [0]
+    evaluate = gs.evaluate
+
+    def counting(v, x, mu):
+        calls[0] += 1
+        return evaluate(v, x, mu)
+
+    monkeypatch.setattr(gs, "evaluate", counting)
+    for alpha in range(p.m):
+        for beta in range(p.l):
+            for delta in range(p.M):
+                calls[0] = 0
+                tensor_direct(fb[alpha], gb[beta], p, 0.3, delta)
+                assert 0 < calls[0] <= 2 * (65 // p.L + 1)
+
+
 def test_direct_sum_rejects_delta_outside_fundamental_range():
     # periodic extension is the business of verify_delta_period
     p = _canonical()
@@ -205,11 +289,12 @@ def test_closed_form_unsolvable_is_exact_zero():
     form = tensor_gaussian_closed(0, 1, 1.0, 0.0, 1.0, 0.0, p)
     assert form.q0(0) is None
     assert form.evaluate(0.3, 0) == 0j
-    # the q-series sees the same vanishing, up to truncation noise
+    # the q-series vanishes exactly too: every summand has a factor on an
+    # empty component, so it is an exact zero
     from nctorus.gaussians import gaussian
     f = gaussian(2, 1.0, mu=0)
     g = gaussian(2, 1.0, mu=1)
-    assert abs(tensor_direct(f, g, p, 0.3, 0)) < 1e-13
+    assert tensor_direct(f, g, p, 0.3, 0) == 0j
 
 
 def test_closed_form_validation():
@@ -357,3 +442,18 @@ def test_structure_constants_overflow_is_typed():
     assert isinstance(info.value.__cause__, OverflowError)
     assert "structure_constants" in str(info.value)
     assert "(2, 5) x (3, 7)" in str(info.value)
+
+
+def test_closed_form_evaluate_overflow_is_typed():
+    # the same product overflows in the closed form of one component pair
+    p = product_params(2, 5, 3, 7, math.sqrt(2) - 1)
+    fb, gb = _factor_bases(p)
+    form = _closed_for(p, fb, gb, 0, 0)
+    with pytest.raises(SeriesOverflow) as info:
+        form.evaluate(0.0, 1)
+    assert isinstance(info.value.__cause__, OverflowError)
+    text = str(info.value)
+    assert text.startswith("ProductClosedForm.evaluate:")
+    assert "(alpha, beta) = (0, 0), delta = 1, z = 0.0" in text
+    assert "(2, 5) x (3, 7)" in text
+    assert f"theta = {p.theta}" in text

@@ -18,8 +18,9 @@ checkout:
 
 The grid covers every subcommand over the five benchmark label pairs at
 two angles, ``verify-all`` at edge labels and at nonzero connection
-offsets, one closed-form overflow, every ``--help`` text and one JSON and
-one CSV ``--output`` file.  Pure stdlib.
+offsets, an exact-zero component pair and two ``--qmax`` caps that raise
+``NonConvergent``, two closed-form overflows, every ``--help`` text and one
+JSON and one CSV ``--output`` file.  Pure stdlib.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ EDGES = (
     ["--nm=-1,2", "--theta", "0.5"],
     OFFSETS,
 )
+# Labels with r = gcd(m, l) = 2, whose incompatible component pairs are exact zeros.
+R2 = ["--nm", "1,2", "--kl", "1,4"]
+OVERFLOW = ["--theta", "sqrt2-1", "--nm", "2,5", "--kl", "3,7"]
 COMMANDS = ("algebra-check", "theta-basis", "tensor", "structure-constants", "verify-all")
 # Calls run with "--output NAME" in a scratch directory, keyed by NAME.
 OUTPUT_CALLS = {
@@ -67,7 +71,14 @@ def grid() -> list[list[str]]:
                 calls.append([*cmd, "--theta", theta, "--nm", nm, "--kl", kl])
     calls += [["verify-all", *edge] for edge in EDGES]
     calls += [[cmd, *OFFSETS] for cmd in ("theta-basis", "tensor", "structure-constants")]
-    calls.append(["structure-constants", "--theta", "sqrt2-1", "--nm", "2,5", "--kl", "3,7"])
+    calls += [
+        ["tensor", *R2, "--alpha", "0", "--beta", "1", "--delta", "0", "--z", "0.3"],
+        ["verify-all", *R2],
+        ["verify-all", *R2, "--qmax", "24"],
+        ["tensor", *R2, "--qmax", "16"],
+        ["structure-constants", *OVERFLOW],
+        ["tensor", "--alpha", "0", "--beta", "0", "--delta", "1", *OVERFLOW],
+    ]
     calls += [["--help"]] + [[cmd, "--help"] for cmd in COMMANDS]
     return calls
 
