@@ -62,14 +62,12 @@ from .gaussians import (
 from .modules import (
     LEFT,
     RIGHT,
-    BimoduleProfile,
     ModuleTag,
     act_element,
     act_U1,
     act_U2,
     act_Z1,
     act_Z2,
-    bimodule_profile,
     module_tag,
 )
 from .tensor import (
@@ -92,7 +90,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BezoutPair",
-    "BimoduleProfile",
     "ComplexStructure",
     "DegenerateDenominator",
     "DimensionMismatch",
@@ -122,7 +119,6 @@ __all__ = [
     "act_element",
     "approx_eq",
     "bezout",
-    "bimodule_profile",
     "crt_q0",
     "curvature_constant",
     "dbar_residual",

@@ -34,7 +34,6 @@ import math
 import random
 import re
 import sys
-from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 from . import gaussians as gs
@@ -183,36 +182,6 @@ def parse_int_pair(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """The common options, one field per argparse dest of :func:`build_parser`."""
-
-    theta: float
-    nm: tuple[int, int]
-    kl: tuple[int, int]
-    tau: complex
-    c1: complex
-    c2: complex
-    tol: float
-    qmax: int
-    seed: int
-    output: str | None
-    fmt: str
-
-    def to_json(self) -> dict:
-        return {
-            "theta": self.theta,
-            "nm": list(self.nm),
-            "kl": list(self.kl),
-            "tau": [self.tau.real, self.tau.imag],
-            "c1": [self.c1.real, self.c1.imag],
-            "c2": [self.c2.real, self.c2.imag],
-            "tol": self.tol,
-            "qmax": self.qmax,
-            "seed": self.seed,
-        }
-
-
 def _c2p(z: complex) -> list[float]:
     return [z.real, z.imag]
 
@@ -257,9 +226,9 @@ class CheckList:
         return all(e.get("pass", True) for e in self.entries)
 
 
-def _algebra_checks(cfg: RunConfig, checks: CheckList) -> None:
-    rng = random.Random(cfg.seed)
-    th = cfg.theta
+def _algebra_checks(args: argparse.Namespace, checks: CheckList) -> None:
+    rng = random.Random(args.seed)
+    th = args.theta
     worst = dict.fromkeys(
         ("associativity", "involution", "trace_cyclic", "trace_positive",
          "leibniz", "derivations_commute", "star_derivation"),
@@ -297,10 +266,10 @@ def _algebra_checks(cfg: RunConfig, checks: CheckList) -> None:
     u2u1 = mul(monomial(0, 1), monomial(1, 0), th)
     weyl = norm_max(sub(u1u2, scale(cmath.exp(TWO_PI_I * th), u2u1)))
     for name, residual in worst.items():
-        checks.add(name, residual, cfg.tol)
-    checks.add("weyl_relation", weyl, cfg.tol)
+        checks.add(name, residual, args.tol)
+    checks.add("weyl_relation", weyl, args.tol)
 
-    n, m = cfg.nm
+    n, m = args.nm
     tag = module_tag(n, m, th)
     tp = theta_prime(th, tag.pair)
     v = _random_gaussian(rng, m, with_poly=True)
@@ -312,25 +281,25 @@ def _algebra_checks(cfg: RunConfig, checks: CheckList) -> None:
     checks.add(
         "module_u1u2_phase",
         rel(act_U2(act_U1(v, tag), tag), gs.scale(cmath.exp(TWO_PI_I * th), act_U1(act_U2(v, tag), tag))),
-        cfg.tol,
+        args.tol,
     )
     checks.add(
         "endo_z1z2_phase",
         rel(act_Z2(act_Z1(v, tag), tag), gs.scale(cmath.exp(-TWO_PI_I * tp), act_Z1(act_Z2(v, tag), tag))),
-        cfg.tol,
+        args.tol,
     )
     commute = 0.0
     for zgen in (act_Z1, act_Z2):
         for ugen in (act_U1, act_U2):
             commute = max(commute, rel(zgen(ugen(v, tag), tag), ugen(zgen(v, tag), tag)))
-    checks.add("endo_commutes_with_action", commute, cfg.tol)
+    checks.add("endo_commutes_with_action", commute, args.tol)
     f, g = _random_element(rng), _random_element(rng)
     checks.add(
         "module_axiom",
         rel(act_element(g, act_element(f, v, tag), tag), act_element(mul(f, g, th), v, tag)),
-        cfg.tol,
+        args.tol,
     )
-    k, l = cfg.kl
+    k, l = args.kl
     try:
         left = module_tag(k, l, th, side=LEFT)
         mirror = module_tag(k, l, -th, side=RIGHT)
@@ -342,23 +311,23 @@ def _algebra_checks(cfg: RunConfig, checks: CheckList) -> None:
         gs.grid_abs_max(gs.sub(act_U1(w, left), act_U1(w, mirror))),
         gs.grid_abs_max(gs.sub(act_U2(w, left), act_U2(w, mirror))),
     ) / (1.0 + gs.grid_abs_max(w))
-    checks.add("left_equals_mirrored_right", left_right, cfg.tol)
+    checks.add("left_equals_mirrored_right", left_right, args.tol)
 
 
-def _connection_checks(cfg: RunConfig, checks: CheckList) -> None:
-    rng = random.Random(cfg.seed + 1)
-    n, m = cfg.nm
-    tag = module_tag(n, m, cfg.theta)
+def _connection_checks(args: argparse.Namespace, checks: CheckList) -> None:
+    rng = random.Random(args.seed + 1)
+    n, m = args.nm
+    tag = module_tag(n, m, args.theta)
     v = _random_gaussian(rng, m, with_poly=True)
     scale_v = 1.0 + gs.grid_abs_max(v)
     kappa = curvature_constant(tag)
-    checks.add("curvature_constant", curvature_defect(v, tag) / (scale_v * abs(kappa)), cfg.tol)
+    checks.add("curvature_constant", curvature_defect(v, tag) / (scale_v * abs(kappa)), args.tol)
     f = _random_element(rng)
     for axis in (1, 2):
         checks.add(
             f"leibniz_axis{axis}",
             leibniz_defect(v, f, tag, axis) / scale_v,
-            cfg.tol,
+            args.tol,
         )
 
 
@@ -368,36 +337,36 @@ def _closure(tag: ModuleTag, cs: ComplexStructure) -> tuple[list[gs.PolyGaussVec
     return basis, max(dbar_residual(v, tag, cs) / gs.grid_abs_max(v) for v in basis)
 
 
-def _holomorphic_checks(cfg: RunConfig, checks: CheckList) -> None:
-    cs = ComplexStructure(cfg.tau, cfg.c1, cfg.c2)
+def _holomorphic_checks(args: argparse.Namespace, checks: CheckList) -> None:
+    cs = ComplexStructure(args.tau, args.c1, args.c2)
     pairs = (
-        ("right", module_tag(cfg.nm[0], cfg.nm[1], cfg.theta)),
-        ("left_mirror", module_tag(cfg.kl[0], cfg.kl[1], -cfg.theta)),
+        ("right", module_tag(args.nm[0], args.nm[1], args.theta)),
+        ("left_mirror", module_tag(args.kl[0], args.kl[1], -args.theta)),
     )
     for label, tag in pairs:
         checks.add(f"holomorphic_closure_{label}", _closure(tag, cs)[1], BASIS_TOL)
 
 
-def _identity_checks(cfg: RunConfig, checks: CheckList) -> None:
-    rng = random.Random(cfg.seed + 2)
-    n, m = cfg.nm
-    k, l = cfg.kl
-    p = product_params(n, m, k, l, cfg.theta, strict=False)
+def _identity_checks(args: argparse.Namespace, checks: CheckList) -> None:
+    rng = random.Random(args.seed + 2)
+    n, m = args.nm
+    k, l = args.kl
+    p = product_params(n, m, k, l, args.theta, strict=False)
     f = _random_gaussian(rng, m)
     g = _random_gaussian(rng, l)
-    checks.add("identification_u1", verify_identification(f, g, p, "U1", cfg.qmax), cfg.tol)
-    checks.add("identification_u2", verify_identification(f, g, p, "U2", cfg.qmax), cfg.tol)
-    checks.add("delta_periodicity", verify_delta_period(f, g, p, cfg.qmax), cfg.tol)
-    res1, res2 = verify_z_covariance(f, g, p, cfg.qmax)
-    checks.add("z1_covariance", res1, cfg.tol)
-    checks.add("z2_covariance", res2, cfg.tol)
+    checks.add("identification_u1", verify_identification(f, g, p, "U1", args.qmax), args.tol)
+    checks.add("identification_u2", verify_identification(f, g, p, "U2", args.qmax), args.tol)
+    checks.add("delta_periodicity", verify_delta_period(f, g, p, args.qmax), args.tol)
+    res1, res2 = verify_z_covariance(f, g, p, args.qmax)
+    checks.add("z1_covariance", res1, args.tol)
+    checks.add("z2_covariance", res2, args.tol)
 
 
-def _oracle_checks(cfg: RunConfig, checks: CheckList) -> None:
-    rng = random.Random(cfg.seed + 3)
-    n, m = cfg.nm
-    k, l = cfg.kl
-    p = product_params(n, m, k, l, cfg.theta, strict=False)
+def _oracle_checks(args: argparse.Namespace, checks: CheckList) -> None:
+    rng = random.Random(args.seed + 3)
+    n, m = args.nm
+    k, l = args.kl
+    p = product_params(n, m, k, l, args.theta, strict=False)
     worst = 0.0
     for _ in range(2):
         sigma1 = complex(rng.uniform(0.6, 1.6), rng.uniform(-0.4, 0.4))
@@ -411,17 +380,17 @@ def _oracle_checks(cfg: RunConfig, checks: CheckList) -> None:
                 gv = gs.gaussian(l, sigma2, c2, beta)
                 for z in PROBE_ZS:
                     for delta in range(p.M):
-                        direct = tensor_direct(fv, gv, p, z, delta, cfg.qmax)
+                        direct = tensor_direct(fv, gv, p, z, delta, args.qmax)
                         closed = form.evaluate(z, delta)
                         worst = max(worst, abs(closed - direct) / (1 + abs(direct)))
     checks.add("closed_form_vs_direct", worst, ORACLE_TOL)
 
 
-def _structure_constant_checks(cfg: RunConfig, checks: CheckList) -> dict:
-    n, m = cfg.nm
-    k, l = cfg.kl
-    p = product_params(n, m, k, l, cfg.theta)
-    cs = ComplexStructure(cfg.tau, cfg.c1, cfg.c2)
+def _structure_constant_checks(args: argparse.Namespace, checks: CheckList) -> dict:
+    n, m = args.nm
+    k, l = args.kl
+    p = product_params(n, m, k, l, args.theta)
+    cs = ComplexStructure(args.tau, args.c1, args.c2)
     sc = structure_constants(p, cs)
     basis = product_basis(p, cs)
     basis_f = holomorphic_basis(p.right, cs)
@@ -435,29 +404,40 @@ def _structure_constant_checks(cfg: RunConfig, checks: CheckList) -> dict:
         for beta in range(l):
             for gamma in range(p.M):
                 val = sc.values[alpha][beta][gamma]
-                d0 = tensor_direct(basis_f[alpha], basis_g[beta], p, 0.0, gamma, cfg.qmax)
+                d0 = tensor_direct(basis_f[alpha], basis_g[beta], p, 0.0, gamma, args.qmax)
                 # phi_gamma(0) = 1, so the coefficient itself is the value at z = 0.
                 oracle = max(oracle, abs(val - d0) / (1 + abs(d0)))
                 for z in (0.3, -0.5):
-                    dz = tensor_direct(basis_f[alpha], basis_g[beta], p, z, gamma, cfg.qmax)
+                    dz = tensor_direct(basis_f[alpha], basis_g[beta], p, z, gamma, args.qmax)
                     recon = max(recon, abs(dz - val * gs.evaluate(basis[gamma], z, gamma)))
     checks.add("structure_constants_vs_direct", oracle, ORACLE_TOL)
     checks.add("basis_reconstruction", recon / (1 + cmax), BASIS_TOL)
     return sc.to_json()
 
 
-def _write(text: str, cfg: RunConfig) -> None:
-    if cfg.output:
-        with open(cfg.output, "w", newline="") as handle:
+def _write(text: str, args: argparse.Namespace) -> None:
+    if args.output:
+        with open(args.output, "w", newline="") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _report(cfg: RunConfig, command: str, ok: bool, **fields) -> int:
+def _report(args: argparse.Namespace, command: str, ok: bool, **fields) -> int:
     """Write the schema-1 JSON report of command; the exit code is 0 iff ok."""
-    doc = {"schema": 1, "command": command, "config": cfg.to_json(), **fields, "pass": ok}
-    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg)
+    config = {
+        "theta": args.theta,
+        "nm": list(args.nm),
+        "kl": list(args.kl),
+        "tau": _c2p(args.tau),
+        "c1": _c2p(args.c1),
+        "c2": _c2p(args.c2),
+        "tol": args.tol,
+        "qmax": args.qmax,
+        "seed": args.seed,
+    }
+    doc = {"schema": 1, "command": command, "config": config, **fields, "pass": ok}
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args)
     return 0 if ok else 1
 
 
@@ -473,32 +453,32 @@ def _csv_table(entries: list[dict]) -> str:
     return buf.getvalue()
 
 
-def cmd_algebra_check(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_algebra_check(args: argparse.Namespace) -> int:
     checks = CheckList()
-    _algebra_checks(cfg, checks)
-    _connection_checks(cfg, checks)
-    return _report(cfg, "algebra-check", checks.ok, checks=checks.entries)
+    _algebra_checks(args, checks)
+    _connection_checks(args, checks)
+    return _report(args, "algebra-check", checks.ok, checks=checks.entries)
 
 
-def cmd_theta_basis(cfg: RunConfig, args: argparse.Namespace) -> int:
-    n, m = cfg.nm
+def cmd_theta_basis(args: argparse.Namespace) -> int:
+    n, m = args.nm
     side = LEFT if args.side == "left" else RIGHT
-    tag = module_tag(n, m, cfg.theta, side=side)
-    basis, worst = _closure(tag, ComplexStructure(cfg.tau, cfg.c1, cfg.c2))
+    tag = module_tag(n, m, args.theta, side=side)
+    basis, worst = _closure(tag, ComplexStructure(args.tau, args.c1, args.c2))
     first = basis[0].terms[0]
     return _report(
-        cfg, "theta-basis", worst <= BASIS_TOL,
+        args, "theta-basis", worst <= BASIS_TOL,
         side=side, sigma=_c2p(first.sigma), c=_c2p(first.c), count=len(basis),
         curvature=_c2p(curvature_constant(tag)), dbar_residual=worst, tol=BASIS_TOL,
         vectors=[gs.to_json(v) for v in basis],
     )
 
 
-def cmd_tensor(cfg: RunConfig, args: argparse.Namespace) -> int:
-    n, m = cfg.nm
-    k, l = cfg.kl
-    p = product_params(n, m, k, l, cfg.theta)
-    cs = ComplexStructure(cfg.tau, cfg.c1, cfg.c2)
+def cmd_tensor(args: argparse.Namespace) -> int:
+    n, m = args.nm
+    k, l = args.kl
+    p = product_params(n, m, k, l, args.theta)
+    cs = ComplexStructure(args.tau, args.c1, args.c2)
     if not 0 <= args.alpha < m:
         raise IndexOutOfRange(f"alpha = {args.alpha} outside range(0, {m})")
     if not 0 <= args.beta < l:
@@ -510,48 +490,48 @@ def cmd_tensor(cfg: RunConfig, args: argparse.Namespace) -> int:
     form = tensor_gaussian_closed(
         args.alpha, args.beta, sig_f.sigma, sig_f.c, sig_g.sigma, sig_g.c, p
     )
-    direct = tensor_direct(fv, gv, p, args.z, args.delta, cfg.qmax)
+    direct = tensor_direct(fv, gv, p, args.z, args.delta, args.qmax)
     closed = form.evaluate(args.z, args.delta)
     diff = abs(closed - direct)
     return _report(
-        cfg, "tensor", diff <= cfg.tol * (1 + abs(direct)),
+        args, "tensor", diff <= args.tol * (1 + abs(direct)),
         alpha=args.alpha, beta=args.beta, z=args.z, delta=args.delta, q0=form.q0(args.delta),
         direct=_c2p(direct), closed_form=_c2p(closed), abs_diff=diff,
     )
 
 
-def cmd_structure_constants(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_structure_constants(args: argparse.Namespace) -> int:
     checks = CheckList()
-    sc_doc = _structure_constant_checks(cfg, checks)
-    if cfg.fmt == "csv":
-        _write(_csv_table(sc_doc["entries"]), cfg)
+    sc_doc = _structure_constant_checks(args, checks)
+    if args.fmt == "csv":
+        _write(_csv_table(sc_doc["entries"]), args)
         return 0 if checks.ok else 1
     return _report(
-        cfg, "structure-constants", checks.ok,
+        args, "structure-constants", checks.ok,
         structure_constants=sc_doc, checks=checks.entries,
     )
 
 
-def cmd_verify_all(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_verify_all(args: argparse.Namespace) -> int:
     checks = CheckList()
-    _algebra_checks(cfg, checks)
-    _connection_checks(cfg, checks)
-    _identity_checks(cfg, checks)
-    _oracle_checks(cfg, checks)
+    _algebra_checks(args, checks)
+    _connection_checks(args, checks)
+    _identity_checks(args, checks)
+    _oracle_checks(args, checks)
     try:
-        _holomorphic_checks(cfg, checks)
+        _holomorphic_checks(args, checks)
     except NCTorusError as exc:
         checks.skip("holomorphic_closure", str(exc))
     try:
-        _structure_constant_checks(cfg, checks)
+        _structure_constant_checks(args, checks)
     except SeriesOverflow:
         raise  # a failed evaluation, not an inapplicable stage
     except NCTorusError as exc:
         checks.skip("structure_constants", str(exc))
-    return _report(cfg, "verify-all", checks.ok, checks=checks.entries)
+    return _report(args, "verify-all", checks.ok, checks=checks.entries)
 
 
-COMMANDS: dict[str, Callable[[RunConfig, argparse.Namespace], int]] = {
+COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
     "algebra-check": cmd_algebra_check,
     "theta-basis": cmd_theta_basis,
     "tensor": cmd_tensor,
@@ -615,9 +595,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits on usage errors; keep main() returning a code
         return int(exc.code or 0)
-    cfg = RunConfig(**{field.name: getattr(args, field.name) for field in fields(RunConfig)})
     try:
-        return COMMANDS[args.command](cfg, args)
+        return COMMANDS[args.command](args)
     except (NCTorusError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

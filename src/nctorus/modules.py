@@ -19,8 +19,7 @@ relative to U1 after U2.
 
 The endomorphism generators satisfy Z2 Z1 = exp(2*pi*i*theta') Z1 Z2 with
 theta' = (b + a*theta)/(n + m*theta), and commute with both U actions, so
-each basic module is a bimodule.  :func:`bimodule_profile` packages the
-induced invariants of the product label (n, m) x (k, l).
+each basic module is a bimodule.
 """
 
 from __future__ import annotations
@@ -35,14 +34,11 @@ from .algebra import (
     TorusElement,
     TWO_PI_I,
     bezout,
-    theta_double_prime,
-    theta_prime,
 )
 from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
     NotCoprime,
-    SignAssumptionViolated,
     WrongSide,
 )
 
@@ -157,59 +153,3 @@ def act_element(
         acc = g.axpy(coef * weyl, w, acc)
     return acc
 
-
-@dataclass(frozen=True)
-class BimoduleProfile:
-    """Invariants of the product of labels (n, m) and (k, l) at a given theta.
-
-    M = n*l + m*k is the component count of the product module;
-    N_prime = a*k + b*l and N_double_prime = -(c*n + d*m) are the induced
-    endomorphism labels, and gcd(N_prime, M) = 1 always holds.
-    """
-
-    theta_prime: float
-    theta_double_prime: float
-    M: int
-    N_prime: int
-    N_double_prime: int
-
-    def to_json(self) -> dict:
-        return {
-            "theta_prime": self.theta_prime,
-            "theta_double_prime": self.theta_double_prime,
-            "M": self.M,
-            "N_prime": self.N_prime,
-            "N_double_prime": self.N_double_prime,
-        }
-
-
-def bimodule_profile(
-    n: int,
-    m: int,
-    k: int,
-    l: int,
-    theta: float,
-    pair_nm: BezoutPair | None = None,
-    pair_kl: BezoutPair | None = None,
-) -> BimoduleProfile:
-    """Profile of the (n, m) x (k, l) product; requires both denominators > 0."""
-    pnm = pair_nm if pair_nm is not None else bezout(n, m)
-    pkl = pair_kl if pair_kl is not None else bezout(k, l)
-    if (pnm.n, pnm.m) != (n, m) or (pkl.n, pkl.m) != (k, l):
-        raise ValueError("Bezout pairs do not belong to the supplied labels")
-    if n + m * theta <= 0:
-        raise SignAssumptionViolated(f"n + m*theta <= 0 for ({n}, {m}) at {theta}")
-    if k - l * theta <= 0:
-        raise SignAssumptionViolated(f"k - l*theta <= 0 for ({k}, {l}) at {theta}")
-    big_m = n * l + m * k
-    n_prime = pnm.a * k + pnm.b * l
-    n_dbl = -(pkl.a * n + pkl.b * m)
-    # gcd(N', M) = 1 because (a, b) extends to SL2 alongside (l, -k)-type columns.
-    assert math.gcd(n_prime, big_m) == 1
-    return BimoduleProfile(
-        theta_prime=theta_prime(theta, pnm),
-        theta_double_prime=theta_double_prime(theta, pkl),
-        M=big_m,
-        N_prime=n_prime,
-        N_double_prime=n_dbl,
-    )

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from . import gaussians as gs
-from .algebra import TWO_PI_I, BezoutPair, bezout, theta_prime
+from .algebra import TWO_PI_I, BezoutPair, bezout, theta_double_prime, theta_prime
 from .connections import ComplexStructure
 from .errors import (
     DegenerateDenominator,
@@ -62,13 +62,11 @@ from .errors import (
 from .modules import (
     LEFT,
     RIGHT,
-    BimoduleProfile,
     ModuleTag,
     act_U1,
     act_U2,
     act_Z1,
     act_Z2,
-    bimodule_profile,
 )
 from .theta import DEFAULT_EPS, theta
 
@@ -85,9 +83,12 @@ class ProductParams:
     """Labels, factor modules, and derived constants of one tensor product.
 
     Build through :func:`product_params`.  A, B, M, r and L are stored,
-    not derived, because every q-sum call reads them.
-    ``profile`` carries the endomorphism invariants and is present only
-    when both denominators are positive; the q-sum itself needs neither sign.
+    not derived, because every q-sum call reads them.  N_prime = a*k + b*l
+    and N_double_prime = -(c*n + d*m) are the induced endomorphism labels,
+    with gcd(N_prime, M) = 1; theta_prime and theta_double_prime are the
+    rotation parameters of the two endomorphism tori.  :meth:`to_json`
+    carries these five as the ``"profile"`` sub-dict only when both
+    denominators are positive; the q-sum itself needs neither sign.
     """
 
     n: int
@@ -97,7 +98,6 @@ class ProductParams:
     theta: float
     right: ModuleTag
     left: ModuleTag
-    profile: BimoduleProfile | None
     A: float
     B: float
     M: int
@@ -109,8 +109,16 @@ class ProductParams:
         return theta_prime(self.theta, self.right.pair)
 
     @property
+    def theta_double_prime(self) -> float:
+        return theta_double_prime(self.theta, self.left.pair)
+
+    @property
     def N_prime(self) -> int:
         return self.right.pair.a * self.k + self.right.pair.b * self.l
+
+    @property
+    def N_double_prime(self) -> int:
+        return -(self.left.pair.a * self.n + self.left.pair.b * self.m)
 
     def to_json(self) -> dict:
         doc = {
@@ -128,8 +136,14 @@ class ProductParams:
             "N_prime": self.N_prime,
             "theta_prime": self.theta_prime,
         }
-        if self.profile is not None:
-            doc["profile"] = self.profile.to_json()
+        if self.A > 0 and self.B > 0:
+            doc["profile"] = {
+                "theta_prime": self.theta_prime,
+                "theta_double_prime": self.theta_double_prime,
+                "M": self.M,
+                "N_prime": self.N_prime,
+                "N_double_prime": self.N_double_prime,
+            }
         return doc
 
 
@@ -146,10 +160,10 @@ def product_params(
     """Validated parameters for the product of labels (n, m) and (k, l).
 
     With strict=True (the default) both n + m*theta > 0 and k - l*theta > 0
-    are required, which is the regime where the product carries the full
+    are required, which is the regime where ``to_json`` carries the
     bimodule profile.  strict=False admits any k - l*theta; the bilinear
     map and its verification identities remain well defined there, and
-    ``profile`` is set to None when the sign assumptions fail.
+    ``to_json`` omits the profile when the sign assumptions fail.
     """
     if m < 1 or l < 1:
         raise ValueError(f"m and l must be >= 1, got m = {m}, l = {l}")
@@ -167,17 +181,17 @@ def product_params(
         )
     if n * l + m * k < 1:
         raise SignAssumptionViolated(f"n*l + m*k = {n * l + m * k} must be positive")
-    profile = None
-    if a_val > 0 and b_val > 0:
-        profile = bimodule_profile(n, m, k, l, theta, pnm, pkl)
     # The constructor, not module_tag: strict=False admits k - l*theta = 0.
     right = ModuleTag(n, m, theta, RIGHT, pnm)
     left = ModuleTag(k, l, theta, LEFT, pkl)
     r = math.gcd(m, l)
-    return ProductParams(
-        n, m, k, l, theta, right, left, profile,
+    p = ProductParams(
+        n, m, k, l, theta, right, left,
         A=a_val, B=b_val, M=n * l + m * k, r=r, L=m * l // r,
     )
+    # (N', M) is (k, l) under ((a, b), (m, n)), of determinant a*n - b*m = 1.
+    assert math.gcd(p.N_prime, p.M) == 1
+    return p
 
 
 def crt_q0(alpha: int, beta: int, delta: int, p: ProductParams) -> int | None:
@@ -319,10 +333,6 @@ class ProductClosedForm:
     params: ProductParams
     alpha: int
     beta: int
-    sigma1: complex
-    c1: complex
-    sigma2: complex
-    c2: complex
     s: complex
     t_z: complex
     t_delta: complex
@@ -405,10 +415,6 @@ def tensor_gaussian_closed(
         params=p,
         alpha=alpha,
         beta=beta,
-        sigma1=sigma1,
-        c1=c1,
-        sigma2=sigma2,
-        c2=c2,
         s=s,
         t_z=t_aff[0],
         t_delta=t_aff[1],

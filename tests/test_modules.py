@@ -1,4 +1,4 @@
-"""Module actions, endomorphism generators and bimodule invariants."""
+"""Module actions and endomorphism generators."""
 
 import cmath
 import math
@@ -6,12 +6,11 @@ import random
 
 import pytest
 
-from nctorus.algebra import TWO_PI_I, BezoutPair, bezout, monomial, mul
+from nctorus.algebra import TWO_PI_I, bezout, monomial, mul
 from nctorus.errors import (
     DegenerateDenominator,
     DimensionMismatch,
     NotCoprime,
-    SignAssumptionViolated,
     WrongSide,
 )
 from nctorus.gaussians import evaluate, grid_abs_max, scale, sub
@@ -22,7 +21,6 @@ from nctorus.modules import (
     act_Z1,
     act_Z2,
     act_element,
-    bimodule_profile,
     module_tag,
 )
 
@@ -216,46 +214,3 @@ def test_act_element_weyl_phase():
                  act_U2(act_U1(v, tag), tag))
     assert _rel(got, want) < 1e-13
 
-
-# ------------------------------------------------------- bimodule profile
-
-def test_profile_oracle():
-    prof = bimodule_profile(1, 2, 1, 3, 0.2)
-    assert prof.M == 5
-    assert prof.N_prime == 1
-    assert prof.N_double_prime == -1
-    assert abs(prof.theta_prime - 1 / 7) < 1e-15
-    assert abs(prof.theta_double_prime - 0.5) < 1e-15
-
-
-def test_profile_pair_override():
-    # the canonical pair for (1, 1) gives N' = -1; (1, 0) selects +1
-    prof = bimodule_profile(1, 1, 1, 1, 0.3,
-                            pair_nm=BezoutPair(a=1, b=0, n=1, m=1))
-    assert prof.N_prime == 1
-
-
-def test_profile_requires_positive_denominators():
-    with pytest.raises(SignAssumptionViolated):
-        bimodule_profile(-1, 2, 1, 3, 0.2)
-    with pytest.raises(SignAssumptionViolated):
-        bimodule_profile(1, 2, -1, 3, 0.1)
-
-
-def test_profile_json_shape():
-    doc = bimodule_profile(1, 2, 1, 3, 0.2).to_json()
-    assert set(doc) == {"theta_prime", "theta_double_prime", "M",
-                        "N_prime", "N_double_prime"}
-    assert doc["M"] == 5
-
-
-def test_profile_coprimality_invariant():
-    rng = random.Random(14)
-    for _ in range(30):
-        theta = random_theta(rng)
-        n, m = coprime_pair(rng)
-        k, l = coprime_pair(rng)
-        if n + m * theta <= 0.05 or k - l * theta <= 0.05:
-            continue
-        prof = bimodule_profile(n, m, k, l, theta)
-        assert math.gcd(prof.N_prime, prof.M) == 1

@@ -1,11 +1,13 @@
 """The explicit tensor product map and its theta-series closed form."""
 
 import cmath
+import itertools
 import math
 import random
 
 import pytest
 
+from nctorus.algebra import BezoutPair
 from nctorus.connections import ComplexStructure, holomorphic_basis
 from nctorus.errors import (
     DegenerateDenominator,
@@ -32,7 +34,7 @@ from nctorus.tensor import (
     verify_z_covariance,
 )
 
-from conftest import random_vector
+from conftest import coprime_pair, random_theta, random_vector
 
 
 def _canonical(theta=0.2):
@@ -56,7 +58,7 @@ def test_product_params_constants():
     assert p.L == 6
     assert p.N_prime == 1
     assert abs(p.theta_prime - 1 / 7) < 1e-15
-    assert p.profile is not None
+    assert "profile" in p.to_json()
 
 
 def test_product_params_validation():
@@ -80,7 +82,7 @@ def test_product_params_hold_factor_modules():
 def test_relaxed_signs_allow_negative_B():
     p = product_params(1, 2, 1, 3, math.sqrt(2) - 1, strict=False)
     assert p.B < 0
-    assert p.profile is None
+    assert "profile" not in p.to_json()
 
 
 def test_key_linear_identity():
@@ -88,6 +90,95 @@ def test_key_linear_identity():
     for theta in (0.2, 0.41, 0.77):
         p = product_params(3, 2, 2, 3, theta, strict=False)
         assert abs(p.l * p.A + p.m * p.B - p.M) < 1e-12
+
+
+# ------------------------------------------------------- bimodule profile
+
+def test_product_params_profile_oracle():
+    p = product_params(1, 2, 1, 3, 0.2)
+    assert p.M == 5
+    assert p.N_prime == 1
+    assert p.N_double_prime == -1
+    assert abs(p.theta_prime - 1 / 7) < 1e-15
+    assert abs(p.theta_double_prime - 0.5) < 1e-15
+
+
+def test_product_params_pair_override():
+    # the canonical pair for (1, 1) gives N' = -1; (1, 0) selects +1
+    p = product_params(1, 1, 1, 1, 0.3,
+                       pair_nm=BezoutPair(a=1, b=0, n=1, m=1))
+    assert p.N_prime == 1
+
+
+def test_product_params_profile_requires_positive_denominators():
+    with pytest.raises(SignAssumptionViolated):
+        product_params(-1, 2, 1, 3, 0.2)
+    with pytest.raises(SignAssumptionViolated):
+        product_params(1, 2, -1, 3, 0.1)
+
+
+def test_product_params_profile_json_shape():
+    doc = product_params(1, 2, 1, 3, 0.2).to_json()["profile"]
+    assert set(doc) == {"theta_prime", "theta_double_prime", "M",
+                        "N_prime", "N_double_prime"}
+    assert doc["M"] == 5
+
+
+def test_product_params_coprimality_invariant():
+    rng = random.Random(14)
+    for _ in range(30):
+        theta = random_theta(rng)
+        n, m = coprime_pair(rng)
+        k, l = coprime_pair(rng)
+        if n + m * theta <= 0.05 or k - l * theta <= 0.05:
+            continue
+        p = product_params(n, m, k, l, theta)
+        assert math.gcd(p.N_prime, p.M) == 1
+
+
+def test_product_params_coprimality_off_the_cone():
+    # (N', M) is (k, l) under a unimodular matrix, so gcd(N', M) = 1 needs no
+    # sign; product_params asserts it for strict=False labels too
+    seen = set()
+    grid = itertools.product(
+        (0.2, 0.5, math.sqrt(2) - 1), range(-3, 4), range(1, 4), range(-3, 4), range(1, 4)
+    )
+    for theta, n, m, k, l in grid:
+        if math.gcd(n, m) != 1 or math.gcd(k, l) != 1:
+            continue
+        try:
+            p = product_params(n, m, k, l, theta, strict=False)
+        except (DegenerateDenominator, SignAssumptionViolated):
+            continue
+        assert math.gcd(p.N_prime, p.M) == 1
+        assert ("profile" in p.to_json()) == (p.A > 0 and p.B > 0)
+        seen.add("A<0" if p.A < 0 else "B<0" if p.B < 0 else "B=0" if p.B == 0 else "cone")
+    assert seen == {"A<0", "B<0", "B=0", "cone"}
+    # the B = 0 labels of test_identification_with_vanishing_B
+    p = product_params(1, 2, 1, 2, 0.5, strict=False)
+    assert p.B == 0
+    assert math.gcd(p.N_prime, p.M) == 1
+    assert "profile" not in p.to_json()
+
+
+def test_product_params_json_pinned():
+    # library-level documents the CLI never serialises: the CLI builds only
+    # strict products, so the B < 0 document is reachable only from here
+    assert product_params(1, 2, 1, 3, 0.2).to_json() == {
+        "n": 1, "m": 2, "k": 1, "l": 3, "theta": 0.2,
+        "a": 1, "b": 0, "c": 1, "d": 0, "M": 5, "r": 1,
+        "N_prime": 1, "theta_prime": 0.14285714285714288,
+        "profile": {
+            "theta_prime": 0.14285714285714288,
+            "theta_double_prime": 0.5000000000000001,
+            "M": 5, "N_prime": 1, "N_double_prime": -1,
+        },
+    }
+    assert product_params(1, 2, 1, 3, math.sqrt(2) - 1, strict=False).to_json() == {
+        "n": 1, "m": 2, "k": 1, "l": 3, "theta": 0.41421356237309515,
+        "a": 1, "b": 0, "c": 1, "d": 0, "M": 5, "r": 1,
+        "N_prime": 1, "theta_prime": 0.22654091966098644,
+    }
 
 
 # ------------------------------------------------------------ congruences
