@@ -26,11 +26,13 @@ closure and basis reconstruction.
 from __future__ import annotations
 
 import argparse
+import ast
 import cmath
 import csv
 import io
 import json
 import math
+import operator
 import random
 import re
 import sys
@@ -87,82 +89,39 @@ from .tensor import (
 ORACLE_TOL = 1e-10
 BASIS_TOL = 1e-8
 
-_TOKEN_RE = re.compile(r"\s*(?:sqrt(\d+)|(\d+\.\d*|\.\d+|\d+)|([()+\-*/])|(\S))")
+_NUMBER_RE = re.compile(r"\d+\.\d*|\.\d+|\d+", re.ASCII)
+_SQRT_RE = re.compile(r"sqrt(\d+)", re.ASCII)
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
 def parse_theta(text: str) -> float:
-    """Evaluate the theta expression grammar: ints, decimals, sqrt<N>, + - * / ()."""
-    tokens: list[object] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            break
-        sqrt_arg, number, op, bad = match.groups()
-        if bad is not None:
-            raise ValueError(f"unexpected character {bad!r} in theta expression")
-        if sqrt_arg is not None:
-            tokens.append(math.sqrt(int(sqrt_arg)))
-        elif number is not None:
-            tokens.append(float(number))
-        else:
-            tokens.append(op)
-        pos = match.end()
-    if not tokens:
-        raise ValueError("empty theta expression")
+    """Evaluate the theta expression grammar: ints, decimals, sqrt<N>, + - * / ().
 
-    idx = 0
+    Python's parser builds the tree; only the nodes above are evaluated, each
+    literal as float(its source text), so the arithmetic is float by float.
+    """
+    source = text.strip()
 
-    def peek() -> object | None:
-        return tokens[idx] if idx < len(tokens) else None
+    def value(node: ast.expr) -> float:
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            return _BINOPS[type(node.op)](value(node.left), value(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -value(node.operand)
+        segment = ast.get_source_segment(source, node)
+        if isinstance(node, ast.Constant) and _NUMBER_RE.fullmatch(segment):
+            return float(segment)
+        root = _SQRT_RE.fullmatch(segment)
+        if isinstance(node, ast.Name) and root:
+            return math.sqrt(int(root[1]))
+        raise ValueError(f"unexpected {segment!r} in theta expression")
 
-    def take() -> object:
-        nonlocal idx
-        tok = tokens[idx]
-        idx += 1
-        return tok
-
-    def atom() -> float:
-        tok = peek()
-        if tok == "(":
-            take()
-            val = expr()
-            if peek() != ")":
-                raise ValueError("unbalanced parenthesis in theta expression")
-            take()
-            return val
-        if isinstance(tok, float):
-            take()
-            return tok
-        raise ValueError(f"unexpected token {tok!r} in theta expression")
-
-    def factor() -> float:
-        if peek() == "-":
-            take()
-            return -factor()
-        return atom()
-
-    def term() -> float:
-        val = factor()
-        while peek() in ("*", "/"):
-            if take() == "*":
-                val *= factor()
-            else:
-                val /= factor()
-        return val
-
-    def expr() -> float:
-        val = term()
-        while peek() in ("+", "-"):
-            if take() == "+":
-                val += term()
-            else:
-                val -= term()
-        return val
-
-    result = expr()
-    if idx != len(tokens):
-        raise ValueError(f"trailing tokens in theta expression {text!r}")
+    try:
+        result = value(ast.parse(source, mode="eval").body)
+    except (SyntaxError, ArithmeticError, RecursionError) as exc:
+        raise ValueError(f"invalid theta expression {text!r}: {exc}") from None
+    if not math.isfinite(result):
+        raise ValueError(f"theta expression {text!r} is not finite")
     return result
 
 

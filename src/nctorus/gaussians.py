@@ -302,10 +302,6 @@ def _c2p(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _p2c(p: Sequence[float]) -> complex:
-    return complex(p[0], p[1])
-
-
 def to_json(v: PolyGaussVector) -> dict:
     """JSON-ready dict; deterministic given canonical term order."""
     return {
@@ -321,15 +317,3 @@ def to_json(v: PolyGaussVector) -> dict:
         ],
     }
 
-
-def from_json(doc: dict) -> PolyGaussVector:
-    terms = [
-        PolyGaussTerm(
-            tuple(_p2c(p) for p in t["poly"]),
-            _p2c(t["sigma"]),
-            _p2c(t["c"]),
-            int(t["mu"]),
-        )
-        for t in doc["terms"]
-    ]
-    return vector(int(doc["m"]), terms)

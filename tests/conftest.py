@@ -1,34 +1,16 @@
 """Shared random-instance builders for the test suite.
 
 Everything is seeded explicitly at the call site so individual tests stay
-reproducible in isolation.
+reproducible in isolation.  ``random_element`` and ``random_gaussian`` are
+the command line's own builders, so a test and a ``--seed`` run of the CLI
+draw the same instances.
 """
 
 import random
 
-from nctorus import element, gaussian, vector
+from nctorus import vector
+from nctorus.cli import _random_element as random_element, _random_gaussian as random_gaussian
 from nctorus.gaussians import PolyGaussTerm
-
-
-def random_element(rng, span=2, nterms=3, scale=1.0):
-    """Torus element with integer support in [-span, span]^2."""
-    coeffs = {}
-    for _ in range(nterms):
-        v = (rng.randint(-span, span), rng.randint(-span, span))
-        coeffs[v] = complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
-    return element(coeffs)
-
-
-def random_gaussian(rng, m, with_poly=False):
-    """Single-term vector with a well-conditioned width."""
-    sigma = complex(rng.uniform(0.6, 1.6), rng.uniform(-0.4, 0.4))
-    c = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-    mu = rng.randrange(m)
-    poly = (1.0 + 0j,)
-    if with_poly:
-        poly = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-                complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-    return gaussian(m, sigma, c=c, mu=mu, poly=poly)
 
 
 def random_vector(rng, m, nterms=2, max_deg=2):

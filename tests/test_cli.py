@@ -26,6 +26,37 @@ def test_parse_theta_rejects_garbage():
             parse_theta(bad)
 
 
+def test_parse_theta_is_float_arithmetic():
+    cases = {
+        "0.2": 0.2,
+        "sqrt2-1": math.sqrt(2) - 1.0,
+        "(1+sqrt5)/2": (1.0 + math.sqrt(5)) / 2.0,
+        "-0.3+1": -0.3 + 1.0,
+        " 3 * 0.1 ": 3.0 * 0.1,
+        "2--3": 2.0 - -3.0,
+    }
+    for text, want in cases.items():
+        assert parse_theta(text) == want, text
+
+
+OUTSIDE_GRAMMAR = (
+    "+0.2", "2 sqrt2", "sqrt 2", "1e3", "1_0", "0x1", "1j", "(", "()", "2(3)",
+    "2**3", "1//2", "1/0", "-" * 5000 + "1", "9" * 400, "9" * 400 + "-" + "9" * 400,
+)
+# Accepted by the earlier hand-written tokenizer: a leading-zero integer, a
+# newline between tokens, non-ASCII digits, and a sum nested past the
+# recursion limit.
+ONCE_ACCEPTED = ("007", "1\n+2", "٣", "sqrt٣", "1" + "+1" * 3000)
+
+
+def test_parse_theta_rejects_outside_the_grammar(capsys):
+    for bad in OUTSIDE_GRAMMAR + ONCE_ACCEPTED:
+        with pytest.raises(ValueError):
+            parse_theta(bad)
+        assert main(["algebra-check", f"--theta={bad}"]) == 2, bad[:20]
+        assert "invalid parse_theta value" in capsys.readouterr().err
+
+
 def test_parse_complex():
     assert parse_complex("1.5,-2") == 1.5 - 2j
     assert parse_complex("0.25") == 0.25 + 0j

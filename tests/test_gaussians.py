@@ -17,7 +17,6 @@ from nctorus.gaussians import (
     component_scale,
     differentiate,
     evaluate,
-    from_json,
     gaussian,
     grid_abs_max,
     l2_pairing,
@@ -226,12 +225,6 @@ def test_pairing_dimension_mismatch():
 
 
 # ---------------------------------------------------------- serialization
-
-def test_json_round_trip():
-    rng = random.Random(41)
-    v = random_vector(rng, 3, nterms=3, max_deg=2)
-    assert from_json(to_json(v)) == v
-
 
 def test_json_layout():
     doc = to_json(gaussian(2, 1.0 + 0.5j, c=0.25, mu=1))

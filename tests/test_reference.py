@@ -1,28 +1,39 @@
 """Arbitrary-precision referee for the theta series and the structure constants.
 
 Theta(s, t) = sum_u exp(pi*i*s*u**2 + 2*pi*i*t*u) is evaluated independently
-as mpmath.jtheta(3, pi*t, exp(pi*i*s)) at 50 significant digits.  Every
-compatible structure constant is Theta(s, t)*exp(K) from its provenance
-record, so the referee recomputes each reported coefficient from (s, t, K)
-alone.  Known defects are pinned as strict xfails naming the ROADMAP item
-whose fix removes the marker.
+as an explicit sum at 50 significant digits over the terms within a
+certified radius of the largest one.  Every compatible structure constant
+is Theta(s, t)*exp(K) from its provenance record, so the referee recomputes
+each reported coefficient from (s, t, K) alone.  Known defects are pinned
+as strict xfails naming the ROADMAP item whose fix removes the marker.
 """
 
+import cmath
 import math
+import random
 
 import mpmath
 import pytest
 
-from nctorus.connections import ComplexStructure
+from nctorus.connections import ComplexStructure, holomorphic_basis
 from nctorus.errors import SeriesOverflow
 from nctorus.gaussians import evaluate, gaussian, shift
-from nctorus.tensor import product_params, structure_constants
+from nctorus.tensor import (
+    product_params,
+    structure_constants,
+    tensor_gaussian_closed,
+    verify_identification,
+)
 from nctorus.theta import theta
+
+from conftest import random_gaussian
 
 mpmath.mp.dps = 50
 
 # Worst relative error measured over the eight valid benchmark points: 2.1e-14.
 REL_TOL = 1e-13
+# Discarded tail of the referee sum, relative to its largest term.
+TAIL_RATIO = mpmath.mpf("1e-40")
 
 PAIRS = ((1, 2, 1, 3), (3, 2, 2, 3), (1, 4, 2, 3), (1, 3, 2, 5), (2, 3, 3, 5))
 THETAS = (0.2, math.sqrt(2) - 1)
@@ -33,6 +44,29 @@ OVERFLOW = pytest.mark.xfail(
 
 
 def _theta_ref(s: complex, t: complex) -> mpmath.mpc:
+    """Theta(s, t) summed over |u - u*| <= W around the peak term u*.
+
+    With a = pi*Im(s) and c = -Im(t)/Im(s), |term(u)| is proportional to
+    exp(-a*(u - c)**2), so u* = nint(c) is the largest term and |u* - c| <=
+    1/2.  Every discarded term has |u - c| >= W + 1/2 + j for some j >= 0,
+    so relative to the peak term the tail is at most
+    2*exp(-a*W*(W + 1))/(1 - exp(-a*(2*W + 1))).  W is read off that
+    Gaussian envelope (peak-centred truncation, Deconinck et al.,
+    "Computing Riemann theta functions", Math. Comp. 73, 2004).
+    """
+    s, t = mpmath.mpc(s), mpmath.mpc(t)
+    a = mpmath.pi * s.imag
+    peak = int(mpmath.nint(-t.imag / s.imag))
+    width = max(1, int(mpmath.ceil(mpmath.sqrt(mpmath.log(4 / TAIL_RATIO) / a))))
+    tail = 2 * mpmath.exp(-a * width * (width + 1)) / (1 - mpmath.exp(-a * (2 * width + 1)))
+    assert tail < TAIL_RATIO
+    return mpmath.fsum(
+        mpmath.exp(1j * mpmath.pi * s * u * u + 2j * mpmath.pi * t * u)
+        for u in range(peak - width, peak + width + 1)
+    )
+
+
+def _jtheta(s: complex, t: complex) -> mpmath.mpc:
     return mpmath.jtheta(3, mpmath.pi * mpmath.mpc(t), mpmath.exp(1j * mpmath.pi * mpmath.mpc(s)))
 
 
@@ -63,6 +97,7 @@ def _check_table(n, m, k, l, th):
                 worst = max(worst, _rel(got, ref * mpmath.exp(mpmath.mpc(prov["K"]))))
     assert sc.provenance
     assert worst <= REL_TOL
+    return sc
 
 
 def test_eight_valid_benchmark_points():
@@ -71,7 +106,25 @@ def test_eight_valid_benchmark_points():
 
 @pytest.mark.parametrize("n, m, k, l, th", _valid_points())
 def test_structure_constants_against_referee(n, m, k, l, th):
-    _check_table(n, m, k, l, th)
+    sc = _check_table(n, m, k, l, th)
+    # Away from the jtheta defect below, the two references agree.
+    for prov in sc.provenance.values():
+        assert _rel(_jtheta(prov["s"], prov["t"]), _theta_ref(prov["s"], prov["t"])) <= 1e-40
+
+
+def test_referee_keeps_the_term_jtheta_drops():
+    # Entry (2, 3, 27) of (2,5)x(3,7) at 0.2: Im t is about Im s/2, so the
+    # u = 0 and u = -1 terms are about equal and jtheta returns the u = 0 term.
+    p = product_params(2, 5, 3, 7, 0.2)
+    cs = ComplexStructure(-1j)
+    f = holomorphic_basis(p.right, cs)[2].terms[0]
+    g = holomorphic_basis(p.left, cs)[3].terms[0]
+    form = tensor_gaussian_closed(2, 3, f.sigma, f.c, g.sigma, g.c, p)
+    assert form.q0(27) == 24
+    t = form.t_value(0.0, 27, 24)
+    scale = mpmath.exp(mpmath.mpc(form.xi_exponent(0.0, 27, 24)))
+    assert _rel(1.63417e-55, _theta_ref(form.s, t) * scale) < 1e-5
+    assert _rel(1.01720e-55, _jtheta(form.s, t) * scale) < 1e-5
 
 
 @pytest.mark.parametrize("n, m, k, l, th", [
@@ -92,3 +145,32 @@ def test_large_shift_is_not_a_silent_zero():
     v = shift(gaussian(1, 4), 5)
     assert not v.is_zero()
     assert _rel(evaluate(v, 5.0, 0), mpmath.mpc(1)) <= REL_TOL
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: the absolute 1e-14 prune zeroes the shifted "
+           "Gaussians of the U1 side; without it the residual is 3e-15",
+)
+def test_identification_at_small_left_denominator():
+    # The smallest failing label of verify-all's grid B: (0,1)x(8,1) at 0.2,
+    # with the instance the CLI draws at --seed 0.
+    p = product_params(0, 1, 8, 1, 0.2, strict=False)
+    rng = random.Random(2)
+    f, g = random_gaussian(rng, 1), random_gaussian(rng, 1)
+    assert verify_identification(f, g, p, "U1") <= 1e-9
+
+
+@OVERFLOW
+def test_oracle_closed_form_at_small_right_label():
+    # The smallest failing label of verify-all's grid A: (3,4)x(4,1) at 0.2,
+    # with the second sigma/c draw of the CLI's oracle stage at --seed 0.
+    p = product_params(3, 4, 4, 1, 0.2, strict=False)
+    rng = random.Random(3)
+    for _ in range(2):
+        sigma1 = complex(rng.uniform(0.6, 1.6), rng.uniform(-0.4, 0.4))
+        sigma2 = complex(rng.uniform(0.6, 1.6), rng.uniform(-0.4, 0.4))
+        c1 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        c2 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+    form = tensor_gaussian_closed(1, 0, sigma1, c1, sigma2, c2, p)
+    assert cmath.isfinite(form.evaluate(1.0, 0))

@@ -19,7 +19,8 @@ checkout:
 The grid covers every subcommand over the five benchmark label pairs at
 two angles, ``verify-all`` at edge labels and at nonzero connection
 offsets, an exact-zero component pair and two ``--qmax`` caps that raise
-``NonConvergent``, two closed-form overflows, every ``--help`` text and one
+``NonConvergent``, two closed-form overflows, four ``--theta`` expressions
+(one a division by zero, a usage error), every ``--help`` text and one
 JSON and one CSV ``--output`` file.  Pure stdlib.
 """
 
@@ -54,6 +55,13 @@ EDGES = (
 # Labels with r = gcd(m, l) = 2, whose incompatible component pairs are exact zeros.
 R2 = ["--nm", "1,2", "--kl", "1,4"]
 OVERFLOW = ["--theta", "sqrt2-1", "--nm", "2,5", "--kl", "3,7"]
+# Calls that exercise the --theta expression grammar end to end.
+THETA_EXPRS = (
+    ["theta-basis", "--theta", "(1+sqrt5)/4"],
+    ["algebra-check", "--theta", "3*0.1"],
+    ["theta-basis", "--theta=-0.3+1/2"],
+    ["algebra-check", "--theta", "1/0"],
+)
 COMMANDS = ("algebra-check", "theta-basis", "tensor", "structure-constants", "verify-all")
 # Calls run with "--output NAME" in a scratch directory, keyed by NAME.
 OUTPUT_CALLS = {
@@ -79,6 +87,7 @@ def grid() -> list[list[str]]:
         ["structure-constants", *OVERFLOW],
         ["tensor", "--alpha", "0", "--beta", "0", "--delta", "1", *OVERFLOW],
     ]
+    calls += THETA_EXPRS
     calls += [["--help"]] + [[cmd, "--help"] for cmd in COMMANDS]
     return calls
 
