@@ -125,13 +125,18 @@ def parse_theta(text: str) -> float:
     return result
 
 
+def parse_finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def parse_complex(text: str) -> complex:
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValueError(f"expected 're,im', got {text!r}")
+    if len(parts) not in (1, 2):
+        raise ValueError(f"expected 're,im', got {text!r}")
+    return complex(*map(parse_finite, parts))
 
 
 def parse_int_pair(text: str) -> tuple[int, int]:
@@ -139,10 +144,6 @@ def parse_int_pair(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise ValueError(f"expected 'p,q', got {text!r}")
     return int(parts[0]), int(parts[1])
-
-
-def _c2p(z: complex) -> list[float]:
-    return [z.real, z.imag]
 
 
 def _random_element(rng: random.Random, terms: int = 3):
@@ -388,9 +389,9 @@ def _report(args: argparse.Namespace, command: str, ok: bool, **fields) -> int:
         "theta": args.theta,
         "nm": list(args.nm),
         "kl": list(args.kl),
-        "tau": _c2p(args.tau),
-        "c1": _c2p(args.c1),
-        "c2": _c2p(args.c2),
+        "tau": gs._c2p(args.tau),
+        "c1": gs._c2p(args.c1),
+        "c2": gs._c2p(args.c2),
         "tol": args.tol,
         "qmax": args.qmax,
         "seed": args.seed,
@@ -427,8 +428,8 @@ def cmd_theta_basis(args: argparse.Namespace) -> int:
     first = basis[0].terms[0]
     return _report(
         args, "theta-basis", worst <= BASIS_TOL,
-        side=side, sigma=_c2p(first.sigma), c=_c2p(first.c), count=len(basis),
-        curvature=_c2p(curvature_constant(tag)), dbar_residual=worst, tol=BASIS_TOL,
+        side=side, sigma=gs._c2p(first.sigma), c=gs._c2p(first.c), count=len(basis),
+        curvature=gs._c2p(curvature_constant(tag)), dbar_residual=worst, tol=BASIS_TOL,
         vectors=[gs.to_json(v) for v in basis],
     )
 
@@ -455,7 +456,7 @@ def cmd_tensor(args: argparse.Namespace) -> int:
     return _report(
         args, "tensor", diff <= args.tol * (1 + abs(direct)),
         alpha=args.alpha, beta=args.beta, z=args.z, delta=args.delta, q0=form.q0(args.delta),
-        direct=_c2p(direct), closed_form=_c2p(closed), abs_diff=diff,
+        direct=gs._c2p(direct), closed_form=gs._c2p(closed), abs_diff=diff,
     )
 
 
@@ -513,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="first connection offset")
     common.add_argument("--c2", type=parse_complex, default=0j, metavar="RE,IM",
                         help="second connection offset")
-    common.add_argument("--tol", type=float, default=1e-9,
+    common.add_argument("--tol", type=parse_finite, default=1e-9,
                         help="tolerance for identity residuals (default 1e-9)")
     common.add_argument("--qmax", type=int, default=DEFAULT_QMAX,
                         help="series truncation cap (default %(default)s)")
@@ -538,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="evaluate one product value two ways")
     p_tensor.add_argument("--alpha", type=int, default=0)
     p_tensor.add_argument("--beta", type=int, default=0)
-    p_tensor.add_argument("--z", type=float, default=0.0)
+    p_tensor.add_argument("--z", type=parse_finite, default=0.0)
     p_tensor.add_argument("--delta", type=int, default=0)
     sub.add_parser("structure-constants", parents=[common],
                    help="compute the coefficient table with cross-checks")

@@ -17,16 +17,19 @@ are q0 + u*L, u in Z, with L = m*l/r.
 For Gaussian inputs the arithmetic sum over u is itself a theta series:
 completing the square in q = q0 + u*L gives
 
-    h_{alpha,beta}(z, Delta) = Theta(s, t) * xi,
-    s  = -(sigma1*l**2*A**2 + sigma2*m**2*B**2) / (2*pi*i*r**2),
-    t  = (sigma1*(l*A/r)*X0 - sigma2*(m*B/r)*Y0 + (c1*l*A - c2*m*B)/r)
-         / (2*pi*i),
-    xi = exp(-sigma1*X0**2/2 - c1*X0 - sigma2*Y0**2/2 - c2*Y0),
+    h_{alpha,beta}(z, Delta) = sum_u exp(pi*i*s*u**2 + 2*pi*i*t*u + K),
+    s = -(sigma1*l**2*A**2 + sigma2*m**2*B**2) / (2*pi*i*r**2),
+    t = (sigma1*(l*A/r)*X0 - sigma2*(m*B/r)*Y0 + (c1*l*A - c2*m*B)/r)
+        / (2*pi*i),
+    K = -sigma1*X0**2/2 - c1*X0 - sigma2*Y0**2/2 - c2*Y0,
 
-where X0 and Y0 are the f- and g-arguments at q = q0.  Always Im(s) > 0,
-and replacing q0 by q0 + L shifts t by s, under which Theta(s, t)*xi is
-invariant, so the closed form does not depend on the chosen congruence
-representative.
+where X0 and Y0 are the f- and g-arguments at q = q0, affine in z and
+N = M*q - l*Delta as X = A*z - (A/(m*M))*N and Y = A*z + (B/(l*M))*N,
+and exp(K) is the summand at q0.  Always Im(s) > 0, and replacing q0 by
+q0 + L shifts t by s and relabels the terms, so every representative
+gives the same value.  The closed form builds t and K at the
+representative of the largest term, where |Im t| <= Im s/2, and sums each
+term as one exponent, so none overflows where the value is representable.
 
 Specializing f, g to the Gaussian vectors holomorphic for a common
 complex structure tau makes t independent of z and factors out
@@ -36,7 +39,7 @@ complex structure tau makes t independent of z and factors out
 
 so each product of basis vectors is an exact finite combination
 f_alpha (x) g_beta = sum_gamma c^gamma_{alpha,beta} phi_gamma with
-coefficients Theta(s, t)*exp(K) evaluated at z = 0.
+coefficients exp(K)*Theta(s, t) evaluated at z = 0.
 """
 
 from __future__ import annotations
@@ -282,63 +285,28 @@ def tensor_direct(
     return _q_sum(f, g, p, z, delta, qmax)
 
 
-def _xi_table(
-    sigma1: complex,
-    c1: complex,
-    sigma2: complex,
-    c2: complex,
-    x_aff: tuple[complex, complex, complex, complex],
-    y_aff: tuple[complex, complex, complex, complex],
-) -> dict[tuple[int, int, int], complex]:
-    """Exponent of xi as monomials (z, delta, q0) -> coefficient.
-
-    x_aff and y_aff are the affine maps (z, delta, q0, 1) -> X0, Y0; the
-    exponent is -sigma1*X0**2/2 - c1*X0 - sigma2*Y0**2/2 - c2*Y0.
-    """
-    table: dict[tuple[int, int, int], complex] = {}
-
-    def mono(*indices: int) -> tuple[int, int, int]:
-        e = [0, 0, 0]
-        for i in indices:
-            if i < 3:
-                e[i] += 1
-        return tuple(e)
-
-    def add(key: tuple[int, int, int], val: complex) -> None:
-        table[key] = table.get(key, 0j) + val
-
-    for aff, sig, lin in ((x_aff, sigma1, c1), (y_aff, sigma2, c2)):
-        for i in range(4):
-            if aff[i] == 0:
-                continue
-            add(mono(i), -lin * aff[i])
-            for j in range(4):
-                if aff[j] == 0:
-                    continue
-                add(mono(i, j), -0.5 * sig * aff[i] * aff[j])
-    return {key: val for key, val in table.items() if val != 0}
-
-
 @dataclass(frozen=True)
 class ProductClosedForm:
     """Theta-series form of one component pair (alpha, beta) of a product.
 
-    ``s`` is the theta modulus, ``t_*`` the affine coefficients of the
-    theta argument over (z, delta, q0), ``xi`` the exponent monomials of
-    the Gaussian prefactor, and ``q0_table[delta]`` the congruence
-    representative (None where the component pair is incompatible, in
-    which case that component of the product vanishes identically).
+    sigma1, c1, sigma2, c2 are the factor Gaussians; ``x_n`` and ``y_n``
+    are the coefficients of N = M*q - l*delta in the f- and g-arguments
+    X = A*z + x_n*N and Y = A*z + y_n*N; ``s`` is the theta modulus and
+    ``q0_table[delta]`` the congruence representative (None where the
+    component pair is incompatible, in which case that component of the
+    product vanishes identically).
     """
 
     params: ProductParams
     alpha: int
     beta: int
+    sigma1: complex
+    c1: complex
+    sigma2: complex
+    c2: complex
+    x_n: float
+    y_n: float
     s: complex
-    t_z: complex
-    t_delta: complex
-    t_q0: complex
-    t_const: complex
-    xi: Mapping[tuple[int, int, int], complex]
     q0_table: tuple[int | None, ...]
 
     def q0(self, delta: int) -> int | None:
@@ -346,22 +314,43 @@ class ProductClosedForm:
             raise IndexOutOfRange(f"delta = {delta} outside range(0, {self.params.M})")
         return self.q0_table[delta]
 
-    def t_value(self, z: complex, delta: int, q0: int) -> complex:
-        return self.t_z * z + self.t_delta * delta + self.t_q0 * q0 + self.t_const
+    def _t_xy(self, z: complex, delta: int, q: int) -> tuple[complex, complex, complex]:
+        xn, yn, p = self.x_n, self.y_n, self.params
+        n = p.M * q - p.l * delta
+        az = p.A * z
+        x, y = az + xn * n, az + yn * n
+        slope = (self.sigma1 * x + self.c1) * xn + (self.sigma2 * y + self.c2) * yn
+        return -slope * (p.M * p.L) / TWO_PI_I, x, y
 
-    def xi_exponent(self, z: complex, delta: int, q0: int) -> complex:
-        acc = 0j
-        for (ez, ed, eq), coef in self.xi.items():
-            acc += coef * z**ez * delta**ed * q0**eq
-        return acc
+    def theta_args(self, z: complex, delta: int, q: int) -> tuple[complex, complex]:
+        """(t, K) of the series exp(pi*i*s*u**2 + 2*pi*i*t*u + K) over q + u*L.
 
-    def evaluate(self, z: complex, delta: int, eps: float = DEFAULT_EPS) -> complex:
+        K = -sigma1*X**2/2 - c1*X - sigma2*Y**2/2 - c2*Y is the log of the
+        summand at q, with X, Y read off the affine maps at q.
+        """
+        t, x, y = self._t_xy(z, delta, q)
+        return t, -(self.sigma1 * x / 2 + self.c1) * x - (self.sigma2 * y / 2 + self.c2) * y
+
+    def peak(self, z: complex, delta: int) -> tuple[int, complex, complex] | None:
+        """(q, t, K) at the representative q of the largest term; None if incompatible.
+
+        q is q0 moved by u*L, u = nint(-Im t/Im s) from t at q0, so that
+        |Im t| <= Im s/2 and the u = 0 term is the largest.
+        """
         q0 = self.q0(delta)
         if q0 is None:
+            return None
+        t0 = self._t_xy(z, delta, q0)[0]
+        q = q0 + round(-t0.imag / self.s.imag) * self.params.L
+        return (q, *self.theta_args(z, delta, q))
+
+    def evaluate(self, z: complex, delta: int, eps: float = DEFAULT_EPS) -> complex:
+        peak = self.peak(z, delta)
+        if peak is None:
             return 0j
-        t = self.t_value(z, delta, q0)
+        _, t, k = peak
         try:
-            return theta(self.s, t, eps) * cmath.exp(self.xi_exponent(z, delta, q0))
+            return theta(self.s, t, eps, k)
         except OverflowError as exc:
             p = self.params
             raise SeriesOverflow(
@@ -389,39 +378,11 @@ def tensor_gaussian_closed(
         raise IndexOutOfRange(f"alpha = {alpha} outside range(0, {p.m})")
     if not 0 <= beta < p.l:
         raise IndexOutOfRange(f"beta = {beta} outside range(0, {p.l})")
-    a_den, b_den, big_m = p.A, p.B, p.M
-    m, l, r = p.m, p.l, p.r
-    x_aff = (
-        complex(a_den),
-        complex(l * a_den / (m * big_m)),
-        complex(-a_den / m),
-        0j,
-    )
-    y_aff = (
-        complex(a_den),
-        complex(-b_den / big_m),
-        complex(b_den / l),
-        0j,
-    )
-    s = -(sigma1 * (l * a_den) ** 2 + sigma2 * (m * b_den) ** 2) / (TWO_PI_I * r * r)
-    lin1 = sigma1 * (l * a_den / r)
-    lin2 = sigma2 * (m * b_den / r)
-    t_aff = [(lin1 * x_aff[i] - lin2 * y_aff[i]) / TWO_PI_I for i in range(4)]
-    t_aff[3] += (c1 * l * a_den - c2 * m * b_den) / (r * TWO_PI_I)
-    xi = _xi_table(sigma1, c1, sigma2, c2, x_aff, y_aff)
-    table = tuple(crt_q0(alpha, beta, delta, p) for delta in range(big_m))
+    s = -(sigma1 * (p.l * p.A) ** 2 + sigma2 * (p.m * p.B) ** 2) / (TWO_PI_I * p.r * p.r)
     assert s.imag > 0
     return ProductClosedForm(
-        params=p,
-        alpha=alpha,
-        beta=beta,
-        s=s,
-        t_z=t_aff[0],
-        t_delta=t_aff[1],
-        t_q0=t_aff[2],
-        t_const=t_aff[3],
-        xi=xi,
-        q0_table=table,
+        p, alpha, beta, sigma1, c1, sigma2, c2, -p.A / (p.m * p.M), p.B / (p.l * p.M), s,
+        q0_table=tuple(crt_q0(alpha, beta, delta, p) for delta in range(p.M)),
     )
 
 
@@ -460,8 +421,8 @@ class StructureConstants:
     """Coefficients c^gamma_{alpha,beta} with their theta-series provenance.
 
     values[alpha][beta][gamma] is the coefficient; provenance maps each
-    compatible (alpha, beta, gamma) to the (s, t, K, q0) it was built
-    from, so every number is reproducible as Theta(s, t)*exp(K).
+    compatible (alpha, beta, gamma) to the (s, t, K, q, q0) it was built
+    from, so every number is reproducible as theta(s, t, eps, K).
     """
 
     shape: tuple[int, int, int]
@@ -520,14 +481,13 @@ def structure_constants(
             form = tensor_gaussian_closed(alpha, beta, sigma1, c, sigma2, c, p)
             col = []
             for gamma in range(p.M):
-                q0 = form.q0_table[gamma]
-                if q0 is None:
+                peak = form.peak(0.0, gamma)
+                if peak is None:
                     col.append(0j)
                     continue
-                t = form.t_value(0.0, gamma, q0)
-                k_exp = form.xi_exponent(0.0, gamma, q0)
+                q, t, k_exp = peak
                 try:
-                    col.append(theta(form.s, t, eps) * cmath.exp(k_exp))
+                    col.append(theta(form.s, t, eps, k_exp))
                 except OverflowError as exc:
                     raise SeriesOverflow(
                         f"structure_constants: {exc} at entry (alpha, beta, gamma) = ({alpha}, "
@@ -537,16 +497,15 @@ def structure_constants(
                     "s": form.s,
                     "t": t,
                     "K": k_exp,
-                    "q0": q0,
+                    "q": q,
+                    "q0": form.q0_table[gamma],
                 }
             row.append(tuple(col))
         values.append(tuple(row))
     params_doc = p.to_json()
-    params_doc["tau"] = [cs.tau.real, cs.tau.imag]
-    params_doc["c1"] = [cs.c1.real, cs.c1.imag]
-    params_doc["c2"] = [cs.c2.real, cs.c2.imag]
-    params_doc["sigma_prime"] = [sigma_p.real, sigma_p.imag]
-    params_doc["c_prime"] = [c_p.real, c_p.imag]
+    for key, z in (("tau", cs.tau), ("c1", cs.c1), ("c2", cs.c2),
+                   ("sigma_prime", sigma_p), ("c_prime", c_p)):
+        params_doc[key] = gs._c2p(z)
     return StructureConstants(
         shape=(p.m, p.l, p.M),
         values=tuple(values),

@@ -5,7 +5,8 @@ certified: with a = pi*Im(s) and b = 2*pi*|Im(t)| the term magnitudes are
 exp(-a*u**2 + b*|u|), so past the peak |u| = b/(2a) consecutive term ratios
 are at most rho = exp(-a*(2U + 3) + b) and the discarded tail is bounded by
 a geometric series.  The radius returned by :func:`truncation_radius` makes
-that bound smaller than the requested eps.
+that bound smaller than the requested eps.  An offset k enters each term's
+exponent, so exp(k)*Theta(s, t) has no factor apart that could overflow.
 """
 
 from __future__ import annotations
@@ -46,23 +47,20 @@ def truncation_radius(s: complex, t: complex, eps: float = DEFAULT_EPS) -> int:
     return radius
 
 
-def theta_truncated(s: complex, t: complex, radius: int) -> complex:
-    """Partial sum over |u| <= radius, accumulated symmetrically with fsum."""
-    res = [1.0]
-    ims = [0.0]
-    for u in range(1, radius + 1):
-        quad = cmath.exp(1j * math.pi * s * u * u)
-        pair = quad * (
-            cmath.exp(2j * math.pi * t * u) + cmath.exp(-2j * math.pi * t * u)
-        )
-        res.append(pair.real)
-        ims.append(pair.imag)
+def theta_truncated(s: complex, t: complex, radius: int, k: complex = 0j) -> complex:
+    """Sum over |u| <= radius of exp(pi*i*s*u**2 + 2*pi*i*t*u + k), one exponent a term."""
+    quad, lin = 1j * math.pi * s, 2j * math.pi * t
+    res, ims = [], []
+    for u in range(-radius, radius + 1):
+        term = cmath.exp((quad * u + lin) * u + k)
+        res.append(term.real)
+        ims.append(term.imag)
     return complex(math.fsum(res), math.fsum(ims))
 
 
-def theta(s: complex, t: complex, eps: float = DEFAULT_EPS) -> complex:
-    """Theta(s, t) with certified absolute truncation error below eps.
+def theta(s: complex, t: complex, eps: float = DEFAULT_EPS, k: complex = 0j) -> complex:
+    """exp(k)*Theta(s, t) with certified absolute truncation error below eps*|exp(k)|.
 
     Raises InvalidS unless Im(s) > 0.
     """
-    return theta_truncated(s, t, truncation_radius(s, t, eps))
+    return theta_truncated(s, t, truncation_radius(s, t, eps), k)

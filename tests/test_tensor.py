@@ -1,6 +1,5 @@
 """The explicit tensor product map and its theta-series closed form."""
 
-import cmath
 import itertools
 import math
 import random
@@ -368,11 +367,20 @@ def test_closed_form_modulus_always_upper_half():
 
 
 def test_closed_form_q0_shift_consistency():
-    # shifting q0 by the lattice period L multiplies by the s-quasi-period,
-    # so t_q0 must equal s/L exactly
+    # moving the representative q by the lattice period L moves t by s and
+    # relabels the terms, so exp(K)*Theta(s, t) does not change
+    from nctorus.theta import theta
     p = _canonical()
     form = tensor_gaussian_closed(0, 0, 1.2, 0.1, 0.8, -0.2, p)
-    assert abs(form.t_q0 - form.s / p.L) < 1e-13 * abs(form.s)
+    q0 = form.q0(1)
+    t, k = form.theta_args(0.3, 1, q0)
+    t_next, k_next = form.theta_args(0.3, 1, q0 + p.L)
+    assert abs(t_next - t - form.s) < 1e-13 * abs(form.s)
+    value = theta(form.s, t, k=k)
+    assert abs(theta(form.s, t_next, k=k_next) - value) <= 1e-13 * abs(value)
+    q, t_peak, k_peak = form.peak(0.3, 1)
+    assert (q - q0) % p.L == 0 and abs(t_peak.imag) <= form.s.imag / 2
+    assert abs(theta(form.s, t_peak, k=k_peak) - value) <= 1e-13 * abs(value)
 
 
 def test_closed_form_unsolvable_is_exact_zero():
@@ -471,8 +479,9 @@ def test_structure_constants_provenance_reproduces_values():
     cs = ComplexStructure(tau=-1j)
     sc = structure_constants(p, cs)
     for (alpha, beta, gamma), prov in sc.provenance.items():
-        rebuilt = theta(prov["s"], prov["t"]) * cmath.exp(prov["K"])
-        assert rebuilt == sc.value(alpha, beta, gamma)
+        assert theta(prov["s"], prov["t"], k=prov["K"]) == sc.value(alpha, beta, gamma)
+        assert prov["q0"] == crt_q0(alpha, beta, gamma, p)
+        assert (prov["q"] - prov["q0"]) % p.L == 0
 
 
 def test_structure_constants_reconstruct_products():
@@ -526,19 +535,22 @@ def test_structure_constants_need_matching_tau_sign():
 
 
 def test_structure_constants_overflow_is_typed():
-    # exp(2*pi*i*t*u) overflows at Im(s) ~ 160; the error names the entry
-    p = product_params(2, 5, 3, 7, math.sqrt(2) - 1)
+    # a connection offset of 400/(2*pi) puts the products past double range;
+    # the error names the entry
+    p = _canonical()
     with pytest.raises(SeriesOverflow) as info:
-        structure_constants(p, ComplexStructure(tau=-1j))
+        structure_constants(p, ComplexStructure(tau=-1j, c1=400j))
     assert isinstance(info.value.__cause__, OverflowError)
     assert "structure_constants" in str(info.value)
-    assert "(2, 5) x (3, 7)" in str(info.value)
+    assert "(alpha, beta, gamma) = (0, 0, 0)" in str(info.value)
+    assert "(1, 2) x (1, 3)" in str(info.value)
 
 
 def test_closed_form_evaluate_overflow_is_typed():
     # the same product overflows in the closed form of one component pair
-    p = product_params(2, 5, 3, 7, math.sqrt(2) - 1)
-    fb, gb = _factor_bases(p)
+    p = _canonical()
+    cs = ComplexStructure(tau=-1j, c1=400j)
+    fb, gb = holomorphic_basis(p.right, cs), holomorphic_basis(p.left, cs)
     form = _closed_for(p, fb, gb, 0, 0)
     with pytest.raises(SeriesOverflow) as info:
         form.evaluate(0.0, 1)
@@ -546,5 +558,17 @@ def test_closed_form_evaluate_overflow_is_typed():
     text = str(info.value)
     assert text.startswith("ProductClosedForm.evaluate:")
     assert "(alpha, beta) = (0, 0), delta = 1, z = 0.0" in text
-    assert "(2, 5) x (3, 7)" in text
+    assert "(1, 2) x (1, 3)" in text
     assert f"theta = {p.theta}" in text
+
+
+def test_closed_form_at_large_modulus():
+    # Im(s) ~ 160 at (2,5)x(3,7), sqrt2-1: exp(2*pi*i*t*u) and exp(K) apart
+    # overflow, the terms exp(pi*i*s*u**2 + 2*pi*i*t*u + K) do not
+    p = product_params(2, 5, 3, 7, math.sqrt(2) - 1)
+    fb, gb = _factor_bases(p)
+    form = _closed_for(p, fb, gb, 0, 0)
+    assert form.s.imag > 150
+    for delta in (0, 1, p.M - 1):
+        want = tensor_direct(fb[0], gb[0], p, 0.0, delta)
+        assert abs(form.evaluate(0.0, delta) - want) <= 1e-10 * (1 + abs(want))

@@ -48,6 +48,19 @@ def test_quasi_periodicity(sre, sim, tre, tim):
     assert abs(lhs - rhs) <= 20 * eps * (1 + abs(rhs))
 
 
+def test_offset_enters_every_term():
+    # theta(s, t, eps, k) = exp(k)*Theta(s, t), with the truncation bound scaled by |exp(k)|
+    rng = random.Random(103)
+    for _ in range(25):
+        s = complex(rng.uniform(-1, 1), rng.uniform(0.3, 2.0))
+        t = complex(rng.uniform(-1, 1), rng.uniform(-0.6, 0.6))
+        k = complex(rng.uniform(-700, 700), rng.uniform(-50, 50))
+        series = _brute(s, t)
+        got = theta(s, t, 1e-13, k)
+        assert abs(got - cmath.exp(k) * series) <= 1e-12 * abs(cmath.exp(k)) * (1 + abs(series))
+    assert theta_truncated(2j, 0.1, 3, 0j) == theta_truncated(2j, 0.1, 3)
+
+
 def test_integer_periodicity_in_t():
     s = 0.3 + 0.8j
     t = 0.17 - 0.05j

@@ -19,7 +19,8 @@ checkout:
 The grid covers every subcommand over the five benchmark label pairs at
 two angles, ``verify-all`` at edge labels and at nonzero connection
 offsets, an exact-zero component pair and two ``--qmax`` caps that raise
-``NonConvergent``, two closed-form overflows, four ``--theta`` expressions
+``NonConvergent``, two products at large Im(s), two closed-form overflows
+(``SeriesOverflow``), four ``--theta`` expressions
 (one a division by zero, a usage error), every ``--help`` text and one
 JSON and one CSV ``--output`` file.  Pure stdlib.
 """
@@ -54,7 +55,8 @@ EDGES = (
 )
 # Labels with r = gcd(m, l) = 2, whose incompatible component pairs are exact zeros.
 R2 = ["--nm", "1,2", "--kl", "1,4"]
-OVERFLOW = ["--theta", "sqrt2-1", "--nm", "2,5", "--kl", "3,7"]
+# Im(s) ~ 160: once overflowed in exp(2*pi*i*t*u), now ordinary values.
+LARGE_S = ["--theta", "sqrt2-1", "--nm", "2,5", "--kl", "3,7"]
 # Calls that exercise the --theta expression grammar end to end.
 THETA_EXPRS = (
     ["theta-basis", "--theta", "(1+sqrt5)/4"],
@@ -84,8 +86,11 @@ def grid() -> list[list[str]]:
         ["verify-all", *R2],
         ["verify-all", *R2, "--qmax", "24"],
         ["tensor", *R2, "--qmax", "16"],
-        ["structure-constants", *OVERFLOW],
-        ["tensor", "--alpha", "0", "--beta", "0", "--delta", "1", *OVERFLOW],
+        ["structure-constants", *LARGE_S],
+        ["tensor", "--alpha", "0", "--beta", "0", "--delta", "1", *LARGE_S],
+        # Products whose true value exceeds double range: typed overflows.
+        ["structure-constants", "--c1=0,400"],
+        ["tensor", "--c1=0,280", "--z=-7", "--delta", "1"],
     ]
     calls += THETA_EXPRS
     calls += [["--help"]] + [[cmd, "--help"] for cmd in COMMANDS]
