@@ -3,9 +3,10 @@ noncommutative tori.
 
 The package implements, in closed form over polynomial-Gaussian vectors:
 the torus algebra and its derivations (:mod:`nctorus.algebra`), the basic
-right and left modules with their commuting endomorphism actions
-(:mod:`nctorus.modules`), constant-curvature connections and their
-holomorphic Gaussian vectors (:mod:`nctorus.connections`), certified
+modules with their commuting endomorphism actions, a left module being
+the module at the opposite angle (:mod:`nctorus.modules`),
+constant-curvature connections and their holomorphic Gaussian vectors
+(:mod:`nctorus.connections`), certified
 theta-series evaluation (:mod:`nctorus.theta`), and the bilinear tensor
 product of a right and a left module together with its theta-series
 closed form and structure constants (:mod:`nctorus.tensor`).  The
@@ -21,7 +22,6 @@ from .algebra import (
     involution,
     monomial,
     mul,
-    theta_double_prime,
     theta_prime,
     trace,
     unit,
@@ -47,7 +47,6 @@ from .errors import (
     NotCoprime,
     SeriesOverflow,
     SignAssumptionViolated,
-    WrongSide,
 )
 from .gaussians import (
     PolyGaussTerm,
@@ -60,8 +59,6 @@ from .gaussians import (
     zero,
 )
 from .modules import (
-    LEFT,
-    RIGHT,
     ModuleTag,
     act_element,
     act_U1,
@@ -96,7 +93,6 @@ __all__ = [
     "IndexOutOfRange",
     "InvalidS",
     "InvalidSigma",
-    "LEFT",
     "ModuleTag",
     "NCTorusError",
     "NoHolomorphicVectors",
@@ -106,12 +102,10 @@ __all__ = [
     "PolyGaussVector",
     "ProductClosedForm",
     "ProductParams",
-    "RIGHT",
     "SeriesOverflow",
     "SignAssumptionViolated",
     "StructureConstants",
     "TorusElement",
-    "WrongSide",
     "act_U1",
     "act_U2",
     "act_Z1",
@@ -141,7 +135,6 @@ __all__ = [
     "tensor_direct",
     "tensor_gaussian_closed",
     "theta",
-    "theta_double_prime",
     "theta_prime",
     "theta_truncated",
     "trace",

@@ -11,12 +11,13 @@ Weyl ordering U_(v1,v2) = exp(-pi*i*v1*v2*theta) U1^v1 U2^v2 this
 encodes the generator relation U1 U2 = exp(2*pi*i*theta) U2 U1.
 
 The module also owns the integer Bezout arithmetic attached to a label
-(n, m) with gcd(n, m) = 1, and the induced rotation parameters
+(n, m) with gcd(n, m) = 1, and the induced rotation parameter
 
     theta'  = (b + a*theta) / (n + m*theta)      with a*n - b*m = 1,
-    theta'' = -(d - c*theta) / (k - l*theta)     with c*k - d*l = 1,
 
-which identify the endomorphism algebras of the standard modules.
+which identifies the endomorphism algebra of the standard module.  A left
+label (k, l) with Bezout pair (c, d) is the label at -theta, and its
+parameter theta'' = -(d - c*theta) / (k - l*theta) is -theta' there.
 """
 
 from __future__ import annotations
@@ -160,14 +161,3 @@ def theta_prime(theta: float, pair: BezoutPair) -> float:
     if den == 0:
         raise DegenerateDenominator(f"n + m*theta = 0 for (n, m) = ({pair.n}, {pair.m})")
     return (pair.b + pair.a * theta) / den
-
-
-def theta_double_prime(theta: float, pair: BezoutPair) -> float:
-    """Rotation parameter -(d - c*theta)/(k - l*theta) attached to a left label.
-
-    ``pair`` holds (c, d, k, l) in its (a, b, n, m) slots: c*k - d*l = 1.
-    """
-    den = pair.n - pair.m * theta
-    if den == 0:
-        raise DegenerateDenominator(f"k - l*theta = 0 for (k, l) = ({pair.n}, {pair.m})")
-    return -(pair.b - pair.a * theta) / den

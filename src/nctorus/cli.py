@@ -62,17 +62,7 @@ from .connections import (
     leibniz_defect,
 )
 from .errors import DegenerateDenominator, IndexOutOfRange, NCTorusError, SeriesOverflow
-from .modules import (
-    LEFT,
-    RIGHT,
-    ModuleTag,
-    act_element,
-    act_U1,
-    act_U2,
-    act_Z1,
-    act_Z2,
-    module_tag,
-)
+from .modules import ModuleTag, act_element, act_U1, act_U2, act_Z1, act_Z2, module_tag
 from .tensor import (
     DEFAULT_QMAX,
     PROBE_ZS,
@@ -261,17 +251,16 @@ def _algebra_checks(args: argparse.Namespace, checks: CheckList) -> None:
     )
     k, l = args.kl
     try:
-        left = module_tag(k, l, th, side=LEFT)
-        mirror = module_tag(k, l, -th, side=RIGHT)
+        mirror = module_tag(k, l, -th)
     except DegenerateDenominator as exc:
         checks.skip("left_equals_mirrored_right", str(exc))
         return
     w = _random_gaussian(rng, l)
-    left_right = max(
-        gs.grid_abs_max(gs.sub(act_U1(w, left), act_U1(w, mirror))),
-        gs.grid_abs_max(gs.sub(act_U2(w, left), act_U2(w, mirror))),
-    ) / (1.0 + gs.grid_abs_max(w))
-    checks.add("left_equals_mirrored_right", left_right, args.tol)
+    # The left module (k, l) is the module at -theta: U1 (U2 w) = exp(2*pi*i*theta) U2 (U1 w).
+    u1u2 = act_U1(act_U2(w, mirror), mirror)
+    u2u1 = act_U2(act_U1(w, mirror), mirror)
+    left_weyl = gs.grid_abs_max(gs.sub(u1u2, gs.scale(cmath.exp(TWO_PI_I * th), u2u1)))
+    checks.add("left_equals_mirrored_right", left_weyl / (1.0 + gs.grid_abs_max(w)), args.tol)
 
 
 def _connection_checks(args: argparse.Namespace, checks: CheckList) -> None:
@@ -422,13 +411,12 @@ def cmd_algebra_check(args: argparse.Namespace) -> int:
 
 def cmd_theta_basis(args: argparse.Namespace) -> int:
     n, m = args.nm
-    side = LEFT if args.side == "left" else RIGHT
-    tag = module_tag(n, m, args.theta, side=side)
+    tag = module_tag(n, m, -args.theta if args.side == "left" else args.theta)
     basis, worst = _closure(tag, ComplexStructure(args.tau, args.c1, args.c2))
     first = basis[0].terms[0]
     return _report(
         args, "theta-basis", worst <= BASIS_TOL,
-        side=side, sigma=gs._c2p(first.sigma), c=gs._c2p(first.c), count=len(basis),
+        side=args.side, sigma=gs._c2p(first.sigma), c=gs._c2p(first.c), count=len(basis),
         curvature=gs._c2p(curvature_constant(tag)), dbar_residual=worst, tol=BASIS_TOL,
         vectors=[gs.to_json(v) for v in basis],
     )

@@ -21,10 +21,6 @@ class DimensionMismatch(NCTorusError):
     """Two vectors, or a vector and an operator, live on different Z_m's."""
 
 
-class WrongSide(NCTorusError):
-    """An endomorphism action was requested on a module of the wrong side."""
-
-
 class SignAssumptionViolated(NCTorusError):
     """A positivity assumption on n + m*theta or k - l*theta failed."""
 

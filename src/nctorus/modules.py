@@ -1,21 +1,23 @@
 """Basic projective modules over the two-dimensional noncommutative torus.
 
-A right module with coprime label (n, m), m >= 1, acts on sections of
-R x Z_m through
+A module with coprime label (n, m), m >= 1, at angle theta acts on
+sections of R x Z_m: the torus A_theta acts from the right through
 
     (f U1)(x, mu) = f(x - D/m, mu - 1),          D = n + m*theta,
     (f U2)(x, mu) = exp(2*pi*i*(x - mu*n/m)) f(x, mu),
 
-and carries commuting endomorphism generators
+and its endomorphism torus through the commuting generators
 
     (Z1 f)(x, mu) = f(x - 1/m, mu - a),
     (Z2 f)(x, mu) = exp(2*pi*i*(x/D - mu/m)) f(x, mu),
 
-with (a, b) a Bezout pair for (n, m).  A left module with label (k, l) is
-the same picture with theta replaced by -theta, so D = k - l*theta.
-Operators compose in module order: acting by f and then by g realizes the
-product f*g, hence for right modules U2 after U1 picks up exp(2*pi*i*theta)
-relative to U1 after U2.
+with (a, b) a Bezout pair for (n, m).  Operators compose in module order:
+acting by f and then by g realizes the product f*g, hence U2 after U1
+picks up exp(2*pi*i*theta) relative to U1 after U2.
+
+A left A_theta-module with label (k, l) is the module with label (k, l)
+at -theta, so D = k - l*theta: since mul(f, g, theta) = mul(g, f, -theta),
+its right action at -theta is a left action at theta.
 
 The endomorphism generators satisfy Z2 Z1 = exp(2*pi*i*theta') Z1 Z2 with
 theta' = (b + a*theta)/(n + m*theta), and commute with both U actions, so
@@ -29,29 +31,17 @@ import math
 from dataclasses import dataclass
 
 from . import gaussians as g
-from .algebra import (
-    BezoutPair,
-    TorusElement,
-    TWO_PI_I,
-    bezout,
-)
-from .errors import (
-    DegenerateDenominator,
-    DimensionMismatch,
-    NotCoprime,
-    WrongSide,
-)
-
-RIGHT = "right"
-LEFT = "left"
+from .algebra import TWO_PI_I, BezoutPair, TorusElement, bezout
+from .errors import DegenerateDenominator, DimensionMismatch, NotCoprime
 
 
 @dataclass(frozen=True)
 class ModuleTag:
-    """Label (n, m, theta, side) of a basic module, with its Bezout pair.
+    """Label (n, m) and angle theta of a basic module, with its Bezout pair.
 
-    Build through :func:`module_tag`, which validates coprimality, m >= 1,
-    and a nonvanishing denominator n + m*theta (resp. n - m*theta).
+    A left module with label (k, l) at angle theta is ModuleTag(k, l,
+    -theta, ...).  Build through :func:`module_tag`, which validates
+    coprimality, m >= 1, and a nonvanishing denominator n + m*theta.
     ``tensor.product_params`` calls the constructor on purpose: with
     strict=False it admits a left factor with k - l*theta = 0.
     """
@@ -59,25 +49,19 @@ class ModuleTag:
     n: int
     m: int
     theta: float
-    side: str
     pair: BezoutPair
 
     @property
     def denominator(self) -> float:
-        if self.side == RIGHT:
-            return self.n + self.m * self.theta
-        return self.n - self.m * self.theta
+        return self.n + self.m * self.theta
 
 
 def module_tag(
     n: int,
     m: int,
     theta: float,
-    side: str = RIGHT,
     pair: BezoutPair | None = None,
 ) -> ModuleTag:
-    if side not in (RIGHT, LEFT):
-        raise ValueError(f"side must be {RIGHT!r} or {LEFT!r}, got {side!r}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if math.gcd(n, m) != 1:
@@ -86,7 +70,7 @@ def module_tag(
         pair = bezout(n, m)
     elif (pair.n, pair.m) != (n, m):
         raise ValueError(f"Bezout pair {pair} does not belong to label ({n}, {m})")
-    tag = ModuleTag(n, m, theta, side, pair)
+    tag = ModuleTag(n, m, theta, pair)
     if tag.denominator == 0:
         raise DegenerateDenominator(
             f"denominator vanishes for ({n}, {m}) at theta = {theta}"
@@ -116,16 +100,12 @@ def act_U2(v: g.PolyGaussVector, tag: ModuleTag, power: int = 1) -> g.PolyGaussV
 
 def act_Z1(v: g.PolyGaussVector, tag: ModuleTag, power: int = 1) -> g.PolyGaussVector:
     """Endomorphism Z1**power: translate by power/m, rotate by power*a."""
-    if tag.side != RIGHT:
-        raise WrongSide("endomorphism generators act on right modules")
     _check_dim(v, tag)
     return g.roll(g.shift(v, power / tag.m), power * tag.pair.a)
 
 
 def act_Z2(v: g.PolyGaussVector, tag: ModuleTag, power: int = 1) -> g.PolyGaussVector:
     """Endomorphism Z2**power: the phase exp(2*pi*i*power*(x/D - mu/m))."""
-    if tag.side != RIGHT:
-        raise WrongSide("endomorphism generators act on right modules")
     _check_dim(v, tag)
     factors = [cmath.exp(-TWO_PI_I * power * mu / tag.m) for mu in range(tag.m)]
     return g.component_scale(g.mul_exp(v, TWO_PI_I * power / tag.denominator), factors)
@@ -137,18 +117,15 @@ def act_element(
     """Action of a full algebra element, Weyl monomial by Weyl monomial.
 
     The Weyl word U_(n1,n2) = exp(-pi*i*n1*n2*theta) U1**n1 U2**n2 acts,
-    in module order, as U1**n1 first on the right side and U2**n2 first
-    on the left side; that choice is what makes
-    act_element(g, act_element(f, v)) == act_element(f*g, v) for right
-    modules and the reversed composition law for left ones.
+    in module order, as U1**n1 first, which makes
+    act_element(g, act_element(f, v)) == act_element(f*g, v) at tag.theta;
+    on a left module's tag, at -theta, that is the left law
+    act_element(f, act_element(g, v)) == act_element(mul(f, g, theta), v).
     """
     _check_dim(v, tag)
     acc = g.zero(tag.m)
     for (n1, n2), coef in f.coeffs.items():
-        if tag.side == RIGHT:
-            w = act_U2(act_U1(v, tag, n1), tag, n2)
-        else:
-            w = act_U1(act_U2(v, tag, n2), tag, n1)
+        w = act_U2(act_U1(v, tag, n1), tag, n2)
         weyl = cmath.exp(-1j * math.pi * tag.theta * n1 * n2)
         acc = g.axpy(coef * weyl, w, acc)
     return acc

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from . import gaussians as gs
-from .algebra import TWO_PI_I, BezoutPair, bezout, theta_double_prime, theta_prime
+from .algebra import TWO_PI_I, BezoutPair, bezout, theta_prime
 from .connections import ComplexStructure
 from .errors import (
     DegenerateDenominator,
@@ -62,15 +62,7 @@ from .errors import (
     SeriesOverflow,
     SignAssumptionViolated,
 )
-from .modules import (
-    LEFT,
-    RIGHT,
-    ModuleTag,
-    act_U1,
-    act_U2,
-    act_Z1,
-    act_Z2,
-)
+from .modules import ModuleTag, act_U1, act_U2, act_Z1, act_Z2
 from .theta import DEFAULT_EPS, theta
 
 # Probe points in z used by the verification routines.
@@ -85,13 +77,16 @@ SHELL_TOL = 1e-13
 class ProductParams:
     """Labels, factor modules, and derived constants of one tensor product.
 
-    Build through :func:`product_params`.  A, B, M, r and L are stored,
-    not derived, because every q-sum call reads them.  N_prime = a*k + b*l
-    and N_double_prime = -(c*n + d*m) are the induced endomorphism labels,
-    with gcd(N_prime, M) = 1; theta_prime and theta_double_prime are the
-    rotation parameters of the two endomorphism tori.  :meth:`to_json`
-    carries these five as the ``"profile"`` sub-dict only when both
-    denominators are positive; the q-sum itself needs neither sign.
+    Build through :func:`product_params`.  ``right`` is the module (n, m)
+    at theta and ``left`` the module (k, l) at -theta, so its denominator
+    is B = k - l*theta.  A, B, M, r and L are stored, not derived, because
+    every q-sum call reads them.  N_prime = a*k + b*l and N_double_prime =
+    -(c*n + d*m) are the induced endomorphism labels, with
+    gcd(N_prime, M) = 1; theta_prime and theta_double_prime are the
+    rotation parameters of the two endomorphism tori, the latter -theta'
+    of the left module at -theta.  :meth:`to_json` carries these five as
+    the ``"profile"`` sub-dict only when both denominators are positive;
+    the q-sum itself needs neither sign.
     """
 
     n: int
@@ -113,7 +108,7 @@ class ProductParams:
 
     @property
     def theta_double_prime(self) -> float:
-        return theta_double_prime(self.theta, self.left.pair)
+        return -theta_prime(self.left.theta, self.left.pair)
 
     @property
     def N_prime(self) -> int:
@@ -185,8 +180,8 @@ def product_params(
     if n * l + m * k < 1:
         raise SignAssumptionViolated(f"n*l + m*k = {n * l + m * k} must be positive")
     # The constructor, not module_tag: strict=False admits k - l*theta = 0.
-    right = ModuleTag(n, m, theta, RIGHT, pnm)
-    left = ModuleTag(k, l, theta, LEFT, pkl)
+    right = ModuleTag(n, m, theta, pnm)
+    left = ModuleTag(k, l, -theta, pkl)
     r = math.gcd(m, l)
     p = ProductParams(
         n, m, k, l, theta, right, left,
@@ -228,7 +223,8 @@ def _q_sum(
     cap qmax was reached before any shell certified.  A q whose component
     a*delta - q (mod m) of f or q (mod l) of g carries no term is skipped:
     its summand is 0j times a finite value, an exact zero, and partial sums
-    that start at +0 never become -0, so skipping changes no bit.
+    that start at +0 never become -0, so skipping changes no bit.  An
+    overflowing summand or a non-finite total raises SeriesOverflow.
     """
     supp_f = {t.mu for t in f.terms}
     supp_g = {t.mu for t in g.terms}
@@ -249,18 +245,27 @@ def _q_sum(
         return acc
 
     radius = min(BASE_RADIUS, qmax)
-    total = partial(range(-radius, radius + 1))
-    while True:
-        new_radius = min(2 * radius, qmax)
-        if new_radius == radius:
-            raise NonConvergent(
-                f"q-series not certified within |q| <= {qmax} at z = {z}, delta = {delta}"
-            )
-        shell = partial(q for u in range(radius + 1, new_radius + 1) for q in (u, -u))
-        total += shell
-        if abs(shell) <= SHELL_TOL * (1 + abs(total)):
-            return total
-        radius = new_radius
+    try:
+        total = partial(range(-radius, radius + 1))
+        while cmath.isfinite(total):
+            new_radius = min(2 * radius, qmax)
+            if new_radius == radius:
+                raise NonConvergent(
+                    f"q-series not certified within |q| <= {qmax} at z = {z}, delta = {delta}"
+                )
+            shell = partial(q for u in range(radius + 1, new_radius + 1) for q in (u, -u))
+            total += shell
+            if abs(shell) <= SHELL_TOL * (1 + abs(total)):
+                break
+            radius = new_radius
+        if not cmath.isfinite(total):
+            raise OverflowError(f"non-finite sum {total}")
+    except OverflowError as exc:
+        raise SeriesOverflow(
+            f"tensor._q_sum: {exc} at z = {z}, delta = {delta} of ({p.n}, {p.m}) x "
+            f"({p.k}, {p.l}) at theta = {p.theta}"
+        ) from exc
+    return total
 
 
 def _check_factors(f: gs.PolyGaussVector, g: gs.PolyGaussVector, p: ProductParams) -> None:

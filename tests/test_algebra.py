@@ -20,7 +20,6 @@ from nctorus.algebra import (
     norm_max,
     scale,
     sub,
-    theta_double_prime,
     theta_prime,
     trace,
     unit,
@@ -247,7 +246,8 @@ def test_theta_prime_sl2_shift():
 
 
 def test_theta_double_prime_oracle():
-    value = theta_double_prime(0.2, bezout(1, 3))
+    # theta'' of the left label (1, 3) is -theta' of that label at -theta
+    value = -theta_prime(-0.2, bezout(1, 3))
     assert abs(value - 0.5) < 1e-15
 
 
@@ -255,4 +255,4 @@ def test_degenerate_denominator():
     with pytest.raises(DegenerateDenominator):
         theta_prime(-0.5, bezout(1, 2))
     with pytest.raises(DegenerateDenominator):
-        theta_double_prime(0.5, bezout(1, 2))
+        theta_prime(-1 / 3, bezout(1, 3))  # the left label (1, 3) at theta = 1/3

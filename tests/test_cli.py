@@ -118,16 +118,17 @@ def test_arithmetic_overflow_is_usage_error(capsys):
 
 def test_tensor_closed_form_overflow_is_typed(capsys):
     # the true value exceeds double range; cmd_tensor runs the direct q-sum
-    # first, which returns a silent inf here instead of raising (a known
-    # defect of tensor._q_sum), so the typed overflow reported is the closed
-    # form's; once _q_sum raises on overflow this input reaches a new stage
-    assert main(["tensor", "--c1=0,280", "--z=-7", "--delta", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ProductClosedForm.evaluate:")
-    assert "(alpha, beta) = (0, 0), delta = 1, z = -7.0" in captured.err
-    assert "(1, 2) x (1, 3)" in captured.err
-    assert "theta = 0.2" in captured.err
-    assert captured.out == ""
+    # first, which reports it before the closed form is reached: at c1 = 280i
+    # each summand is finite but the total is not, at c1 = 400i a summand
+    # overflows (the closed form's own overflow is covered in test_tensor)
+    for argv, what in ((["--c1=0,280", "--z=-7", "--delta", "1"], "non-finite sum (inf+0j)"),
+                       (["--c1=0,400"], "math range error")):
+        assert main(["tensor", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: tensor._q_sum: {what} at z = ")
+        assert "(1, 2) x (1, 3)" in captured.err
+        assert "theta = 0.2" in captured.err
+        assert captured.out == ""
 
 
 def test_large_modulus_is_not_an_overflow(capsys):
@@ -184,6 +185,19 @@ def test_theta_basis_reports_width(capsys):
     assert doc["count"] == 2
     assert doc["dbar_residual"] < 1e-12
     assert len(doc["vectors"]) == 2
+
+
+def test_theta_basis_left_side_is_the_label_at_minus_theta(capsys):
+    # --side left reports "left" and builds the basis of the label at -theta
+    assert main(["theta-basis", "--side", "left", "--nm", "1,3", "--theta", "0.2"]) == 0
+    left = json.loads(capsys.readouterr().out)
+    assert main(["theta-basis", "--nm", "1,3", "--theta=-0.2"]) == 0
+    mirror = json.loads(capsys.readouterr().out)
+    assert left["side"] == "left" and mirror["side"] == "right"
+    for key in ("sigma", "c", "curvature", "dbar_residual", "vectors"):
+        assert left[key] == mirror[key]
+    assert main(["theta-basis", "--side", "left", "--nm", "1,2", "--theta", "0.5"]) == 2
+    assert capsys.readouterr().err == "error: denominator vanishes for (1, 2) at theta = -0.5\n"
 
 
 def test_tensor_command_cross_checks(capsys):

@@ -26,7 +26,7 @@ from nctorus.gaussians import (
     scale,
     sub,
 )
-from nctorus.modules import LEFT, act_element, module_tag
+from nctorus.modules import act_element, module_tag
 
 from conftest import coprime_pair, random_element, random_gaussian, random_theta, random_vector
 
@@ -247,8 +247,8 @@ def test_connection_is_anti_hermitian():
 
 
 def test_holomorphic_vectors_left_side():
-    # the mirrored picture: a left label with the opposite angle sign
-    tag = module_tag(1, 3, -0.2, side=LEFT)   # D = 1 + 0.6 = 1.6
+    # the left label (1, 3) at theta = -0.2 is the module (1, 3) at 0.2
+    tag = module_tag(1, 3, 0.2)   # D = 1 + 0.6 = 1.6
     cs = ComplexStructure(tau=-1j)
     basis = holomorphic_basis(tag, cs)
     assert len(basis) == 3

@@ -7,15 +7,9 @@ import random
 import pytest
 
 from nctorus.algebra import TWO_PI_I, bezout, monomial, mul
-from nctorus.errors import (
-    DegenerateDenominator,
-    DimensionMismatch,
-    NotCoprime,
-    WrongSide,
-)
+from nctorus.errors import DegenerateDenominator, DimensionMismatch, NotCoprime
 from nctorus.gaussians import evaluate, grid_abs_max, scale, sub
 from nctorus.modules import (
-    LEFT,
     act_U1,
     act_U2,
     act_Z1,
@@ -24,7 +18,7 @@ from nctorus.modules import (
     module_tag,
 )
 
-from conftest import coprime_pair, random_gaussian, random_theta, random_vector
+from conftest import coprime_pair, random_element, random_gaussian, random_theta, random_vector
 
 
 def _rel(v, w):
@@ -39,17 +33,16 @@ def test_module_tag_validation():
         module_tag(2, 4, 0.3)
     with pytest.raises(ValueError):
         module_tag(1, 0, 0.3)
-    with pytest.raises(ValueError):
-        module_tag(1, 2, 0.3, side="middle")
     with pytest.raises(DegenerateDenominator):
         module_tag(-1, 2, 0.5)
     with pytest.raises(DegenerateDenominator):
-        module_tag(1, 2, 0.5, side=LEFT)
+        module_tag(1, 2, -0.5)  # the left label (1, 2) at theta = 0.5
 
 
 def test_denominator_by_side():
+    # a left label (k, l) at theta is the module at -theta: D = k - l*theta
     assert module_tag(1, 2, 0.3).denominator == 1 + 2 * 0.3
-    assert module_tag(1, 2, 0.3, side=LEFT).denominator == 1 - 2 * 0.3
+    assert module_tag(1, 2, -0.3).denominator == 1 - 2 * 0.3
 
 
 def test_tag_rejects_foreign_pair():
@@ -149,13 +142,15 @@ def test_endomorphisms_commute_with_action():
             assert _rel(ez(eu(v, tag), tag), eu(ez(v, tag), tag)) < 1e-12
 
 
-def test_z_requires_right_side():
-    tag = module_tag(1, 2, 0.3, side=LEFT)
-    v = random_gaussian(random.Random(8), 2)
-    with pytest.raises(WrongSide):
-        act_Z1(v, tag)
-    with pytest.raises(WrongSide):
-        act_Z2(v, tag)
+def test_endomorphisms_commute_with_left_action():
+    # the endomorphisms of a left module, its tag at -theta, commute with U1, U2
+    rng = random.Random(8)
+    for k, l in ((1, 3), (2, 5), (-1, 2), (4, 1)):
+        tag = module_tag(k, l, -0.37)
+        v = random_vector(rng, l)
+        for ez in (act_Z1, act_Z2):
+            for eu in (act_U1, act_U2):
+                assert _rel(ez(eu(v, tag), tag), eu(ez(v, tag), tag)) < 1e-12
 
 
 def test_dimension_checked():
@@ -180,27 +175,31 @@ def test_right_module_axiom():
 
 
 def test_left_module_axiom():
+    # the left module (k, l) at theta is its tag at -theta, where acting by g
+    # and then by f realizes mul(f, g, theta), since that is mul(g, f, -theta)
     theta = 0.31
-    tag = module_tag(1, 3, theta, side=LEFT)
+    tag = module_tag(1, 3, -theta)
     rng = random.Random(11)
     v = random_vector(rng, 3)
     f = monomial(1, -1, 0.6 + 0.2j)
     g = monomial(2, 1, -0.4 + 0.9j)
-    # left action: acting by g after f realizes f then g applied as g(f(v))
     lhs = act_element(f, act_element(g, v, tag), tag)
     rhs = act_element(mul(f, g, theta), v, tag)
     assert _rel(lhs, rhs) < 1e-12
-
-
-def test_left_action_matches_mirrored_right():
-    # the left picture with angle theta is the right picture with -theta
-    theta = 0.27
-    left = module_tag(1, 2, theta, side=LEFT)
-    right = module_tag(1, 2, -theta)
-    rng = random.Random(12)
-    v = random_vector(rng, 2)
-    assert act_U1(v, left) == act_U1(v, right)
-    assert act_U2(v, left) == act_U2(v, right)
+    # random elements on labels with |k|, l <= 2: a random element's U1**4
+    # shifts by 4*D/l, and from (3, 1) on such shifts can prune a Gaussian to
+    # zero on either tag (the silent zero of ROADMAP item 3)
+    for _ in range(20):
+        theta = random_theta(rng)
+        k, l = coprime_pair(rng, bound=2)
+        if abs(k - l * theta) < 0.05:
+            continue
+        tag = module_tag(k, l, -theta)
+        v = random_vector(rng, l)
+        f, g = random_element(rng), random_element(rng)
+        lhs = act_element(f, act_element(g, v, tag), tag)
+        rhs = act_element(mul(f, g, theta), v, tag)
+        assert _rel(lhs, rhs) < 1e-12
 
 
 def test_act_element_weyl_phase():

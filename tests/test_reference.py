@@ -14,6 +14,8 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nctorus.connections import ComplexStructure, holomorphic_basis
 from nctorus.gaussians import evaluate, gaussian, shift
@@ -39,6 +41,11 @@ TAIL_RATIO = 1e-40
 # The entry referee needs only to resolve REL_TOL, so it runs at 30 digits.
 ENTRY_DPS = 30
 ENTRY_TAIL_RATIO = 1e-25
+
+# Rounding allowance of the closed form per unit of its largest exponent
+# piece; derived in the docstring of test_closed_form_sweep.
+ROUNDING_C = 257
+SWEEP_MAX_M = 60
 
 PAIRS = ((1, 2, 1, 3), (3, 2, 2, 3), (1, 4, 2, 3), (1, 3, 2, 5), (2, 3, 3, 5))
 THETAS = (0.2, math.sqrt(2) - 1)
@@ -191,6 +198,90 @@ def test_referee_keeps_the_term_jtheta_drops():
 def test_overflow_reproducers_against_referee(n, m, k, l, th):
     # Im(s) ~ 160 here: exp(2*pi*i*t*u) and exp(K) alone overflow, the terms do not.
     _check_table(n, m, k, l, th)
+
+
+@st.composite
+def _sweep_cases(draw):
+    """(n, m, k, l, theta, alpha, beta): a strict label pair with M <= SWEEP_MAX_M."""
+    th = draw(st.floats(0.05, 0.95))
+    m, l = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    n_min, k_min = math.floor(-m * th) + 1, math.floor(l * th) + 1
+    room = SWEEP_MAX_M - n_min * l - m * k_min
+    if room < 0:
+        return draw(st.nothing())
+    n = draw(st.integers(n_min, n_min + room // l))
+    k = draw(st.integers(k_min, k_min + (room - (n - n_min) * l) // m))
+    if math.gcd(n, m) != 1 or math.gcd(k, l) != 1 or n + m * th <= 0 or k - l * th <= 0:
+        return draw(st.nothing())
+    return n, m, k, l, th, draw(st.integers(0, m - 1)), draw(st.integers(0, l - 1))
+
+
+def _largest_piece(p, f, g, q, gamma, s):
+    """E: the largest of |sigma1*X**2/2|, |c1*X|, |sigma2*Y**2/2|, |c2*Y| and pi*Im s.
+
+    X and Y are the factor arguments at the peak representative q, z = 0.
+    """
+    (tf,), (tg,) = f.terms, g.terms
+    big_n = p.M * q - p.l * gamma
+    x, y = -p.A / (p.m * p.M) * big_n, p.B / (p.l * p.M) * big_n
+    return max(abs(tf.sigma * x * x / 2), abs(tf.c * x), abs(tg.sigma * y * y / 2),
+               abs(tg.c * y), math.pi * s.imag)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@example((-1, 6, 11, 7, 0.37, 0, 2))
+@example((5, 6, 4, 7, 0.37, 3, 0))
+@given(_sweep_cases())
+def test_closed_form_sweep(case):
+    """Every entry of one component pair against _entry_refs, within its rounding bound.
+
+    The bound on an entry is REL_TOL + ROUNDING_C*E*2**-53, E as in
+    :func:`_largest_piece`.  REL_TOL covers the certified truncation (below
+    1e-13 of exp(K), the u = 0 term).  ROUNDING_C counts the roundings, of
+    at most 2**-53 relative each, that assemble the exponent
+    (i*pi*s*u + 2*pi*i*t)*u + K of theta term u at tau = -i, where
+    sigma1 = m/A and sigma2 = l/B are real, c1 = c2 = 0, and s, t, K are
+    real multiples of i, i, 1.  With P1 = sigma1*X**2/2, P3 = sigma2*Y**2/2
+    and dX = -A*l/r, dY = B*m/r the steps of X and Y per u:
+
+    - K = -(sigma1*x/2)*x - (sigma2*y/2)*y with x = fl(fl(-A/(m*M))*N):
+      2 roundings in x, so 4 in x**2, 2 products, 1 subtraction:
+      7*(P1 + P3) <= 14*E.
+    - 2*pi*i*t = -(sigma1*x*x_n + sigma2*y*y_n)*M*L: 3 roundings in sigma*x,
+      2 from x_n, 1 sum, 1 product by M*L, 1 division by 2*pi*i, 1 product
+      by 2*pi*i, so 9*(|sigma1*X*dX| + |sigma2*Y*dY|) <= 9*(P1 + P3 + pi*Im s)
+      <= 27*E, since |sigma*X*dX| <= sigma*(X**2 + dX**2)/2 and
+      sigma1*dX**2/2 + sigma2*dY**2/2 = pi*Im s.
+    - i*pi*s: 3 in (l*A)**2 (libm pow within 0.52 ulp), 1 product, 1 sum,
+      2 in 2*pi*i*r*r, 1 division, 1 product by i*pi: 9*pi*Im s <= 9*E.
+    - assembly (i*pi*s*u + 2*pi*i*t)*u + K: 4 roundings, of at most
+      (4*u**2 + 3*|u| + 2)*E in all, as |2*pi*t| <= pi*Im s at the peak
+      representative and |K| <= 2*E.
+
+    So term u's exponent is off by at most c(u)*E*2**-53 with c(0) = 14
+    (no u-dependent operation is inexact at u = 0) and c(u) = 14 + 27*|u|
+    + 9*u**2 + (4*u**2 + 3*|u| + 2) = 16 + 30*|u| + 13*u**2.  All terms
+    are positive, so the sum's relative error is at most
+    sum_u (term_u/term_0)*c(u)*E*2**-53.  With a = pi*Im s = m*l*M/(2*r**2)
+    >= 1/2 and |2*pi*Im t| <= a, term_u/term_0 <= exp(-a*(u**2 - |u|)) <=
+    exp(-(u**2 - |u|)/2), and sum_u exp(-(u**2 - |u|)/2)*c(u) = 250.1.
+    exp (within 1 ulp) and fsum (1 rounding) add at most 3*2**-53 <=
+    6*E*2**-53, since E >= pi*Im s >= 1/2; 256.1 < ROUNDING_C.
+    """
+    n, m, k, l, th, alpha, beta = case
+    p = product_params(n, m, k, l, th)
+    assert p.M <= SWEEP_MAX_M
+    cs = ComplexStructure(-1j)
+    sc = structure_constants(p, cs)
+    f, g = holomorphic_basis(p.right, cs)[alpha], holomorphic_basis(p.left, cs)[beta]
+    for gamma, want in enumerate(_entry_refs(p, f, g)):
+        got = sc.values[alpha][beta][gamma]
+        prov = sc.provenance.get((alpha, beta, gamma))
+        if want is None:
+            assert got == 0j and prov is None
+            continue
+        e_max = _largest_piece(p, f, g, prov["q"], gamma, prov["s"])
+        assert _rel(got, want) <= REL_TOL + ROUNDING_C * e_max * 2**-53
 
 
 @pytest.mark.xfail(

@@ -20,7 +20,7 @@ from nctorus.errors import (
 )
 from nctorus import gaussians as gs
 from nctorus import tensor
-from nctorus.modules import LEFT, module_tag
+from nctorus.modules import module_tag
 from nctorus.tensor import (
     crt_q0,
     product_basis,
@@ -75,7 +75,7 @@ def test_product_params_hold_factor_modules():
     for n, m, k, l, theta in ((1, 2, 1, 3, 0.2), (3, 2, 2, 3, math.sqrt(2) - 1)):
         p = product_params(n, m, k, l, theta)
         assert p.right == module_tag(n, m, theta)
-        assert p.left == module_tag(k, l, theta, side=LEFT)
+        assert p.left == module_tag(k, l, -theta)
 
 
 def test_relaxed_signs_allow_negative_B():
@@ -100,6 +100,22 @@ def test_product_params_profile_oracle():
     assert p.N_double_prime == -1
     assert abs(p.theta_prime - 1 / 7) < 1e-15
     assert abs(p.theta_double_prime - 0.5) < 1e-15
+
+
+def test_theta_double_prime_is_the_left_formula():
+    # -theta' of the left module at -theta is, bit for bit, the left-label
+    # formula -(d - c*theta)/(k - l*theta) with c*k - d*l = 1
+    count = 0
+    for theta in (0.2, math.sqrt(2) - 1, 0.37, 0.5, 0.77):
+        for k in range(-5, 17):
+            for l in range(1, 10):
+                if math.gcd(k, l) != 1 or k - l * theta == 0:
+                    continue
+                p = product_params(6, 1, k, l, theta, strict=False)  # M = 6*l + k >= 1
+                c, d = p.left.pair.a, p.left.pair.b
+                assert p.theta_double_prime == -(d - c * theta) / (k - l * theta)
+                count += 1
+    assert count > 400
 
 
 def test_product_params_pair_override():
@@ -560,6 +576,23 @@ def test_closed_form_evaluate_overflow_is_typed():
     assert "(alpha, beta) = (0, 0), delta = 1, z = 0.0" in text
     assert "(1, 2) x (1, 3)" in text
     assert f"theta = {p.theta}" in text
+
+
+def test_direct_sum_overflow_is_typed():
+    # at c1 = 400i a summand overflows; at c1 = 280i, z = -7 every summand is
+    # finite but their sum is not: both name the stage, the point and labels
+    p = _canonical()
+    for c1, z, delta, what in ((400j, 0.0, 0, "math range error"),
+                               (280j, -7.0, 1, "non-finite sum (inf+0j)")):
+        cs = ComplexStructure(tau=-1j, c1=c1)
+        fb, gb = holomorphic_basis(p.right, cs), holomorphic_basis(p.left, cs)
+        with pytest.raises(SeriesOverflow) as info:
+            tensor_direct(fb[0], gb[0], p, z, delta)
+        assert isinstance(info.value.__cause__, OverflowError)
+        assert str(info.value) == (
+            f"tensor._q_sum: {what} at z = {z}, delta = {delta} of (1, 2) x (1, 3) "
+            f"at theta = {p.theta}"
+        )
 
 
 def test_closed_form_at_large_modulus():

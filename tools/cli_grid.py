@@ -16,13 +16,15 @@ checkout:
     python3 tools/cli_grid.py record . /tmp/change.json
     python3 tools/cli_grid.py compare /tmp/parent.json /tmp/change.json
 
-The grid covers every subcommand over the five benchmark label pairs at
-two angles, ``verify-all`` at edge labels and at nonzero connection
-offsets, an exact-zero component pair and two ``--qmax`` caps that raise
-``NonConvergent``, two products at large Im(s), two closed-form overflows
-(``SeriesOverflow``), four ``--theta`` expressions
-(one a division by zero, a usage error), every ``--help`` text and one
-JSON and one CSV ``--output`` file.  Pure stdlib.
+The grid of 101 calls covers every subcommand over the five benchmark
+label pairs at two angles, ``verify-all`` at edge labels and at nonzero
+connection offsets, a left label degenerate at theta = 0.5 through
+``theta-basis --side left`` and ``algebra-check``, an exact-zero component
+pair and two ``--qmax`` caps that raise ``NonConvergent``, two products at
+large Im(s), three overflows (``SeriesOverflow``: one in the closed form,
+two in the direct q-sum), four ``--theta`` expressions (one a division by
+zero, a usage error), every ``--help`` text and one JSON and one CSV
+``--output`` file.  Pure stdlib.
 """
 
 from __future__ import annotations
@@ -91,6 +93,10 @@ def grid() -> list[list[str]]:
         # Products whose true value exceeds double range: typed overflows.
         ["structure-constants", "--c1=0,400"],
         ["tensor", "--c1=0,280", "--z=-7", "--delta", "1"],
+        ["tensor", "--c1=0,400"],
+        # A left label degenerate at theta = 0.5: (1, 2) with 1 - 2*theta = 0.
+        ["theta-basis", "--side", "left", "--theta", "0.5", "--nm", "1,2"],
+        ["algebra-check", "--theta", "0.5", "--kl", "1,2"],
     ]
     calls += THETA_EXPRS
     calls += [["--help"]] + [[cmd, "--help"] for cmd in COMMANDS]
