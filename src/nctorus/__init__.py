@@ -51,10 +51,8 @@ from .errors import (
 from .gaussians import (
     PolyGaussTerm,
     PolyGaussVector,
-    approx_eq,
     evaluate,
     gaussian,
-    l2_pairing,
     vector,
     zero,
 )
@@ -111,7 +109,6 @@ __all__ = [
     "act_Z1",
     "act_Z2",
     "act_element",
-    "approx_eq",
     "bezout",
     "crt_q0",
     "curvature_constant",
@@ -122,7 +119,6 @@ __all__ = [
     "gaussian",
     "holomorphic_basis",
     "involution",
-    "l2_pairing",
     "leibniz_defect",
     "module_tag",
     "monomial",

@@ -122,6 +122,13 @@ def parse_finite(text: str) -> float:
     return value
 
 
+def parse_positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{text!r} is not positive")
+    return value
+
+
 def parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) not in (1, 2):
@@ -504,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="second connection offset")
     common.add_argument("--tol", type=parse_finite, default=1e-9,
                         help="tolerance for identity residuals (default 1e-9)")
-    common.add_argument("--qmax", type=int, default=DEFAULT_QMAX,
+    common.add_argument("--qmax", type=parse_positive_int, default=DEFAULT_QMAX,
                         help="series truncation cap (default %(default)s)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized instances (default 0)")

@@ -21,6 +21,7 @@ precisely when Re(sigma) > 0.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -104,9 +105,15 @@ def holomorphic_basis(tag: ModuleTag, cs: ComplexStructure) -> list[g.PolyGaussV
     """The m Gaussian vectors killed by nabla-bar, one per component.
 
     Raises NoHolomorphicVectors when Re(i*tau*m/D) <= 0, in which case no
-    normalizable Gaussian solution exists.
+    normalizable Gaussian solution exists, and when the width or the
+    offset overflows the floating range.
     """
     sigma = holomorphic_sigma(tag, cs)
+    if not (cmath.isfinite(sigma) and cmath.isfinite(cs.offset)):
+        raise NoHolomorphicVectors(
+            f"Gaussian width {sigma} or offset {cs.offset} is not finite for "
+            f"tau = {cs.tau}, D = {tag.denominator:.6g}"
+        )
     if sigma.real <= 0:
         raise NoHolomorphicVectors(
             f"Re(i*tau*m/D) = {sigma.real:.6g} <= 0 for tau = {cs.tau}, D = {tag.denominator:.6g}"

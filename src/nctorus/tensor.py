@@ -224,8 +224,11 @@ def _q_sum(
     a*delta - q (mod m) of f or q (mod l) of g carries no term is skipped:
     its summand is 0j times a finite value, an exact zero, and partial sums
     that start at +0 never become -0, so skipping changes no bit.  An
-    overflowing summand or a non-finite total raises SeriesOverflow.
+    overflowing summand or a non-finite total raises SeriesOverflow, and a
+    cap qmax < 1, which would sum nothing, raises ValueError.
     """
+    if qmax < 1:
+        raise ValueError(f"qmax must be >= 1, got {qmax}")
     supp_f = {t.mu for t in f.terms}
     supp_g = {t.mu for t in g.terms}
     evaluate = gs.evaluate

@@ -158,12 +158,24 @@ def test_verify_all_does_not_skip_an_overflow(capsys, monkeypatch):
     ["algebra-check", "--tol", "nan"],
     ["verify-all", "--tol", "inf"],
     ["tensor", "--z", "nan"],
+    # a --qmax cap below 1 would sum no q at all
+    ["tensor", "--qmax", "-5"],
+    ["tensor", "--qmax", "0"],
 ])
 def test_non_finite_numbers_are_usage_errors(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "invalid parse_" in captured.err and "usage:" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("theta,seed", [("sqrt2-1", "318027"), ("0.2", "40695")])
+def test_algebra_check_far_shifted_gaussians(capsys, theta, seed):
+    # random elements whose U1 powers shift a Gaussian far from its centre,
+    # where a translate pruned to zero would break module_axiom
+    argv = ["algebra-check", "--theta", theta, "--nm", "3,2", "--kl", "2,3", "--seed", seed]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["pass"]
 
 
 def test_negative_complex_flag_needs_equals_form(capsys):

@@ -20,9 +20,9 @@ from nctorus.connections import (
 from nctorus.errors import NoHolomorphicVectors
 from nctorus.gaussians import (
     axpy,
+    evaluate,
     gaussian,
     grid_abs_max,
-    l2_pairing,
     scale,
     sub,
 )
@@ -197,6 +197,13 @@ def test_no_holomorphic_vectors_both_sign_regimes():
         holomorphic_basis(neg, cs_down)
 
 
+def test_no_holomorphic_vectors_when_width_overflows():
+    tag = module_tag(1, 2, 0.2)
+    for cs in (ComplexStructure(tau=-1e308 - 1j), ComplexStructure(2 - 1j, c1=1e308 + 1e308j)):
+        with pytest.raises(NoHolomorphicVectors, match="not finite for tau"):
+            holomorphic_basis(tag, cs)
+
+
 def test_dbar_detects_perturbation():
     tag = module_tag(1, 2, 0.3)
     cs = ComplexStructure(tau=-1j)
@@ -231,6 +238,23 @@ def test_complex_structure_validation():
 
 # ---------------------------------------------------------- anti-Hermitian
 
+def _pairing(u, v):
+    """sum_mu int conj(u) v dx by the trapezoid rule on [-9, 9].
+
+    For these Gaussians the rule converges exponentially in 1/h, and the
+    integrand is far below rounding at the ends of the interval.
+    """
+    n = 360
+    h = 18.0 / n
+    total = 0j
+    for mu in range(u.m):
+        for i in range(n + 1):
+            x = -9.0 + i * h
+            weight = 0.5 if i in (0, n) else 1.0
+            total += weight * evaluate(u, x, mu).conjugate() * evaluate(v, x, mu)
+    return total * h
+
+
 def test_connection_is_anti_hermitian():
     # purely imaginary offsets keep <nabla u, v> + <u, nabla v> = 0
     tag = module_tag(1, 2, 0.41)
@@ -239,9 +263,9 @@ def test_connection_is_anti_hermitian():
     for _ in range(5):
         u = random_gaussian(rng, 2)
         v = random_gaussian(rng, 2)
-        s1 = l2_pairing(nabla1(u, tag, c1), v) + l2_pairing(u, nabla1(v, tag, c1))
-        s2 = l2_pairing(nabla2(u, tag, c2), v) + l2_pairing(u, nabla2(v, tag, c2))
-        norm = 1 + abs(l2_pairing(u, u)) + abs(l2_pairing(v, v))
+        s1 = _pairing(nabla1(u, tag, c1), v) + _pairing(u, nabla1(v, tag, c1))
+        s2 = _pairing(nabla2(u, tag, c2), v) + _pairing(u, nabla2(v, tag, c2))
+        norm = 1 + abs(_pairing(u, u)) + abs(_pairing(v, v))
         assert abs(s1) < 1e-10 * norm
         assert abs(s2) < 1e-10 * norm
 

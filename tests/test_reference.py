@@ -5,8 +5,8 @@ as an explicit sum at 50 significant digits over the terms within a
 certified radius of the largest one.  Each structure constant is checked
 against a second referee that knows nothing of the closed form: the
 Gaussian summand f(X(q))*g(Y(q)) of the product, summed in mpmath over
-its congruence class.  Known defects are pinned as strict xfails naming
-the ROADMAP item whose fix removes the marker.
+its congruence class.  A third referee evaluates a polynomial Gaussian
+vector at a translated point, for the translations of the module actions.
 """
 
 import math
@@ -28,7 +28,7 @@ from nctorus.tensor import (
 )
 from nctorus.theta import theta
 
-from conftest import random_gaussian
+from conftest import random_gaussian, random_vector
 
 mpmath.mp.dps = 50
 
@@ -284,22 +284,44 @@ def test_closed_form_sweep(case):
         assert _rel(got, want) <= REL_TOL + ROUNDING_C * e_max * 2**-53
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 3: shift folds exp(c*s - sigma*s**2/2) into "
-           "coefficients that the absolute 1e-14 prune drops",
-)
 def test_large_shift_is_not_a_silent_zero():
     v = shift(gaussian(1, 4), 5)
     assert not v.is_zero()
     assert _rel(evaluate(v, 5.0, 0), mpmath.mpc(1)) <= REL_TOL
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 3: the absolute 1e-14 prune zeroes the shifted "
-           "Gaussians of the U1 side; without it the residual is 3e-15",
-)
+def _vector_ref(v, u, mu) -> mpmath.mpc:
+    """v(u, mu) at 50 digits for a vector whose terms are centred at 0."""
+    acc = mpmath.mpc(0)
+    for t in v.terms:
+        assert t.x0 == 0
+        if t.mu == mu:
+            poly = mpmath.polyval([mpmath.mpc(z) for z in reversed(t.poly)], u)
+            acc += poly * mpmath.exp(-mpmath.mpc(t.sigma) * u * u / 2 - mpmath.mpc(t.c) * u)
+    return acc
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10**9), st.floats(-1e6, 1e6))
+@example(0, 1e6)
+@example(0, -37.5)
+def test_shift_round_trip(seed, s):
+    # A translate by s and back returns v itself, and at x = s + d the
+    # translate takes v's value at d, however far s moves the centre.
+    rng = random.Random(seed)
+    v = random_vector(rng, 2)
+    w = shift(v, s)
+    assert shift(w, -s) == v
+    for d in (0.0, rng.uniform(-2, 2)):
+        x = s + d
+        u = mpmath.mpf(x) - mpmath.mpf(s)
+        for mu in range(2):
+            want = _vector_ref(v, u, mu)
+            got = evaluate(w, x, mu)
+            assert abs(mpmath.mpc(got) - want) <= REL_TOL * (1 + abs(want))
+            assert abs(got - evaluate(v, float(u), mu)) <= REL_TOL * (1 + abs(want))
+
+
 def test_identification_at_small_left_denominator():
     # The smallest failing label of verify-all's grid B: (0,1)x(8,1) at 0.2,
     # with the instance the CLI draws at --seed 0.

@@ -238,6 +238,9 @@ def test_direct_sum_input_validation():
         tensor_direct(gb[0], gb[0], p, 0.0, 0)
     with pytest.raises(NonConvergent):
         tensor_direct(fb[0], gb[0], p, 0.0, 0, qmax=8)
+    for qmax in (0, -5):
+        with pytest.raises(ValueError):
+            tensor_direct(fb[0], gb[0], p, 0.0, 0, qmax=qmax)
 
 
 def _reference_q_sum(f, g, p, z, delta, qmax):

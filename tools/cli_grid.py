@@ -16,15 +16,16 @@ checkout:
     python3 tools/cli_grid.py record . /tmp/change.json
     python3 tools/cli_grid.py compare /tmp/parent.json /tmp/change.json
 
-The grid of 101 calls covers every subcommand over the five benchmark
+The grid of 104 calls covers every subcommand over the five benchmark
 label pairs at two angles, ``verify-all`` at edge labels and at nonzero
 connection offsets, a left label degenerate at theta = 0.5 through
-``theta-basis --side left`` and ``algebra-check``, an exact-zero component
-pair and two ``--qmax`` caps that raise ``NonConvergent``, two products at
-large Im(s), three overflows (``SeriesOverflow``: one in the closed form,
-two in the direct q-sum), four ``--theta`` expressions (one a division by
-zero, a usage error), every ``--help`` text and one JSON and one CSV
-``--output`` file.  Pure stdlib.
+``theta-basis --side left`` and ``algebra-check``, two ``algebra-check``
+seeds that shift Gaussians far from their centres, an exact-zero component
+pair, two ``--qmax`` caps that raise ``NonConvergent`` and one below 1 (a
+usage error), two products at large Im(s), three overflows
+(``SeriesOverflow``: one in the closed form, two in the direct q-sum), four
+``--theta`` expressions (one a division by zero, a usage error), every
+``--help`` text and one JSON and one CSV ``--output`` file.  Pure stdlib.
 """
 
 from __future__ import annotations
@@ -97,6 +98,11 @@ def grid() -> list[list[str]]:
         # A left label degenerate at theta = 0.5: (1, 2) with 1 - 2*theta = 0.
         ["theta-basis", "--side", "left", "--theta", "0.5", "--nm", "1,2"],
         ["algebra-check", "--theta", "0.5", "--kl", "1,2"],
+        # Random elements whose U1 powers shift a Gaussian far from its centre.
+        ["algebra-check", "--theta", "sqrt2-1", "--nm", "3,2", "--kl", "2,3", "--seed", "318027"],
+        ["algebra-check", "--nm", "4,1", "--seed", "1"],
+        # A cap below 1 is a usage error.
+        ["tensor", "--qmax", "-5"],
     ]
     calls += THETA_EXPRS
     calls += [["--help"]] + [[cmd, "--help"] for cmd in COMMANDS]
