@@ -75,9 +75,7 @@ from .tensor import (
     structure_constants,
     tensor_direct,
     tensor_gaussian_closed,
-    verify_delta_period,
-    verify_identification,
-    verify_z_covariance,
+    verify_identities,
 )
 from .theta import theta, theta_truncated, truncation_radius
 
@@ -137,8 +135,6 @@ __all__ = [
     "truncation_radius",
     "unit",
     "vector",
-    "verify_delta_period",
-    "verify_identification",
-    "verify_z_covariance",
+    "verify_identities",
     "zero",
 ]

@@ -17,10 +17,10 @@ passed as "re,im" (a bare real is also accepted).  Reports serialize to
 JSON with schema version 1; the structure-constant table additionally to
 CSV.  Identical inputs produce byte-identical output.
 
-The --tol flag governs the algebraic identity residuals (default 1e-9).
-Series-oracle agreement and basis checks use their pinned tolerances:
-1e-10 for closed form against direct summation, 1e-8 for holomorphic
-closure and basis reconstruction.
+The --tol flag (default 1e-9) governs the algebraic identity residuals and
+tensor's closed form against direct summation, abs_diff <= tol*(1 + |direct|).
+Other checks pin theirs: 1e-10 for the series oracles of verify-all and
+structure-constants, 1e-8 for holomorphic closure and basis reconstruction.
 """
 
 from __future__ import annotations
@@ -71,9 +71,7 @@ from .tensor import (
     structure_constants,
     tensor_direct,
     tensor_gaussian_closed,
-    verify_delta_period,
-    verify_identification,
-    verify_z_covariance,
+    verify_identities,
 )
 
 ORACLE_TOL = 1e-10
@@ -310,12 +308,8 @@ def _identity_checks(args: argparse.Namespace, checks: CheckList) -> None:
     p = product_params(n, m, k, l, args.theta, strict=False)
     f = _random_gaussian(rng, m)
     g = _random_gaussian(rng, l)
-    checks.add("identification_u1", verify_identification(f, g, p, "U1", args.qmax), args.tol)
-    checks.add("identification_u2", verify_identification(f, g, p, "U2", args.qmax), args.tol)
-    checks.add("delta_periodicity", verify_delta_period(f, g, p, args.qmax), args.tol)
-    res1, res2 = verify_z_covariance(f, g, p, args.qmax)
-    checks.add("z1_covariance", res1, args.tol)
-    checks.add("z2_covariance", res2, args.tol)
+    for name, residual in verify_identities(f, g, p, args.qmax).items():
+        checks.add(name, residual, args.tol)
 
 
 def _oracle_checks(args: argparse.Namespace, checks: CheckList) -> None:

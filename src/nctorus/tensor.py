@@ -47,7 +47,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from . import gaussians as gs
 from .algebra import TWO_PI_I, BezoutPair, bezout, theta_prime
@@ -408,12 +408,17 @@ def _common_holomorphic_data(
         )
     sigma1 = 1j * cs.tau * p.m / p.A
     sigma2 = 1j * cs.tau * p.l / p.B
+    c = cs.offset
+    if not all(map(cmath.isfinite, (sigma1, sigma2, c))):
+        raise NoHolomorphicVectors(
+            f"factor widths i*tau*m/A = {sigma1}, i*tau*l/B = {sigma2} or offset {c} "
+            f"is not finite for tau = {cs.tau}"
+        )
     if sigma1.real <= 0 or sigma2.real <= 0:
         raise NoHolomorphicVectors(
             f"factor widths i*tau*m/A = {sigma1:.6g}, i*tau*l/B = {sigma2:.6g} "
             "must both have positive real part"
         )
-    c = cs.offset
     # sigma' = i*tau*(m/A + l/B)*A**2 = i*tau*M*A/B via l*A + m*B = M.
     return sigma1, sigma2, c, (sigma1 + sigma2) * p.A * p.A, 2 * c * p.A
 
@@ -522,74 +527,43 @@ def structure_constants(
     )
 
 
-def _residual(
-    p: ProductParams, sides: Callable[[float, int], tuple[complex, complex]]
-) -> float:
-    """max |lhs - rhs| / (1 + max |lhs|) of (lhs, rhs) = sides(z, delta) on the probe grid."""
-    worst = ref = 0.0
-    for z in PROBE_ZS:
-        for delta in range(p.M):
-            lhs, rhs = sides(z, delta)
-            worst = max(worst, abs(lhs - rhs))
-            ref = max(ref, abs(lhs))
-    return worst / (1 + ref)
-
-
-def verify_identification(
+def verify_identities(
     f: gs.PolyGaussVector,
     g: gs.PolyGaussVector,
     p: ProductParams,
-    generator: str,
     qmax: int = DEFAULT_QMAX,
-) -> float:
-    """Residual of (f.U) (x) g = f (x) (U.g) over the probe grid.
+) -> dict[str, float]:
+    """Residuals of the five identities of h = f (x) g, keyed by name.
 
-    generator is "U1" or "U2"; lhs is the product with the operator applied
-    to the right factor, normalized as in :func:`_residual`.
+    Each is max |lhs - rhs| / (1 + max |lhs|) over z in PROBE_ZS and delta
+    in range(M).  identification_u1, _u2: (f.U) (x) g = f (x) (U.g);
+    delta_periodicity: h(z, delta) = h(z, delta + M); z1_covariance:
+    (Z1 f) (x) g at (z, delta) = h(z - N'/M + theta', delta - 1);
+    z2_covariance: (Z2 f) (x) g at (z, delta) = exp(2*pi*i*(z - N'*delta/M))
+    * h(z, delta), the same h(z, delta) as delta_periodicity's lhs.
     """
     _check_factors(f, g, p)
-    act = {"U1": act_U1, "U2": act_U2}.get(generator)
-    if act is None:
-        raise ValueError(f"generator must be 'U1' or 'U2', got {generator!r}")
-    fu, gu = act(f, p.right), act(g, p.left)
-    return _residual(p, lambda z, d: (_q_sum(fu, g, p, z, d, qmax), _q_sum(f, gu, p, z, d, qmax)))
-
-
-def verify_delta_period(
-    f: gs.PolyGaussVector,
-    g: gs.PolyGaussVector,
-    p: ProductParams,
-    qmax: int = DEFAULT_QMAX,
-) -> float:
-    """Residual of h(z, delta + M) = h(z, delta) over the probe grid, lhs = h(z, delta)."""
-    _check_factors(f, g, p)
-    return _residual(
-        p, lambda z, d: (_q_sum(f, g, p, z, d, qmax), _q_sum(f, g, p, z, d + p.M, qmax))
-    )
-
-
-def verify_z_covariance(
-    f: gs.PolyGaussVector,
-    g: gs.PolyGaussVector,
-    p: ProductParams,
-    qmax: int = DEFAULT_QMAX,
-) -> tuple[float, float]:
-    """Residuals of the two endomorphism covariance identities.
-
-    Z1:  (Z1 f) (x) g at (z, delta) equals f (x) g at
-         (z - N'/M + theta', delta - 1);
-    Z2:  (Z2 f) (x) g at (z, delta) equals
-         exp(2*pi*i*(z - N'*delta/M)) * (f (x) g)(z, delta).
-
-    Both are normalized like :func:`verify_identification`.
-    """
-    _check_factors(f, g, p)
+    fu1, gu1 = act_U1(f, p.right), act_U1(g, p.left)
+    fu2, gu2 = act_U2(f, p.right), act_U2(g, p.left)
     z1f, z2f = act_Z1(f, p.right), act_Z2(f, p.right)
     shift_z = -p.N_prime / p.M + p.theta_prime
-    return (
-        _residual(p, lambda z, d: (
-            _q_sum(z1f, g, p, z, d, qmax), _q_sum(f, g, p, z + shift_z, d - 1, qmax))),
-        _residual(p, lambda z, d: (
-            _q_sum(z2f, g, p, z, d, qmax),
-            cmath.exp(TWO_PI_I * (z - p.N_prime * d / p.M)) * _q_sum(f, g, p, z, d, qmax))),
-    )
+
+    def q_sum(u: gs.PolyGaussVector, v: gs.PolyGaussVector, z: float, d: int) -> complex:
+        return _q_sum(u, v, p, z, d, qmax)
+
+    worst: dict[str, float] = {}
+    ref: dict[str, float] = {}
+    for z in PROBE_ZS:
+        for d in range(p.M):
+            sides = {
+                "identification_u1": (q_sum(fu1, g, z, d), q_sum(f, gu1, z, d)),
+                "identification_u2": (q_sum(fu2, g, z, d), q_sum(f, gu2, z, d)),
+                "delta_periodicity": (h := q_sum(f, g, z, d), q_sum(f, g, z, d + p.M)),
+                "z1_covariance": (q_sum(z1f, g, z, d), q_sum(f, g, z + shift_z, d - 1)),
+                "z2_covariance": (
+                    q_sum(z2f, g, z, d), cmath.exp(TWO_PI_I * (z - p.N_prime * d / p.M)) * h),
+            }
+            for name, (lhs, rhs) in sides.items():
+                worst[name] = max(worst.get(name, 0.0), abs(lhs - rhs))
+                ref[name] = max(ref.get(name, 0.0), abs(lhs))
+    return {name: worst[name] / (1 + ref[name]) for name in worst}

@@ -49,9 +49,7 @@ from nctorus.tensor import (
     structure_constants,
     tensor_direct,
     tensor_gaussian_closed,
-    verify_delta_period,
-    verify_identification,
-    verify_z_covariance,
+    verify_identities,
 )
 from nctorus.theta import theta
 
@@ -216,13 +214,7 @@ def test_criterion_5_appendix_identities():
             p = product_params(n, m, k, l, theta, strict=False)
             f = random_gaussian(rng, m)
             g = random_gaussian(rng, l)
-            res = [
-                verify_identification(f, g, p, "U1"),
-                verify_identification(f, g, p, "U2"),
-                verify_delta_period(f, g, p),
-                *verify_z_covariance(f, g, p),
-            ]
-            worst = max(worst, *res)
+            worst = max(worst, *verify_identities(f, g, p).values())
     _verdict("criterion 5 (appendix identities, 12 configs)", worst <= 1e-9,
              f"max residual {worst:.3e} <= 1e-9")
 

@@ -150,6 +150,23 @@ def test_verify_all_does_not_skip_an_overflow(capsys, monkeypatch):
     assert captured.out == ""
 
 
+def test_non_finite_holomorphic_width_is_typed(capsys):
+    # i*tau*m/A = nan - inf*i: a typed NoHolomorphicVectors, not the
+    # assertion on Im(s) that a nan width once reached
+    assert main(["structure-constants", "--tau=-1e308,-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: factor widths i*tau*m/A = (nan-infj)")
+    assert "is not finite for tau = (-1e+308-1j)" in captured.err
+    assert captured.out == ""
+    assert main(["verify-all", "--tau=-1e308,-1"]) == 0
+    captured = capsys.readouterr()
+    skipped = {c["name"]: c["reason"] for c in json.loads(captured.out)["checks"]
+               if c.get("skipped")}
+    assert list(skipped) == ["holomorphic_closure", "structure_constants"]
+    assert "is not finite" in skipped["structure_constants"]
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["theta-basis", "--tau", "nan,-1"],
     ["theta-basis", "--tau=-inf,-1"],

@@ -24,7 +24,7 @@ from nctorus.tensor import (
     structure_constants,
     tensor_direct,
     tensor_gaussian_closed,
-    verify_identification,
+    verify_identities,
 )
 from nctorus.theta import theta
 
@@ -328,7 +328,7 @@ def test_identification_at_small_left_denominator():
     p = product_params(0, 1, 8, 1, 0.2, strict=False)
     rng = random.Random(2)
     f, g = random_gaussian(rng, 1), random_gaussian(rng, 1)
-    assert verify_identification(f, g, p, "U1") <= 1e-9
+    assert verify_identities(f, g, p)["identification_u1"] <= 1e-9
 
 
 def test_oracle_closed_form_at_small_right_label():

@@ -1,5 +1,6 @@
 """The explicit tensor product map and its theta-series closed form."""
 
+import cmath
 import itertools
 import math
 import random
@@ -20,7 +21,7 @@ from nctorus.errors import (
 )
 from nctorus import gaussians as gs
 from nctorus import tensor
-from nctorus.modules import module_tag
+from nctorus.modules import act_U1, act_U2, act_Z1, act_Z2, module_tag
 from nctorus.tensor import (
     crt_q0,
     product_basis,
@@ -28,12 +29,10 @@ from nctorus.tensor import (
     structure_constants,
     tensor_direct,
     tensor_gaussian_closed,
-    verify_delta_period,
-    verify_identification,
-    verify_z_covariance,
+    verify_identities,
 )
 
-from conftest import coprime_pair, random_theta, random_vector
+from conftest import coprime_pair, random_gaussian, random_theta, random_vector
 
 
 def _canonical(theta=0.2):
@@ -325,7 +324,7 @@ def test_q_sum_evaluates_only_live_residues(monkeypatch):
 
 
 def test_direct_sum_rejects_delta_outside_fundamental_range():
-    # periodic extension is the business of verify_delta_period
+    # periodic extension is the business of verify_identities
     p = _canonical()
     fb, gb = _factor_bases(p)
     with pytest.raises(IndexOutOfRange):
@@ -433,10 +432,8 @@ def test_closed_form_validation():
 def test_generator_identification():
     p = _canonical()
     fb, gb = _factor_bases(p)
-    assert verify_identification(fb[0], gb[0], p, "U1") < 1e-9
-    assert verify_identification(fb[1], gb[2], p, "U2") < 1e-9
-    with pytest.raises(ValueError):
-        verify_identification(fb[0], gb[0], p, "U3")
+    assert verify_identities(fb[0], gb[0], p)["identification_u1"] < 1e-9
+    assert verify_identities(fb[1], gb[2], p)["identification_u2"] < 1e-9
 
 
 def test_identification_with_vanishing_B():
@@ -446,16 +443,69 @@ def test_identification_with_vanishing_B():
     assert p.B == 0
     f = gaussian(2, 1.1, c=0.2, mu=0)
     g = gaussian(2, 0.9, c=-0.1j, mu=1)
-    assert verify_identification(f, g, p, "U1") <= 1e-9
+    assert verify_identities(f, g, p)["identification_u1"] <= 1e-9
 
 
 def test_delta_period_and_z_covariance():
     p = _canonical()
     fb, gb = _factor_bases(p)
-    assert verify_delta_period(fb[0], gb[1], p) < 1e-9
-    r1, r2 = verify_z_covariance(fb[0], gb[1], p)
-    assert r1 < 1e-9
-    assert r2 < 1e-9
+    res = verify_identities(fb[0], gb[1], p)
+    assert res["delta_periodicity"] < 1e-9
+    assert res["z1_covariance"] < 1e-9
+    assert res["z2_covariance"] < 1e-9
+
+
+def _reference_residual(p, sides):
+    """max |lhs - rhs| / (1 + max |lhs|) of one identity over the whole probe grid."""
+    worst = ref = 0.0
+    for z in tensor.PROBE_ZS:
+        for delta in range(p.M):
+            lhs, rhs = sides(z, delta)
+            worst = max(worst, abs(lhs - rhs))
+            ref = max(ref, abs(lhs))
+    return worst / (1 + ref)
+
+
+def _reference_identities(f, g, p):
+    """The former verify_identification, verify_delta_period and
+    verify_z_covariance: each identity in its own pass, h(z, delta) summed twice."""
+    qmax, q_sum = tensor.DEFAULT_QMAX, tensor._q_sum
+    res = {}
+    for name, act in (("identification_u1", act_U1), ("identification_u2", act_U2)):
+        fu, gu = act(f, p.right), act(g, p.left)
+        res[name] = _reference_residual(
+            p, lambda z, d: (q_sum(fu, g, p, z, d, qmax), q_sum(f, gu, p, z, d, qmax)))
+    res["delta_periodicity"] = _reference_residual(
+        p, lambda z, d: (q_sum(f, g, p, z, d, qmax), q_sum(f, g, p, z, d + p.M, qmax)))
+    z1f, z2f = act_Z1(f, p.right), act_Z2(f, p.right)
+    shift_z = -p.N_prime / p.M + p.theta_prime
+    res["z1_covariance"] = _reference_residual(p, lambda z, d: (
+        q_sum(z1f, g, p, z, d, qmax), q_sum(f, g, p, z + shift_z, d - 1, qmax)))
+    res["z2_covariance"] = _reference_residual(p, lambda z, d: (
+        q_sum(z2f, g, p, z, d, qmax),
+        cmath.exp(tensor.TWO_PI_I * (z - p.N_prime * d / p.M)) * q_sum(f, g, p, z, d, qmax)))
+    return res
+
+
+def test_verify_identities_is_bit_exact():
+    # one pass that sums the shared h(z, delta) once gives every residual,
+    # in name and order, bit for bit as five passes of one identity each
+    rng = random.Random(58)
+    cases = [(*label, theta)
+             for label in ((1, 2, 1, 3), (3, 2, 2, 3), (1, 4, 2, 3), (1, 3, 2, 5), (2, 3, 3, 5))
+             for theta in (0.2, math.sqrt(2) - 1)]
+    # k - l*theta = 0 at (1,2)x(1,2), and the small left denominator of (0,1)x(8,1)
+    cases += [(1, 2, 1, 2, 0.5), (0, 1, 8, 1, 0.2)]
+    for n, m, k, l, theta in cases:
+        # strict=False as the CLI's identity stage: some pairs have B < 0 at sqrt2-1
+        p = product_params(n, m, k, l, theta, strict=False)
+        f, g = random_gaussian(rng, m), random_gaussian(rng, l)
+        got = verify_identities(f, g, p)
+        want = _reference_identities(f, g, p)
+        assert list(got) == list(want)
+        assert got == want
+    with pytest.raises(DimensionMismatch):
+        verify_identities(gs.gaussian(3, 1.0), gs.gaussian(3, 1.0), _canonical())
 
 
 # ------------------------------------------------------------ theta basis

@@ -16,16 +16,17 @@ checkout:
     python3 tools/cli_grid.py record . /tmp/change.json
     python3 tools/cli_grid.py compare /tmp/parent.json /tmp/change.json
 
-The grid of 104 calls covers every subcommand over the five benchmark
+The grid of 106 calls covers every subcommand over the five benchmark
 label pairs at two angles, ``verify-all`` at edge labels and at nonzero
 connection offsets, a left label degenerate at theta = 0.5 through
 ``theta-basis --side left`` and ``algebra-check``, two ``algebra-check``
 seeds that shift Gaussians far from their centres, an exact-zero component
 pair, two ``--qmax`` caps that raise ``NonConvergent`` and one below 1 (a
 usage error), two products at large Im(s), three overflows
-(``SeriesOverflow``: one in the closed form, two in the direct q-sum), four
-``--theta`` expressions (one a division by zero, a usage error), every
-``--help`` text and one JSON and one CSV ``--output`` file.  Pure stdlib.
+(``SeriesOverflow``: one in the closed form, two in the direct q-sum), two
+non-finite holomorphic widths (``NoHolomorphicVectors``), four ``--theta``
+expressions (one a division by zero, a usage error), every ``--help`` text
+and one JSON and one CSV ``--output`` file.  Pure stdlib.
 """
 
 from __future__ import annotations
@@ -103,6 +104,9 @@ def grid() -> list[list[str]]:
         ["algebra-check", "--nm", "4,1", "--seed", "1"],
         # A cap below 1 is a usage error.
         ["tensor", "--qmax", "-5"],
+        # A width i*tau*m/A that is not finite: a typed NoHolomorphicVectors.
+        ["structure-constants", "--tau=-1e308,-1"],
+        ["verify-all", "--tau=-1e308,-1"],
     ]
     calls += THETA_EXPRS
     calls += [["--help"]] + [[cmd, "--help"] for cmd in COMMANDS]
