@@ -46,8 +46,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from . import gaussians as gs
 from .algebra import TWO_PI_I, BezoutPair, bezout, theta_prime
@@ -68,9 +69,11 @@ from .theta import DEFAULT_EPS, theta
 # Probe points in z used by the verification routines.
 PROBE_ZS: tuple[float, ...] = (-1.0, -0.5, 0.0, 0.3, 0.7, 1.0)
 
-BASE_RADIUS = 16
 DEFAULT_QMAX = 16384
-SHELL_TOL = 1e-13
+# The direct q-sum stops once its certified tails are below the unit
+# roundoff of the sum, or below the smallest normal double.
+_ROUNDOFF = 2.0**-53
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -208,6 +211,44 @@ def crt_q0(alpha: int, beta: int, delta: int, p: ProductParams) -> int | None:
     return beta_mod + l * y
 
 
+def _pair_envelope(
+    tf: gs.PolyGaussTerm, tg: gs.PolyGaussTerm, x: float, y: float, dx: float, dy: float
+) -> tuple[float, float, float, float]:
+    """(c0, b, a, k): log bound c0 + b*j - a*j**2 + k*|j| on a term pair's summand.
+
+    The summand is tf at x + j*dx times tg at y + j*dy, so with u = x - x0
+    its log modulus is -(Re sigma*u/2 + Re c)*u per factor, plus at most
+    log ||P||_1 + deg P*|u| from |P(u)| <= ||P||_1*exp(deg P*|u|).
+    """
+    u_f, u_g = x - tf.x0, y - tg.x0
+    sf, cf, sg, cg = tf.sigma.real, tf.c.real, tg.sigma.real, tg.c.real
+    c0 = -(sf * u_f / 2 + cf) * u_f - (sg * u_g / 2 + cg) * u_g
+    c0 += math.log(sum(map(abs, tf.poly)) * sum(map(abs, tg.poly)))
+    deg_f, deg_g = len(tf.poly) - 1, len(tg.poly) - 1
+    c0 += deg_f * abs(u_f) + deg_g * abs(u_g)
+    b = -(sf * u_f + cf) * dx - (sg * u_g + cg) * dy
+    return c0, b, (sf * dx * dx + sg * dy * dy) / 2, deg_f * abs(dx) + deg_g * abs(dy)
+
+
+def _log_tail(envelopes: list[tuple[float, float, float, float]], side: int, u: int) -> float:
+    """Log bound on the class terms at j with side*j >= side*u; inf before a peak.
+
+    Along that side each pair's log bound c0 + b*j - a*j**2 + k*|j| grows
+    from one j to the next by at most log rho = k + side*b - a*(2*side*u + 1),
+    so where rho < 1 its tail is at most its bound at u over 1 - rho.  The
+    pairs' tails add up to at most their count times the largest.
+    """
+    worst = -math.inf
+    for c0, b, a, k in envelopes:
+        log_rho = k + side * b - a * (2 * side * u + 1)
+        if not log_rho < 0:
+            return math.inf
+        log_tail = c0 + (b - a * u) * u + k * abs(u) - math.log(-math.expm1(log_rho))
+        if log_tail > worst:
+            worst = log_tail
+    return worst + math.log(len(envelopes))
+
+
 def _q_sum(
     f: gs.PolyGaussVector,
     g: gs.PolyGaussVector,
@@ -216,54 +257,75 @@ def _q_sum(
     delta: int,
     qmax: int,
 ) -> complex:
-    """Shell-doubled truncation of the q-series.
+    """The q-series summed class by class, outward from each class's peak.
 
-    Convergence is certified by the last doubled shell contributing no more
-    than SHELL_TOL relative to the running total; NonConvergent means the
-    cap qmax was reached before any shell certified.  A q whose component
-    a*delta - q (mod m) of f or q (mod l) of g carries no term is skipped:
-    its summand is 0j times a finite value, an exact zero, and partial sums
-    that start at +0 never become -0, so skipping changes no bit.  An
-    overflowing summand or a non-finite total raises SeriesOverflow, and a
-    cap qmax < 1, which would sum nothing, raises ValueError.
+    Only q whose components a*delta - q (mod m) of f and q (mod l) of g both
+    carry a term contribute; for a component pair (mu, nu) these q form one
+    class q1 + j*L, found by stepping q through a*delta - mu (mod m) until
+    q = nu (mod l).  Each term pair of the class has a real log-envelope
+    -a*q**2 + b*q + c0 with a = (Re sigma_f*(A/m)**2 + Re sigma_g*(B/l)**2)/2
+    > 0 (:func:`_pair_envelope`).  The sum starts at the class member
+    nearest the first pair's peak b/(2a) and grows the side whose certified
+    tail (:func:`_log_tail`, a geometric bound as :func:`theta.tail_bound`)
+    is larger.  It stops once both tails together are below 2**-53 of
+    |class sum|, or below the smallest normal double, so a class that
+    underflows still ends.  NonConvergent means that window left
+    |q| <= qmax.  An overflowing summand or a non-finite total raises
+    SeriesOverflow, and a cap qmax < 1, which would sum nothing, raises
+    ValueError.
     """
     if qmax < 1:
         raise ValueError(f"qmax must be >= 1, got {qmax}")
-    supp_f = {t.mu for t in f.terms}
-    supp_g = {t.mu for t in g.terms}
     evaluate = gs.evaluate
-    m, l, a_delta = p.m, p.l, p.right.pair.a * delta
+    m, l, big_l = p.m, p.l, p.L
+    a_delta = p.right.pair.a * delta
     az = p.A * z
-    f_q, f_delta = p.A / p.m, (p.l * p.A / (p.m * p.M)) * delta
-    g_q, g_delta = p.B / p.l, (p.B / p.M) * delta
-
-    def partial(qs: Iterable[int]) -> complex:
-        acc = 0j
-        for q in qs:
-            mu, nu = (a_delta - q) % m, q % l
-            if mu in supp_f and nu in supp_g:
+    f_q, f_delta = p.A / m, (p.l * p.A / (m * p.M)) * delta
+    g_q, g_delta = p.B / l, (p.B / p.M) * delta
+    dx, dy = -f_q * big_l, g_q * big_l
+    classes: dict[tuple[int, int], list[tuple[gs.PolyGaussTerm, gs.PolyGaussTerm]]] = {}
+    for tf in f.terms:
+        for tg in g.terms:
+            classes.setdefault((tf.mu, tg.mu), []).append((tf, tg))
+    total = 0j
+    try:
+        for (mu, nu), pairs in classes.items():
+            for q1 in range((a_delta - mu) % m, big_l, m):
+                if q1 % l == nu:
+                    break
+            else:
+                continue  # a*delta - mu != nu (mod r): no q carries the pair
+            x, y = az - f_q * q1 + f_delta, az + g_q * q1 - g_delta
+            envelopes = [_pair_envelope(tf, tg, x, y, dx, dy) for tf, tg in pairs]
+            # start at the class member nearest the first pair's peak
+            _, b, a, _ = envelopes[0]
+            lo = hi = round(b / (2 * a))
+            q = q1 + hi * big_l
+            right, left = _log_tail(envelopes, 1, hi + 1), _log_tail(envelopes, -1, lo - 1)
+            acc = 0j
+            while True:
+                if abs(q) > qmax:
+                    raise NonConvergent(
+                        f"q-series not certified within |q| <= {qmax} at z = {z}, delta = {delta}"
+                    )
                 acc += evaluate(f, az - f_q * q + f_delta, mu) * evaluate(
                     g, az + g_q * q - g_delta, nu
                 )
-        return acc
-
-    radius = min(BASE_RADIUS, qmax)
-    try:
-        total = partial(range(-radius, radius + 1))
-        while cmath.isfinite(total):
-            new_radius = min(2 * radius, qmax)
-            if new_radius == radius:
-                raise NonConvergent(
-                    f"q-series not certified within |q| <= {qmax} at z = {z}, delta = {delta}"
-                )
-            shell = partial(q for u in range(radius + 1, new_radius + 1) for q in (u, -u))
-            total += shell
-            if abs(shell) <= SHELL_TOL * (1 + abs(total)):
-                break
-            radius = new_radius
+                # the two tails together are at most twice the larger; a nan
+                # bound walks on, a non-finite acc stops (log inf) or walks on
+                # to the floor
+                if max(right, left) <= math.log(max(_TINY, _ROUNDOFF * abs(acc)) / 2):
+                    break
+                if right >= left:
+                    hi += 1
+                    q, right = q1 + hi * big_l, _log_tail(envelopes, 1, hi + 1)
+                else:
+                    lo -= 1
+                    q, left = q1 + lo * big_l, _log_tail(envelopes, -1, lo - 1)
+            total += acc
         if not cmath.isfinite(total):
             raise OverflowError(f"non-finite sum {total}")
-    except OverflowError as exc:
+    except (ArithmeticError, ValueError) as exc:
         raise SeriesOverflow(
             f"tensor._q_sum: {exc} at z = {z}, delta = {delta} of ({p.n}, {p.m}) x "
             f"({p.k}, {p.l}) at theta = {p.theta}"
@@ -387,6 +449,11 @@ def tensor_gaussian_closed(
     if not 0 <= beta < p.l:
         raise IndexOutOfRange(f"beta = {beta} outside range(0, {p.l})")
     s = -(sigma1 * (p.l * p.A) ** 2 + sigma2 * (p.m * p.B) ** 2) / (TWO_PI_I * p.r * p.r)
+    if not cmath.isfinite(s):
+        raise SeriesOverflow(
+            f"tensor_gaussian_closed: theta modulus s = {s} is not finite at (alpha, beta) = "
+            f"({alpha}, {beta}) of ({p.n}, {p.m}) x ({p.k}, {p.l}) at theta = {p.theta}"
+        )
     assert s.imag > 0
     return ProductClosedForm(
         p, alpha, beta, sigma1, c1, sigma2, c2, -p.A / (p.m * p.M), p.B / (p.l * p.M), s,

@@ -167,6 +167,35 @@ def test_non_finite_holomorphic_width_is_typed(capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("argv,s", [
+    # finite factor widths whose theta modulus overflows: once the assertion
+    # on Im(s), and a nan in the peak representative's round
+    (["structure-constants", "--tau=-1e307,-1"], "(inf+nanj)"),
+    (["tensor", "--tau=-1e307,-1"], "(inf+nanj)"),
+    (["structure-constants", "--tau=-1,-1e307"], "(nan+infj)"),
+    (["verify-all", "--tau=-1,-1e307"], "(nan+infj)"),
+])
+def test_overflowing_theta_modulus_is_typed(capsys, argv, s):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: tensor_gaussian_closed: theta modulus s = {s} is not finite at "
+        "(alpha, beta) = (0, 0) of (1, 2) x (1, 3) at theta = 0.2\n"
+    )
+    assert captured.out == ""
+
+
+def test_lost_phase_fails_the_oracle(capsys):
+    # at tau = -1e306 - i the factor phases exp(-i*Im(sigma)*x**2/2) keep no
+    # digit; the direct q-sum once raised a bare math domain error at the far
+    # q of its fixed shells, now both sums finish and the oracle check fails
+    assert main(["structure-constants", "--tau=-1e306,-1"]) == 1
+    captured = capsys.readouterr()
+    checks = {c["name"]: c["pass"] for c in json.loads(captured.out)["checks"]}
+    assert checks == {"structure_constants_vs_direct": False, "basis_reconstruction": False}
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["theta-basis", "--tau", "nan,-1"],
     ["theta-basis", "--tau=-inf,-1"],

@@ -5,7 +5,8 @@ as an explicit sum at 50 significant digits over the terms within a
 certified radius of the largest one.  Each structure constant is checked
 against a second referee that knows nothing of the closed form: the
 Gaussian summand f(X(q))*g(Y(q)) of the product, summed in mpmath over
-its congruence class.  A third referee evaluates a polynomial Gaussian
+its congruence class; at z != 0 the same referee checks the direct
+q-sum of the library.  A third referee evaluates a polynomial Gaussian
 vector at a translated point, for the translations of the module actions.
 """
 
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from nctorus.connections import ComplexStructure, holomorphic_basis
 from nctorus.gaussians import evaluate, gaussian, shift
 from nctorus.tensor import (
+    PROBE_ZS,
     product_params,
     structure_constants,
     tensor_direct,
@@ -36,6 +38,10 @@ mpmath.mp.dps = 50
 # benchmark points, 6.4e-14 at the three large-Im(s) points, 9.2e-15 for
 # theta alone.
 REL_TOL = 1e-13
+# Worst relative error of the direct q-sum measured over the eight valid
+# benchmark points x PROBE_ZS x every delta and component pair: 2.6e-14,
+# both for doubled shells of q and for the walk outward from the peak.
+DIRECT_REL_TOL = 4e-14
 # Discarded tail of the theta referee sum, relative to its largest term.
 TAIL_RATIO = 1e-40
 # The entry referee needs only to resolve REL_TOL, so it runs at 30 digits.
@@ -80,12 +86,12 @@ def _theta_ref(s: complex, t: complex) -> mpmath.mpc:
     )
 
 
-def _entry_refs(p, f, g) -> list[mpmath.mpc | None]:
-    """h(0, gamma) of f (x) g summed over q for each gamma; None if no q is admissible.
+def _entry_refs(p, f, g, z=0.0) -> list[mpmath.mpc | None]:
+    """h(z, gamma) of f (x) g summed over q for each gamma; None if no q is admissible.
 
-    The formula of the tensor module docstring at z = 0: the summand is
-    f(X) * g(Y) with X = -(A/m)*q + (l*A/(m*M))*gamma and
-    Y = (B/l)*q - (B/M)*gamma, over q = a*gamma - alpha (mod m),
+    The formula of the tensor module docstring at real z: the summand is
+    f(X) * g(Y) with X = A*z - (A/m)*q + (l*A/(m*M))*gamma and
+    Y = A*z + (B/l)*q - (B/M)*gamma, over q = a*gamma - alpha (mod m),
     q = beta (mod l), for single-term Gaussians f on component alpha and
     g on component beta.  The admissible q are found by trying each
     residue mod m*l; they are q_c + j*L with L = lcm(m, l).  The exponent
@@ -97,7 +103,7 @@ def _entry_refs(p, f, g) -> list[mpmath.mpc | None]:
     m, l, big_l = f.m, g.m, math.lcm(f.m, g.m)
     refs = []
     with mpmath.workdps(ENTRY_DPS):
-        big_a, big_b = mpmath.mpf(p.A), mpmath.mpf(p.B)
+        big_a, big_b, z = mpmath.mpf(p.A), mpmath.mpf(p.B), mpmath.mpf(z)
         sf, cf = mpmath.mpc(tf.sigma), mpmath.mpc(tf.c)
         sg, cg = mpmath.mpc(tg.sigma), mpmath.mpc(tg.c)
         hf, hg = -sf / 2, -sg / 2
@@ -109,7 +115,8 @@ def _entry_refs(p, f, g) -> list[mpmath.mpc | None]:
             if not hits:
                 refs.append(None)
                 continue
-            x0, y0 = l * big_a * gamma / (m * p.M), -big_b * gamma / p.M
+            x0 = big_a * z + l * big_a * gamma / (m * p.M)
+            y0 = big_a * z - big_b * gamma / p.M
 
             def summand(q):
                 # f(X)*g(Y) = exp(-sigma_f*X**2/2 - c_f*X - sigma_g*Y**2/2 - c_g*Y)
@@ -171,6 +178,29 @@ def test_structure_constants_against_referee(n, m, k, l, th):
         assert _rel(theta(prov["s"], prov["t"]), ref) <= REL_TOL
         # Away from the jtheta defect below, the two references agree.
         assert _rel(_jtheta(prov["s"], prov["t"]), ref) <= 1e-40
+
+
+@pytest.mark.parametrize("n, m, k, l, th, zs", [
+    # two of the six probe points per label pair, each probe point on two or three pairs
+    pytest.param(*point.values, PROBE_ZS[i % 3::3], id=point.id)
+    for i, point in enumerate(_valid_points())
+])
+def test_direct_sum_against_referee(n, m, k, l, th, zs):
+    # the direct q-sum at z != 0, every component pair and every delta
+    p = product_params(n, m, k, l, th)
+    cs = ComplexStructure(-1j)
+    fb, gb = holomorphic_basis(p.right, cs), holomorphic_basis(p.left, cs)
+    worst = 0.0
+    for alpha in range(m):
+        for beta in range(l):
+            for z in zs:
+                for delta, want in enumerate(_entry_refs(p, fb[alpha], gb[beta], z)):
+                    got = tensor_direct(fb[alpha], gb[beta], p, z, delta)
+                    if want is None:
+                        assert got == 0j
+                        continue
+                    worst = max(worst, _rel(got, want))
+    assert worst <= DIRECT_REL_TOL
 
 
 def test_referee_keeps_the_term_jtheta_drops():

@@ -235,75 +235,72 @@ def test_direct_sum_input_validation():
     fb, gb = _factor_bases(p)
     with pytest.raises(DimensionMismatch):
         tensor_direct(gb[0], gb[0], p, 0.0, 0)
-    with pytest.raises(NonConvergent):
-        tensor_direct(fb[0], gb[0], p, 0.0, 0, qmax=8)
+    # the certified window of this point is |q| <= 6: a cap below it raises,
+    # a cap above it changes nothing
+    for qmax in (2, 5):
+        with pytest.raises(NonConvergent):
+            tensor_direct(fb[0], gb[0], p, 0.0, 0, qmax=qmax)
+    assert tensor_direct(fb[0], gb[0], p, 0.0, 0, qmax=6) == tensor_direct(fb[0], gb[0], p, 0.0, 0)
     for qmax in (0, -5):
         with pytest.raises(ValueError):
             tensor_direct(fb[0], gb[0], p, 0.0, 0, qmax=qmax)
 
 
-def _reference_q_sum(f, g, p, z, delta, qmax):
-    """The q-series summed over every q, one argument expression per factor."""
-
-    def summand(q):
+def _reference_q_sum(f, g, p, z, delta, radius=128):
+    """(sum, sum of moduli) of the q-series over every |q| <= radius, one
+    argument expression per factor."""
+    total, size = 0j, 0.0
+    for q in range(-radius, radius + 1):
         mu = (p.right.pair.a * delta - q) % p.m
         nu = q % p.l
         x = p.A * z - (p.A / p.m) * q + (p.l * p.A / (p.m * p.M)) * delta
         y = p.A * z + (p.B / p.l) * q - (p.B / p.M) * delta
-        return gs.evaluate(f, x, mu) * gs.evaluate(g, y, nu)
-
-    radius = min(tensor.BASE_RADIUS, qmax)
-    total = sum(summand(q) for q in range(-radius, radius + 1))
-    while True:
-        new_radius = min(2 * radius, qmax)
-        if new_radius == radius:
-            raise NonConvergent(
-                f"q-series not certified within |q| <= {qmax} at z = {z}, delta = {delta}"
-            )
-        shell = 0j
-        for q in range(radius + 1, new_radius + 1):
-            shell += summand(q)
-            shell += summand(-q)
-        total += shell
-        if abs(shell) <= tensor.SHELL_TOL * (1 + abs(total)):
-            return total
-        radius = new_radius
+        term = gs.evaluate(f, x, mu) * gs.evaluate(g, y, nu)
+        total += term
+        size += abs(term)
+    return total, size
 
 
-def _outcome(fn, *args):
-    try:
-        return repr(fn(*args))
-    except NonConvergent as exc:
-        return f"NonConvergent: {exc}"
-
-
-def test_q_sum_skip_is_bit_exact():
-    # skipping q whose factor components carry no term changes no bit of
-    # the value, not even the sign of a zero, nor the NonConvergent text
+def test_q_sum_against_every_q():
+    # summing each live class outward from its peak, up to its certified
+    # tails, agrees with the sum over every q to rounding; a cap below the
+    # certified window raises, one above it changes no bit
     rng = random.Random(57)
-    outcomes = set()
+    capped = set()
     for n, m, k, l in ((1, 2, 1, 4), (1, 4, 1, 6)):
         p = product_params(n, m, k, l, 0.2, strict=False)
         assert p.r == 2
-        # the last pair is incompatible where a*delta is even: an exact zero
+        # random multi-term polynomial pairs, then a Gaussian pair and a pair
+        # of degree-8 monomials, whose growth the tail bound must absorb; the
+        # last two sit on components (0, 1), incompatible where a*delta is
+        # even: an exact zero
         factors = [(random_vector(rng, m, nterms=3), random_vector(rng, l, nterms=3))
                    for _ in range(3)]
-        factors.append((gs.gaussian(m, 1.0, mu=0), gs.gaussian(l, 1.0, mu=1)))
-        for f, g in factors:
+        assert all(any(len(t.poly) > 1 for t in f.terms + g.terms) for f, g in factors)
+        monomial = (0j,) * 8 + (1,)
+        factors += [(gs.gaussian(m, 1.0, mu=0), gs.gaussian(l, 1.0, mu=1)),
+                    (gs.gaussian(m, 1.0, mu=0, poly=monomial),
+                     gs.gaussian(l, 1.0, mu=1, poly=monomial))]
+        for i, (f, g) in enumerate(factors):
             for delta in (-1, 0, p.M - 1, p.M):
-                for qmax in (16, 24, tensor.DEFAULT_QMAX):
-                    for z in (-0.7, 0.0, 0.45):
-                        got = _outcome(tensor._q_sum, f, g, p, z, delta, qmax)
-                        want = _outcome(_reference_q_sum, f, g, p, z, delta, qmax)
-                        assert got == want
-                        outcomes.add(got)
-    assert "0j" in outcomes
-    assert any(o.startswith("NonConvergent") for o in outcomes)
+                for z in (-0.7, 0.0, 0.45):
+                    got = tensor._q_sum(f, g, p, z, delta, tensor.DEFAULT_QMAX)
+                    want, size = _reference_q_sum(f, g, p, z, delta)
+                    if i >= 3 and p.right.pair.a * delta % 2 == 0:
+                        assert repr(got) == "0j"
+                    assert abs(got - want) <= 2**-50 * size
+                    try:
+                        assert tensor._q_sum(f, g, p, z, delta, 2) == got
+                    except NonConvergent as exc:
+                        assert str(exc) == (
+                            f"q-series not certified within |q| <= 2 at z = {z}, delta = {delta}")
+                        capped.add((n, m, k, l, i))
+    assert len(capped) >= 4
 
 
 def test_q_sum_evaluates_only_live_residues(monkeypatch):
     # with one term per factor only q in one class mod L = lcm(m, l) are
-    # evaluated, two evaluate calls each, over the 65 summands of |q| <= 32
+    # evaluated, two evaluate calls each, within |q| <= 32
     p = product_params(3, 2, 2, 3, 0.2)
     assert p.L == 6
     fb, gb = _factor_bases(p)

@@ -16,17 +16,20 @@ checkout:
     python3 tools/cli_grid.py record . /tmp/change.json
     python3 tools/cli_grid.py compare /tmp/parent.json /tmp/change.json
 
-The grid of 106 calls covers every subcommand over the five benchmark
+The grid of 113 calls covers every subcommand over the five benchmark
 label pairs at two angles, ``verify-all`` at edge labels and at nonzero
 connection offsets, a left label degenerate at theta = 0.5 through
 ``theta-basis --side left`` and ``algebra-check``, two ``algebra-check``
 seeds that shift Gaussians far from their centres, an exact-zero component
-pair, two ``--qmax`` caps that raise ``NonConvergent`` and one below 1 (a
-usage error), two products at large Im(s), three overflows
-(``SeriesOverflow``: one in the closed form, two in the direct q-sum), two
-non-finite holomorphic widths (``NoHolomorphicVectors``), four ``--theta``
-expressions (one a division by zero, a usage error), every ``--help`` text
-and one JSON and one CSV ``--output`` file.  Pure stdlib.
+pair, two ``--qmax`` caps above the certified window of the direct q-sum,
+two below it (``NonConvergent``) and one below 1 (a usage error), two
+products at large Im(s), three overflows (``SeriesOverflow``: one in the
+closed form, two in the direct q-sum), two non-finite holomorphic widths
+(``NoHolomorphicVectors``), four theta moduli that overflow
+(``SeriesOverflow``) and one huge tau whose phases fail the oracle check,
+four ``--theta`` expressions (one a division by zero, a usage error),
+every ``--help`` text and one JSON and one CSV ``--output`` file.  Pure
+stdlib.
 """
 
 from __future__ import annotations
@@ -88,8 +91,12 @@ def grid() -> list[list[str]]:
     calls += [
         ["tensor", *R2, "--alpha", "0", "--beta", "1", "--delta", "0", "--z", "0.3"],
         ["verify-all", *R2],
+        # Caps above the certified window of the direct q-sum change nothing;
+        # caps below it raise NonConvergent.
         ["verify-all", *R2, "--qmax", "24"],
         ["tensor", *R2, "--qmax", "16"],
+        ["verify-all", *R2, "--qmax", "8"],
+        ["tensor", *R2, "--qmax", "4"],
         ["structure-constants", *LARGE_S],
         ["tensor", "--alpha", "0", "--beta", "0", "--delta", "1", *LARGE_S],
         # Products whose true value exceeds double range: typed overflows.
@@ -107,6 +114,13 @@ def grid() -> list[list[str]]:
         # A width i*tau*m/A that is not finite: a typed NoHolomorphicVectors.
         ["structure-constants", "--tau=-1e308,-1"],
         ["verify-all", "--tau=-1e308,-1"],
+        # Finite widths whose theta modulus s is not: a typed SeriesOverflow.
+        ["structure-constants", "--tau=-1e307,-1"],
+        ["tensor", "--tau=-1e307,-1"],
+        ["structure-constants", "--tau=-1,-1e307"],
+        ["verify-all", "--tau=-1,-1e307"],
+        # Factor phases with no digit left: the oracle check fails.
+        ["structure-constants", "--tau=-1e306,-1"],
     ]
     calls += THETA_EXPRS
     calls += [["--help"]] + [[cmd, "--help"] for cmd in COMMANDS]
