@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .errors import DegenerateDenominator, NotCoprime
 
@@ -40,14 +40,21 @@ class TorusElement:
 
     Treat ``coeffs`` as immutable.  Build instances through :func:`element`
     (or the convenience constructors below), never directly, so that
-    canonicalization is guaranteed.
+    canonicalization is guaranteed.  The operations of this module, whose
+    dicts already have distinct int-pair keys, go through the private
+    :func:`_canonical`, which must keep its ``0j + v``.
     """
 
     coeffs: Mapping[Index, complex]
 
 
 def element(coeffs: Mapping[Index, complex] | Iterable[tuple[Index, complex]]) -> TorusElement:
-    """Canonical constructor: casts indices, drops coefficients equal to 0."""
+    """Canonical constructor: casts indices, drops coefficients equal to 0.
+
+    Repeated indices are summed, starting from 0j, which turns -0.0 parts
+    into +0.0.  :func:`_canonical` is the same for a dict of distinct
+    int-pair keys and complex values, and must keep its ``0j + v``.
+    """
     items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
     clean: dict[Index, complex] = {}
     for idx, val in items:
@@ -56,6 +63,14 @@ def element(coeffs: Mapping[Index, complex] | Iterable[tuple[Index, complex]]) -
             key = (int(idx[0]), int(idx[1]))
             clean[key] = clean.get(key, 0j) + v
     return TorusElement({k: v for k, v in clean.items() if v != 0})
+
+
+def _canonical(acc: dict[Index, complex]) -> TorusElement:
+    """element(acc) for distinct int-pair keys and complex values, without the casts.
+
+    ``0j + v`` is element's first sum; dropping it would keep -0.0 parts.
+    """
+    return TorusElement({k: 0j + v for k, v in acc.items() if v != 0})
 
 
 def monomial(n1: int, n2: int, coeff: complex = 1.0) -> TorusElement:
@@ -74,7 +89,7 @@ def add(f: TorusElement, g: TorusElement) -> TorusElement:
     acc = dict(f.coeffs)
     for idx, val in g.coeffs.items():
         acc[idx] = acc.get(idx, 0j) + val
-    return element(acc)
+    return _canonical(acc)
 
 
 def sub(f: TorusElement, g: TorusElement) -> TorusElement:
@@ -82,23 +97,25 @@ def sub(f: TorusElement, g: TorusElement) -> TorusElement:
 
 
 def scale(alpha: complex, f: TorusElement) -> TorusElement:
-    return element({idx: alpha * val for idx, val in f.coeffs.items()})
+    return _canonical({idx: alpha * val for idx, val in f.coeffs.items()})
 
 
 def mul(f: TorusElement, g: TorusElement, theta: float) -> TorusElement:
     """Product in the torus algebra with rotation parameter theta."""
     acc: dict[Index, complex] = {}
+    # 1j * math.pi * theta * k evaluates left to right: hoisting the prefix keeps every bit.
+    ipt = 1j * math.pi * theta
     for (v1, v2), cv in f.coeffs.items():
         for (w1, w2), cw in g.coeffs.items():
-            phase = cmath.exp(1j * math.pi * theta * (v1 * w2 - v2 * w1))
+            phase = cmath.exp(ipt * (v1 * w2 - v2 * w1))
             idx = (v1 + w1, v2 + w2)
             acc[idx] = acc.get(idx, 0j) + cv * cw * phase
-    return element(acc)
+    return _canonical(acc)
 
 
 def involution(f: TorusElement) -> TorusElement:
     """The *-operation: U_v* = U_{-v}, coefficients conjugated."""
-    return element({(-v1, -v2): val.conjugate() for (v1, v2), val in f.coeffs.items()})
+    return _canonical({(-v1, -v2): val.conjugate() for (v1, v2), val in f.coeffs.items()})
 
 
 def trace(f: TorusElement) -> complex:
@@ -111,7 +128,7 @@ def derivation(f: TorusElement, axis: int) -> TorusElement:
     if axis not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, got {axis!r}")
     pos = axis - 1
-    return element({idx: TWO_PI_I * idx[pos] * val for idx, val in f.coeffs.items()})
+    return _canonical({idx: TWO_PI_I * idx[pos] * val for idx, val in f.coeffs.items()})
 
 
 def norm_max(f: TorusElement) -> float:

@@ -29,6 +29,7 @@ import argparse
 import ast
 import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -467,16 +468,14 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
     _connection_checks(args, checks)
     _identity_checks(args, checks)
     _oracle_checks(args, checks)
-    try:
-        _holomorphic_checks(args, checks)
-    except NCTorusError as exc:
-        checks.skip("holomorphic_closure", str(exc))
-    try:
-        _structure_constant_checks(args, checks)
-    except SeriesOverflow:
-        raise  # a failed evaluation, not an inapplicable stage
-    except NCTorusError as exc:
-        checks.skip("structure_constants", str(exc))
+    for stage, name in ((_holomorphic_checks, "holomorphic_closure"),
+                        (_structure_constant_checks, "structure_constants")):
+        try:
+            stage(args, checks)
+        except SeriesOverflow:
+            raise  # a failed evaluation, not an inapplicable stage
+        except NCTorusError as exc:
+            checks.skip(name, str(exc))
     return _report(args, "verify-all", checks.ok, checks=checks.entries)
 
 
@@ -489,7 +488,12 @@ COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process on main's first call.
+
+    Sharing it is safe: parse_args keeps no state in the parser.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--theta", type=parse_theta, default=0.2,
                         help="rotation parameter; expression over ints, decimals, sqrt<N>")
@@ -538,9 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits on usage errors; keep main() returning a code
         return int(exc.code or 0)

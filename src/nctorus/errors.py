@@ -46,4 +46,8 @@ class NonConvergent(NCTorusError):
 
 
 class SeriesOverflow(NCTorusError):
-    """A theta-series value overflowed double precision."""
+    """A computed value overflowed double precision.
+
+    Raised for a theta-series or direct q-series sum, a theta modulus, and
+    a Gaussian vector's value at a probe point of its residual norm.
+    """

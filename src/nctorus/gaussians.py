@@ -26,7 +26,7 @@ import cmath
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidSigma
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidSigma, SeriesOverflow
 
 PRUNE_TOL = 1e-14
 
@@ -100,15 +100,21 @@ def vector(m: int, terms: Iterable[PolyGaussTerm]) -> PolyGaussVector:
         if not 0 <= t.mu < m:
             raise IndexOutOfRange(f"component {t.mu} outside range(0, {m})")
         key = (complex(t.sigma), complex(t.c), t.mu, float(t.x0))
-        merged[key] = _poly_add(merged.get(key, ()), tuple(map(complex, t.poly)))
+        poly = merged.get(key)
+        if poly is None:
+            # _poly_add((), p): 0j + v turns -0.0 parts into +0.0.
+            merged[key] = tuple(0j + complex(v) for v in t.poly)
+        else:
+            merged[key] = _poly_add(poly, tuple(map(complex, t.poly)))
     out = []
     for (sigma, c, mu, x0), poly in merged.items():
         poly = _poly_trim(poly)
         if poly:
             out.append(PolyGaussTerm(poly, sigma, c, mu, x0))
-    out.sort(
-        key=lambda t: (t.mu, t.sigma.real, t.sigma.imag, t.c.real, t.c.imag, t.x0, len(t.poly))
-    )
+    if len(out) > 1:
+        out.sort(
+            key=lambda t: (t.mu, t.sigma.real, t.sigma.imag, t.c.real, t.c.imag, t.x0, len(t.poly))
+        )
     return PolyGaussVector(m, tuple(out))
 
 
@@ -219,13 +225,21 @@ def sub(v: PolyGaussVector, w: PolyGaussVector) -> PolyGaussVector:
 
 
 def grid_abs_max(v: PolyGaussVector) -> float:
-    """Max |v| over the probe grid PROBE_XS x range(m)."""
+    """Max |v| over the probe grid PROBE_XS x range(m).
+
+    Raises SeriesOverflow, naming the probe point, when |v| there overflows.
+    """
     best = 0.0
-    for mu in range(v.m):
-        for x in PROBE_XS:
-            val = abs(evaluate(v, x, mu))
-            if val > best:
-                best = val
+    try:
+        for mu in range(v.m):
+            for x in PROBE_XS:
+                val = abs(evaluate(v, x, mu))
+                if val > best:
+                    best = val
+    except OverflowError:
+        raise SeriesOverflow(
+            f"gaussians.grid_abs_max: |v(x, mu)| exceeds double range at (x, mu) = ({x}, {mu})"
+        ) from None
     return best
 
 

@@ -3,17 +3,22 @@
 import cmath
 import math
 import random
+import types
+import typing
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nctorus.algebra import (
+    TWO_PI_I,
     BezoutPair,
+    TorusElement,
     add,
     bezout,
     coeff,
     derivation,
+    element,
     involution,
     monomial,
     mul,
@@ -256,3 +261,74 @@ def test_degenerate_denominator():
         theta_prime(-0.5, bezout(1, 2))
     with pytest.raises(DegenerateDenominator):
         theta_prime(-1 / 3, bezout(1, 3))  # the left label (1, 3) at theta = 1/3
+
+
+# ------------------------------------------------------ bit-exact fast paths
+
+def _element_ref(coeffs):
+    # element as it was before add, scale, mul, involution and derivation
+    # canonicalised their own dicts
+    items = coeffs.items() if isinstance(coeffs, typing.Mapping) else coeffs
+    clean = {}
+    for idx, val in items:
+        v = complex(val)
+        if v != 0:
+            key = (int(idx[0]), int(idx[1]))
+            clean[key] = clean.get(key, 0j) + v
+    return TorusElement({k: v for k, v in clean.items() if v != 0})
+
+
+def _mul_ref(f, g, theta):
+    acc = {}
+    for (v1, v2), cv in f.coeffs.items():
+        for (w1, w2), cw in g.coeffs.items():
+            phase = cmath.exp(1j * math.pi * theta * (v1 * w2 - v2 * w1))
+            idx = (v1 + w1, v2 + w2)
+            acc[idx] = acc.get(idx, 0j) + cv * cw * phase
+    return _element_ref(acc)
+
+
+def _bits(f):
+    """Keys in order and each coefficient's parts by repr, so -0.0 != 0.0."""
+    return [(k, repr(v.real), repr(v.imag)) for k, v in f.coeffs.items()]
+
+
+# signed zeros, values at and below 1e-14 (gaussians.PRUNE_TOL) and ordinary ones
+_PARTS = st.sampled_from((0.0, -0.0, 1e-14, -1e-14, 5e-15, 1.0, -0.7)) | st.floats(-2, 2)
+_COEFFS = st.builds(complex, _PARTS, _PARTS)
+# raw maps, not through element: a coefficient may hold -0.0 parts or be 0
+_RAW = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), _COEFFS, max_size=5
+).map(TorusElement)
+# (-1, 1) and (1, 2) have v1*w2 - v2*w1 = -3, where theta*(-3) first would round
+# differently at theta = 0.2
+_SIGNED = TorusElement({(1, 0): complex(-0.0, 1e-14), (0, 1): complex(5e-15, -0.0),
+                        (0, 0): complex(-0.0, -0.0), (-1, 1): complex(1.0, -0.0),
+                        (1, 2): complex(0.3, -0.7)})
+
+
+@settings(max_examples=75, deadline=None)
+@given(_RAW, _RAW, st.sampled_from((0.2, math.sqrt(2) - 1, 0.5)), _COEFFS)
+@example(_SIGNED, _SIGNED, 0.2, complex(-1.0, -0.0))
+@example(_SIGNED, _SIGNED, 0.5, complex(-0.0, 1.0))
+def test_fast_paths_are_bit_exact(f, g, theta, alpha):
+    # the operations canonicalise their own dicts and mul hoists its phase
+    # prefix; every coefficient keeps its bits, the sign of zero included
+    pairs = list(f.coeffs.items()) + list(g.coeffs.items())
+    acc = dict(f.coeffs)
+    for idx, val in g.coeffs.items():
+        acc[idx] = acc.get(idx, 0j) + val
+    cases = {
+        "element(pairs)": (element(pairs), _element_ref(pairs)),
+        "element(mapping)": (element(types.MappingProxyType(f.coeffs)), _element_ref(f.coeffs)),
+        "add": (add(f, g), _element_ref(acc)),
+        "scale": (scale(alpha, f), _element_ref({i: alpha * v for i, v in f.coeffs.items()})),
+        "mul": (mul(f, g, theta), _mul_ref(f, g, theta)),
+        "involution": (involution(f), _element_ref(
+            {(-v1, -v2): v.conjugate() for (v1, v2), v in f.coeffs.items()})),
+    }
+    for axis in (1, 2):
+        cases[f"derivation{axis}"] = (derivation(f, axis), _element_ref(
+            {i: TWO_PI_I * i[axis - 1] * v for i, v in f.coeffs.items()}))
+    for name, (got, want) in cases.items():
+        assert _bits(got) == _bits(want), name

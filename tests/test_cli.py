@@ -89,6 +89,17 @@ def test_algebra_check_passes(capsys):
     assert doc["schema"] == 1
 
 
+def test_repeated_main_calls_share_no_state(capsys):
+    # main builds its parser once per process; a usage error in between and
+    # an earlier --seed leave the next call at its defaults
+    assert main(["algebra-check", "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 3
+    assert main(["tensor", "--qmax", "0"]) == 2
+    assert "--qmax" in capsys.readouterr().err
+    assert main(["algebra-check"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 0
+
+
 def test_non_coprime_label_is_usage_error(capsys):
     assert main(["theta-basis", "--nm", "2,4"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -147,6 +158,23 @@ def test_verify_all_does_not_skip_an_overflow(capsys, monkeypatch):
     assert main(["verify-all", "--c1=0,400"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: structure_constants:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta-basis", "--c1=1e308,1e308"],
+    # the holomorphic stage of verify-all fails on it, it is not skipped
+    ["verify-all", "--c1=1e308,1e308"],
+])
+def test_overflowing_basis_value_is_typed(capsys, argv):
+    # the basis vector is finite, its value at a probe point is not
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: gaussians.grid_abs_max: |v(x, mu)| exceeds double range "
+        "at (x, mu) = (-5.0, 0)\n"
+    )
+    assert "math range error" not in captured.err
     assert captured.out == ""
 
 

@@ -4,12 +4,15 @@ import cmath
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nctorus.errors import DimensionMismatch, IndexOutOfRange, InvalidSigma
 from nctorus.gaussians import (
     PolyGaussTerm,
+    PolyGaussVector,
+    _poly_add,
+    _poly_trim,
     add,
     axpy,
     component_scale,
@@ -175,6 +178,64 @@ def test_canonical_order_is_deterministic():
     t3 = PolyGaussTerm(poly=(1 + 0j,), sigma=1.0 + 0j, c=0j, mu=0)
     assert vector(2, [t1, t2, t3]) == vector(2, [t3, t1, t2])
     assert vector(2, [t1, t2, t3]).terms[0].mu == 0
+
+
+def _vector_ref(m, terms):
+    # vector as it was before its single-term path: every key starts from
+    # _poly_add((), p) and the terms are always sorted
+    merged = {}
+    for t in terms:
+        if not 0 <= t.mu < m:
+            raise IndexOutOfRange(f"component {t.mu} outside range(0, {m})")
+        key = (complex(t.sigma), complex(t.c), t.mu, float(t.x0))
+        merged[key] = _poly_add(merged.get(key, ()), tuple(map(complex, t.poly)))
+    out = []
+    for (sigma, c, mu, x0), poly in merged.items():
+        poly = _poly_trim(poly)
+        if poly:
+            out.append(PolyGaussTerm(poly, sigma, c, mu, x0))
+    out.sort(
+        key=lambda t: (t.mu, t.sigma.real, t.sigma.imag, t.c.real, t.c.imag, t.x0, len(t.poly))
+    )
+    return PolyGaussVector(m, tuple(out))
+
+
+def _bits(v):
+    """Every part of every term by repr, in term order, so -0.0 != 0.0."""
+    def parts(z):
+        return repr(z.real), repr(z.imag)
+    return [(tuple(map(parts, t.poly)), parts(t.sigma), parts(t.c), t.mu, repr(t.x0))
+            for t in v.terms]
+
+
+# signed zeros, values at and below PRUNE_TOL = 1e-14 and ordinary ones
+_PARTS = st.sampled_from((0.0, -0.0, 1e-14, -1e-14, 5e-15, 1.0, -0.7)) | st.floats(-2, 2)
+_COEFFS = st.builds(complex, _PARTS, _PARTS) | _PARTS
+# few keys, given as floats, signed zeros and an int x0, so terms repeat a
+# (sigma, c, mu, x0) key with polynomials of different lengths
+_TERMS = st.builds(
+    PolyGaussTerm,
+    poly=st.lists(_COEFFS, max_size=3).map(tuple),
+    sigma=st.sampled_from((1.0, complex(1.0, -0.0), 1 + 0.5j)),
+    c=st.sampled_from((0j, -0.0, complex(-0.0, 0.3))),
+    mu=st.integers(0, 1),
+    x0=st.sampled_from((0.0, -0.0, 1.5, 2)),
+)
+_SIGNED = [
+    PolyGaussTerm((complex(-0.0, 1.0),), complex(1.0, -0.0), -0.0, 1, -0.0),
+    PolyGaussTerm((1e-14, complex(-0.0, -0.0), 5e-15), 1.0, 0j, 1, 0.0),
+    PolyGaussTerm((complex(2.0, -0.0),), 1 + 0.5j, complex(-0.0, 0.3), 0, 2),
+]
+
+
+@settings(max_examples=75, deadline=None)
+@given(st.lists(_TERMS, max_size=4))
+@example(_SIGNED)
+@example(_SIGNED[:1])
+def test_vector_is_bit_exact(terms):
+    # a new key starts from 0j + complex(v) and one term skips the sort;
+    # every part keeps its bits, the sign of zero included
+    assert _bits(vector(2, terms)) == _bits(_vector_ref(2, terms))
 
 
 def test_vector_rejects_bad_component_index():

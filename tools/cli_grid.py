@@ -16,7 +16,7 @@ checkout:
     python3 tools/cli_grid.py record . /tmp/change.json
     python3 tools/cli_grid.py compare /tmp/parent.json /tmp/change.json
 
-The grid of 113 calls covers every subcommand over the five benchmark
+The grid of 115 calls covers every subcommand over the five benchmark
 label pairs at two angles, ``verify-all`` at edge labels and at nonzero
 connection offsets, a left label degenerate at theta = 0.5 through
 ``theta-basis --side left`` and ``algebra-check``, two ``algebra-check``
@@ -27,7 +27,9 @@ products at large Im(s), three overflows (``SeriesOverflow``: one in the
 closed form, two in the direct q-sum), two non-finite holomorphic widths
 (``NoHolomorphicVectors``), four theta moduli that overflow
 (``SeriesOverflow``) and one huge tau whose phases fail the oracle check,
-four ``--theta`` expressions (one a division by zero, a usage error),
+a basis vector that overflows at a probe point (``SeriesOverflow``), an
+``algebra-check`` label whose ``module_axiom`` fails from far-centre phase
+rounding, four ``--theta`` expressions (one a division by zero, a usage error),
 every ``--help`` text and one JSON and one CSV ``--output`` file.  Pure
 stdlib.
 """
@@ -121,6 +123,11 @@ def grid() -> list[list[str]]:
         ["verify-all", "--tau=-1,-1e307"],
         # Factor phases with no digit left: the oracle check fails.
         ["structure-constants", "--tau=-1e306,-1"],
+        # A basis vector whose value at a probe point overflows: a typed SeriesOverflow.
+        ["theta-basis", "--c1=1e308,1e308"],
+        # Centres near x0 ~ 4e6, where the phase exp(2*pi*i*n*x0) of mul_exp keeps
+        # about 3e-9 of rounding: module_axiom fails.  Pins mul_exp's digits.
+        ["algebra-check", "--nm", "1000003,1", "--seed", "5"],
     ]
     calls += THETA_EXPRS
     calls += [["--help"]] + [[cmd, "--help"] for cmd in COMMANDS]
