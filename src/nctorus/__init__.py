@@ -14,7 +14,6 @@ closed form and structure constants (:mod:`nctorus.tensor`).  The
 """
 
 from .algebra import (
-    BezoutPair,
     TorusElement,
     bezout,
     derivation,
@@ -22,7 +21,6 @@ from .algebra import (
     involution,
     monomial,
     mul,
-    theta_prime,
     trace,
     unit,
 )
@@ -82,7 +80,6 @@ from .theta import theta, theta_truncated, truncation_radius
 __version__ = "0.1.0"
 
 __all__ = [
-    "BezoutPair",
     "ComplexStructure",
     "DegenerateDenominator",
     "DimensionMismatch",
@@ -129,7 +126,6 @@ __all__ = [
     "tensor_direct",
     "tensor_gaussian_closed",
     "theta",
-    "theta_prime",
     "theta_truncated",
     "trace",
     "truncation_radius",

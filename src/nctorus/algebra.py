@@ -11,13 +11,7 @@ Weyl ordering U_(v1,v2) = exp(-pi*i*v1*v2*theta) U1^v1 U2^v2 this
 encodes the generator relation U1 U2 = exp(2*pi*i*theta) U2 U1.
 
 The module also owns the integer Bezout arithmetic attached to a label
-(n, m) with gcd(n, m) = 1, and the induced rotation parameter
-
-    theta'  = (b + a*theta) / (n + m*theta)      with a*n - b*m = 1,
-
-which identifies the endomorphism algebra of the standard module.  A left
-label (k, l) with Bezout pair (c, d) is the label at -theta, and its
-parameter theta'' = -(d - c*theta) / (k - l*theta) is -theta' there.
+(n, m) with gcd(n, m) = 1: :func:`bezout` returns its normal-form pair.
 """
 
 from __future__ import annotations
@@ -27,7 +21,7 @@ import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .errors import DegenerateDenominator, NotCoprime
+from .errors import NotCoprime
 
 Index = tuple[int, int]
 
@@ -136,45 +130,16 @@ def norm_max(f: TorusElement) -> float:
     return max((abs(v) for v in f.coeffs.values()), default=0.0)
 
 
-@dataclass(frozen=True)
-class BezoutPair:
-    """Integers with a*n - b*m = 1, fixing an identification of End(E_{n,m}).
+def bezout(n: int, m: int) -> tuple[int, int]:
+    """Normal-form Bezout pair (a, b), a*n - b*m = 1, for a coprime label (n, m).
 
-    The normal form produced by :func:`bezout` takes 0 <= a < |m| when
-    m != 0 and (a, b) = (n, 0) when m = 0; any other valid pair may be
-    supplied explicitly when a different identification is wanted.
-    """
-
-    a: int
-    b: int
-    n: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.a * self.n - self.b * self.m != 1:
-            raise ValueError(
-                f"not a Bezout pair: {self.a}*{self.n} - {self.b}*{self.m} != 1"
-            )
-
-
-def bezout(n: int, m: int) -> BezoutPair:
-    """Normal-form Bezout pair for a coprime label (n, m).
-
-    Raises NotCoprime when gcd(n, m) != 1.
+    The normal form takes 0 <= a < |m| when m != 0 and (a, b) = (n, 0)
+    when m = 0.  Raises NotCoprime when gcd(n, m) != 1.
     """
     if math.gcd(n, m) != 1:
         raise NotCoprime(f"gcd({n}, {m}) != 1")
     if m == 0:
         # n is +-1; a = n, b = 0 gives a*n = n^2 = 1.
-        return BezoutPair(n, 0, n, m)
+        return n, 0
     a = pow(n, -1, abs(m))
-    b = (a * n - 1) // m
-    return BezoutPair(a, b, n, m)
-
-
-def theta_prime(theta: float, pair: BezoutPair) -> float:
-    """Rotation parameter (b + a*theta)/(n + m*theta) of the endomorphism torus."""
-    den = pair.n + pair.m * theta
-    if den == 0:
-        raise DegenerateDenominator(f"n + m*theta = 0 for (n, m) = ({pair.n}, {pair.m})")
-    return (pair.b + pair.a * theta) / den
+    return a, (a * n - 1) // m

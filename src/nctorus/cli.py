@@ -51,7 +51,6 @@ from .algebra import (
     norm_max,
     scale,
     sub,
-    theta_prime,
     trace,
 )
 from .connections import (
@@ -227,7 +226,7 @@ def _algebra_checks(args: argparse.Namespace, checks: CheckList) -> None:
 
     n, m = args.nm
     tag = module_tag(n, m, th)
-    tp = theta_prime(th, tag.pair)
+    tp = tag.theta_prime
     v = _random_gaussian(rng, m, with_poly=True)
     scale_v = 1.0 + gs.grid_abs_max(v)
 

@@ -227,7 +227,8 @@ def sub(v: PolyGaussVector, w: PolyGaussVector) -> PolyGaussVector:
 def grid_abs_max(v: PolyGaussVector) -> float:
     """Max |v| over the probe grid PROBE_XS x range(m).
 
-    Raises SeriesOverflow, naming the probe point, when |v| there overflows.
+    Raises SeriesOverflow, naming the probe point, when |v| there overflows
+    or a term's exponent there is not finite (cmath.exp's ValueError).
     """
     best = 0.0
     try:
@@ -236,10 +237,10 @@ def grid_abs_max(v: PolyGaussVector) -> float:
                 val = abs(evaluate(v, x, mu))
                 if val > best:
                     best = val
-    except OverflowError:
-        raise SeriesOverflow(
-            f"gaussians.grid_abs_max: |v(x, mu)| exceeds double range at (x, mu) = ({x}, {mu})"
-        ) from None
+    except (OverflowError, ValueError) as exc:
+        what = ("|v(x, mu)| exceeds double range" if isinstance(exc, OverflowError)
+                else "an exponent of v(x, mu) is not finite")
+        raise SeriesOverflow(f"gaussians.grid_abs_max: {what} at (x, mu) = ({x}, {mu})") from None
     return best
 
 

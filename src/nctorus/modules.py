@@ -21,7 +21,10 @@ its right action at -theta is a left action at theta.
 
 The endomorphism generators satisfy Z2 Z1 = exp(2*pi*i*theta') Z1 Z2 with
 theta' = (b + a*theta)/(n + m*theta), and commute with both U actions, so
-each basic module is a bimodule.
+each basic module is a bimodule.  The pair (a, b) is the normal form of
+``algebra.bezout``, and :class:`ModuleTag` carries it with theta'.  A left
+label (k, l) with Bezout pair (c, d) is the label at -theta, and its
+parameter theta'' = -(d - c*theta)/(k - l*theta) is -theta' there.
 """
 
 from __future__ import annotations
@@ -31,17 +34,19 @@ import math
 from dataclasses import dataclass
 
 from . import gaussians as g
-from .algebra import TWO_PI_I, BezoutPair, TorusElement, bezout
+from .algebra import TWO_PI_I, TorusElement, bezout
 from .errors import DegenerateDenominator, DimensionMismatch, NotCoprime
 
 
 @dataclass(frozen=True)
 class ModuleTag:
-    """Label (n, m) and angle theta of a basic module, with its Bezout pair.
+    """Label (n, m), angle theta and Bezout pair (a, b) of a basic module.
 
-    A left module with label (k, l) at angle theta is ModuleTag(k, l,
-    -theta, ...).  Build through :func:`module_tag`, which validates
-    coprimality, m >= 1, and a nonvanishing denominator n + m*theta.
+    a*n - b*m = 1 fixes the identification of End(E) with the torus at
+    theta_prime.  A left module with label (k, l) at angle theta is
+    ModuleTag(k, l, -theta, c, d).  Build through :func:`module_tag`, which
+    validates coprimality, m >= 1, and a nonvanishing denominator
+    n + m*theta, and takes the normal-form pair of ``algebra.bezout``.
     ``tensor.product_params`` calls the constructor on purpose: with
     strict=False it admits a left factor with k - l*theta = 0.
     """
@@ -49,28 +54,29 @@ class ModuleTag:
     n: int
     m: int
     theta: float
-    pair: BezoutPair
+    a: int
+    b: int
 
     @property
     def denominator(self) -> float:
         return self.n + self.m * self.theta
 
+    @property
+    def theta_prime(self) -> float:
+        """Rotation parameter (b + a*theta)/(n + m*theta) of the endomorphism torus."""
+        den = self.denominator
+        if den == 0:
+            raise DegenerateDenominator(f"n + m*theta = 0 for (n, m) = ({self.n}, {self.m})")
+        return (self.b + self.a * self.theta) / den
 
-def module_tag(
-    n: int,
-    m: int,
-    theta: float,
-    pair: BezoutPair | None = None,
-) -> ModuleTag:
+
+def module_tag(n: int, m: int, theta: float) -> ModuleTag:
+    """Validated tag of the module (n, m) at theta, with its normal-form Bezout pair."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if math.gcd(n, m) != 1:
         raise NotCoprime(f"gcd({n}, {m}) != 1")
-    if pair is None:
-        pair = bezout(n, m)
-    elif (pair.n, pair.m) != (n, m):
-        raise ValueError(f"Bezout pair {pair} does not belong to label ({n}, {m})")
-    tag = ModuleTag(n, m, theta, pair)
+    tag = ModuleTag(n, m, theta, *bezout(n, m))
     if tag.denominator == 0:
         raise DegenerateDenominator(
             f"denominator vanishes for ({n}, {m}) at theta = {theta}"
@@ -101,7 +107,7 @@ def act_U2(v: g.PolyGaussVector, tag: ModuleTag, power: int = 1) -> g.PolyGaussV
 def act_Z1(v: g.PolyGaussVector, tag: ModuleTag, power: int = 1) -> g.PolyGaussVector:
     """Endomorphism Z1**power: translate by power/m, rotate by power*a."""
     _check_dim(v, tag)
-    return g.roll(g.shift(v, power / tag.m), power * tag.pair.a)
+    return g.roll(g.shift(v, power / tag.m), power * tag.a)
 
 
 def act_Z2(v: g.PolyGaussVector, tag: ModuleTag, power: int = 1) -> g.PolyGaussVector:

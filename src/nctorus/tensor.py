@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from . import gaussians as gs
-from .algebra import TWO_PI_I, BezoutPair, bezout, theta_prime
+from .algebra import TWO_PI_I, bezout
 from .connections import ComplexStructure
 from .errors import (
     DegenerateDenominator,
@@ -83,11 +83,12 @@ class ProductParams:
     Build through :func:`product_params`.  ``right`` is the module (n, m)
     at theta and ``left`` the module (k, l) at -theta, so its denominator
     is B = k - l*theta.  A, B, M, r and L are stored, not derived, because
-    every q-sum call reads them.  N_prime = a*k + b*l and N_double_prime =
+    every q-sum call reads them.  With (a, b) = (right.a, right.b) and
+    (c, d) = (left.a, left.b), N_prime = a*k + b*l and N_double_prime =
     -(c*n + d*m) are the induced endomorphism labels, with
-    gcd(N_prime, M) = 1; theta_prime and theta_double_prime are the
-    rotation parameters of the two endomorphism tori, the latter -theta'
-    of the left module at -theta.  :meth:`to_json` carries these five as
+    gcd(N_prime, M) = 1; theta_prime = right.theta_prime and
+    theta_double_prime = -left.theta_prime are the rotation parameters
+    of the two endomorphism tori.  :meth:`to_json` carries these five as
     the ``"profile"`` sub-dict only when both denominators are positive;
     the q-sum itself needs neither sign.
     """
@@ -107,19 +108,19 @@ class ProductParams:
 
     @property
     def theta_prime(self) -> float:
-        return theta_prime(self.theta, self.right.pair)
+        return self.right.theta_prime
 
     @property
     def theta_double_prime(self) -> float:
-        return -theta_prime(self.left.theta, self.left.pair)
+        return -self.left.theta_prime
 
     @property
     def N_prime(self) -> int:
-        return self.right.pair.a * self.k + self.right.pair.b * self.l
+        return self.right.a * self.k + self.right.b * self.l
 
     @property
     def N_double_prime(self) -> int:
-        return -(self.left.pair.a * self.n + self.left.pair.b * self.m)
+        return -(self.left.a * self.n + self.left.b * self.m)
 
     def to_json(self) -> dict:
         doc = {
@@ -128,10 +129,10 @@ class ProductParams:
             "k": self.k,
             "l": self.l,
             "theta": self.theta,
-            "a": self.right.pair.a,
-            "b": self.right.pair.b,
-            "c": self.left.pair.a,
-            "d": self.left.pair.b,
+            "a": self.right.a,
+            "b": self.right.b,
+            "c": self.left.a,
+            "d": self.left.b,
             "M": self.M,
             "r": self.r,
             "N_prime": self.N_prime,
@@ -154,24 +155,24 @@ def product_params(
     k: int,
     l: int,
     theta: float,
-    pair_nm: BezoutPair | None = None,
-    pair_kl: BezoutPair | None = None,
     strict: bool = True,
 ) -> ProductParams:
     """Validated parameters for the product of labels (n, m) and (k, l).
 
-    With strict=True (the default) both n + m*theta > 0 and k - l*theta > 0
-    are required, which is the regime where ``to_json`` carries the
-    bimodule profile.  strict=False admits any k - l*theta; the bilinear
-    map and its verification identities remain well defined there, and
-    ``to_json`` omits the profile when the sign assumptions fail.
+    The factor tags carry the normal-form Bezout pairs (a, b) of (n, m)
+    and (c, d) of (k, l) from ``algebra.bezout``; a label that is not
+    coprime raises NotCoprime before any sign check.  With strict=True
+    (the default) both n + m*theta > 0 and k - l*theta > 0 are required,
+    which is the regime where ``to_json`` carries the bimodule profile.
+    strict=False admits any k - l*theta; the bilinear map and its
+    verification identities remain well defined there, and ``to_json``
+    omits the profile when the sign assumptions fail.
     """
     if m < 1 or l < 1:
         raise ValueError(f"m and l must be >= 1, got m = {m}, l = {l}")
-    pnm = pair_nm if pair_nm is not None else bezout(n, m)
-    pkl = pair_kl if pair_kl is not None else bezout(k, l)
-    if (pnm.n, pnm.m) != (n, m) or (pkl.n, pkl.m) != (k, l):
-        raise ValueError("Bezout pairs do not belong to the supplied labels")
+    # The constructor, not module_tag: strict=False admits k - l*theta = 0.
+    right = ModuleTag(n, m, theta, *bezout(n, m))
+    left = ModuleTag(k, l, -theta, *bezout(k, l))
     a_val = n + m * theta
     b_val = k - l * theta
     if a_val == 0:
@@ -182,9 +183,6 @@ def product_params(
         )
     if n * l + m * k < 1:
         raise SignAssumptionViolated(f"n*l + m*k = {n * l + m * k} must be positive")
-    # The constructor, not module_tag: strict=False admits k - l*theta = 0.
-    right = ModuleTag(n, m, theta, pnm)
-    left = ModuleTag(k, l, -theta, pkl)
     r = math.gcd(m, l)
     p = ProductParams(
         n, m, k, l, theta, right, left,
@@ -202,7 +200,7 @@ def crt_q0(alpha: int, beta: int, delta: int, p: ProductParams) -> int | None:
     a*delta - alpha != beta (mod gcd(m, l)).
     """
     m, l, r = p.m, p.l, p.r
-    rhs = (p.right.pair.a * delta - alpha) % m
+    rhs = (p.right.a * delta - alpha) % m
     beta_mod = beta % l
     if (rhs - beta_mod) % r != 0:
         return None
@@ -278,7 +276,7 @@ def _q_sum(
         raise ValueError(f"qmax must be >= 1, got {qmax}")
     evaluate = gs.evaluate
     m, l, big_l = p.m, p.l, p.L
-    a_delta = p.right.pair.a * delta
+    a_delta = p.right.a * delta
     az = p.A * z
     f_q, f_delta = p.A / m, (p.l * p.A / (m * p.M)) * delta
     g_q, g_delta = p.B / l, (p.B / p.M) * delta

@@ -109,7 +109,7 @@ def test_criterion_2_generator_phases():
         if abs(n + m * theta) < 0.1:
             continue
         tag = module_tag(n, m, theta)
-        tp = (tag.pair.b + tag.pair.a * theta) / tag.denominator
+        tp = (tag.b + tag.a * theta) / tag.denominator
         v = random_gaussian(rng, m, with_poly=True)
         lhs = act_U2(act_U1(v, tag), tag)
         rhs = scale(cmath.exp(TWO_PI_I * theta), act_U1(act_U2(v, tag), tag))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from nctorus.algebra import (
     TWO_PI_I,
-    BezoutPair,
     TorusElement,
     add,
     bezout,
@@ -25,11 +24,12 @@ from nctorus.algebra import (
     norm_max,
     scale,
     sub,
-    theta_prime,
     trace,
     unit,
 )
 from nctorus.errors import DegenerateDenominator, NotCoprime
+from nctorus.modules import ModuleTag, module_tag
+from nctorus.tensor import product_params
 
 from conftest import random_element
 
@@ -203,10 +203,10 @@ def test_bezout_canonical_values():
         (-1, 0): (-1, 0),
         (-1, 2): (1, -1),
     }
-    for (n, m), (a, b) in cases.items():
-        pair = bezout(n, m)
-        assert (pair.a, pair.b) == (a, b)
-        assert pair.a * n - pair.b * m == 1
+    for (n, m), pair in cases.items():
+        assert bezout(n, m) == pair
+        a, b = pair
+        assert a * n - b * m == 1
 
 
 def test_bezout_normalization_range():
@@ -216,9 +216,9 @@ def test_bezout_normalization_range():
         n = rng.randint(-40, 40)
         if math.gcd(n, m) != 1:
             continue
-        pair = bezout(n, m)
-        assert 0 <= pair.a < m
-        assert pair.a * n - pair.b * m == 1
+        a, b = bezout(n, m)
+        assert 0 <= a < m
+        assert a * n - b * m == 1
 
 
 def test_bezout_rejects_common_factor():
@@ -228,39 +228,39 @@ def test_bezout_rejects_common_factor():
         bezout(0, 0)
 
 
-def test_bezout_pair_validates():
-    with pytest.raises(ValueError):
-        BezoutPair(a=1, b=1, n=1, m=2)
-
-
 # --------------------------------------------------- induced angle formulas
 
 def test_theta_prime_oracle():
     # (n, m) = (1, 2) at theta = sqrt(2) - 1 gives theta/(1 + 2 theta)
     theta = math.sqrt(2) - 1
-    value = theta_prime(theta, bezout(1, 2))
+    value = module_tag(1, 2, theta).theta_prime
     assert abs(value - 0.22654091966098644) < 1e-15
 
 
 def test_theta_prime_sl2_shift():
     # Replacing (a, b) by (a + m, b + n) shifts the angle by exactly 1.
     theta = 0.37
-    base = bezout(2, 3)
-    shifted = BezoutPair(a=base.a + 3, b=base.b + 2, n=2, m=3)
-    assert abs(theta_prime(theta, shifted) - theta_prime(theta, base) - 1) < 1e-14
+    a, b = bezout(2, 3)
+    shifted = ModuleTag(2, 3, theta, a + 3, b + 2)
+    assert abs(shifted.theta_prime - module_tag(2, 3, theta).theta_prime - 1) < 1e-14
 
 
 def test_theta_double_prime_oracle():
     # theta'' of the left label (1, 3) is -theta' of that label at -theta
-    value = -theta_prime(-0.2, bezout(1, 3))
+    value = -module_tag(1, 3, -0.2).theta_prime
     assert abs(value - 0.5) < 1e-15
 
 
 def test_degenerate_denominator():
     with pytest.raises(DegenerateDenominator):
-        theta_prime(-0.5, bezout(1, 2))
+        ModuleTag(1, 2, -0.5, *bezout(1, 2)).theta_prime
+    # the left label (1, 3) at theta = 1/3
     with pytest.raises(DegenerateDenominator):
-        theta_prime(-1 / 3, bezout(1, 3))  # the left label (1, 3) at theta = 1/3
+        ModuleTag(1, 3, -1 / 3, *bezout(1, 3)).theta_prime
+    # a strict=False product admits B = 0, and only theta'' then fails
+    p = product_params(1, 2, 1, 2, 0.5, strict=False)
+    with pytest.raises(DegenerateDenominator):
+        p.theta_double_prime
 
 
 # ------------------------------------------------------ bit-exact fast paths

@@ -161,20 +161,27 @@ def test_verify_all_does_not_skip_an_overflow(capsys, monkeypatch):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("argv", [
-    ["theta-basis", "--c1=1e308,1e308"],
+_RANGE = "|v(x, mu)| exceeds double range"
+_DOMAIN = "an exponent of v(x, mu) is not finite"
+_PROBE_FAILURES = [
+    (["theta-basis", "--c1=1e308,1e308"], _RANGE, -5.0),
     # the holomorphic stage of verify-all fails on it, it is not skipped
-    ["verify-all", "--c1=1e308,1e308"],
-])
-def test_overflowing_basis_value_is_typed(capsys, argv):
+    (["verify-all", "--c1=1e308,1e308"], _RANGE, -5.0),
+    # a width with Im ~ -1e307: the term's phase at the probe point is infinite
+    (["theta-basis", "--side", "left", "--tau=-1e307,-1"], _DOMAIN, -5.0),
+    (["verify-all", "--tau=-1e307,-1"], _DOMAIN, -4.75),
+]
+
+
+@pytest.mark.parametrize("argv, what, x", _PROBE_FAILURES,
+                         ids=[f"argv{i}" for i in range(len(_PROBE_FAILURES))])
+def test_overflowing_basis_value_is_typed(capsys, argv, what, x):
     # the basis vector is finite, its value at a probe point is not
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err == (
-        "error: gaussians.grid_abs_max: |v(x, mu)| exceeds double range "
-        "at (x, mu) = (-5.0, 0)\n"
-    )
+    assert captured.err == f"error: gaussians.grid_abs_max: {what} at (x, mu) = ({x}, 0)\n"
     assert "math range error" not in captured.err
+    assert "math domain error" not in captured.err
     assert captured.out == ""
 
 

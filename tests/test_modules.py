@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from nctorus.algebra import TWO_PI_I, bezout, monomial, mul
+from nctorus.algebra import TWO_PI_I, monomial, mul
 from nctorus.errors import DegenerateDenominator, DimensionMismatch, NotCoprime
 from nctorus.gaussians import evaluate, grid_abs_max, scale, sub
 from nctorus.modules import (
@@ -45,11 +45,6 @@ def test_denominator_by_side():
     assert module_tag(1, 2, -0.3).denominator == 1 - 2 * 0.3
 
 
-def test_tag_rejects_foreign_pair():
-    with pytest.raises(ValueError):
-        module_tag(1, 2, 0.3, pair=bezout(1, 3))
-
-
 # -------------------------------------------------------- pointwise action
 
 def test_act_u1_translates_and_rotates():
@@ -80,7 +75,7 @@ def test_act_u2_is_component_phase():
 def test_act_z_pointwise():
     theta = 0.3
     tag = module_tag(1, 2, theta)
-    a = tag.pair.a
+    a = tag.a
     rng = random.Random(3)
     v = random_vector(rng, 2)
     w1 = act_Z1(v, tag)
@@ -126,7 +121,8 @@ def test_endomorphism_phase_random_labels():
         if abs(n + m * theta) < 0.05:
             continue
         tag = module_tag(n, m, theta)
-        tp = (tag.pair.b + tag.pair.a * theta) / tag.denominator
+        tp = tag.theta_prime
+        assert tp == (tag.b + tag.a * theta) / tag.denominator
         v = random_gaussian(rng, m, with_poly=True)
         lhs = act_Z2(act_Z1(v, tag), tag)
         rhs = scale(cmath.exp(-TWO_PI_I * tp), act_Z1(act_Z2(v, tag), tag))

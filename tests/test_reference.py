@@ -110,7 +110,7 @@ def _entry_refs(p, f, g, z=0.0) -> list[mpmath.mpc | None]:
         x1, y1 = -big_a / m, big_b / l
         w = mpmath.re(sf * x1 * x1 + sg * y1 * y1) / 2
         for gamma in range(p.M):
-            hits = [q for q in range(m * l) if (p.right.pair.a * gamma - tf.mu - q) % m == 0
+            hits = [q for q in range(m * l) if (p.right.a * gamma - tf.mu - q) % m == 0
                     and (q - tg.mu) % l == 0]
             if not hits:
                 refs.append(None)

@@ -7,7 +7,6 @@ import random
 
 import pytest
 
-from nctorus.algebra import BezoutPair
 from nctorus.connections import ComplexStructure, holomorphic_basis
 from nctorus.errors import (
     DegenerateDenominator,
@@ -111,17 +110,10 @@ def test_theta_double_prime_is_the_left_formula():
                 if math.gcd(k, l) != 1 or k - l * theta == 0:
                     continue
                 p = product_params(6, 1, k, l, theta, strict=False)  # M = 6*l + k >= 1
-                c, d = p.left.pair.a, p.left.pair.b
+                c, d = p.left.a, p.left.b
                 assert p.theta_double_prime == -(d - c * theta) / (k - l * theta)
                 count += 1
     assert count > 400
-
-
-def test_product_params_pair_override():
-    # the canonical pair for (1, 1) gives N' = -1; (1, 0) selects +1
-    p = product_params(1, 1, 1, 1, 0.3,
-                       pair_nm=BezoutPair(a=1, b=0, n=1, m=1))
-    assert p.N_prime == 1
 
 
 def test_product_params_profile_requires_positive_denominators():
@@ -213,7 +205,7 @@ def test_crt_matches_brute_force():
             beta = rng.randrange(l)
             delta = rng.randrange(-p.M, 2 * p.M)
             brute = [q for q in range(p.L)
-                     if (q + alpha - p.right.pair.a * delta) % m == 0
+                     if (q + alpha - p.right.a * delta) % m == 0
                      and (q - beta) % l == 0]
             got = crt_q0(alpha, beta, delta, p)
             if brute:
@@ -251,7 +243,7 @@ def _reference_q_sum(f, g, p, z, delta, radius=128):
     argument expression per factor."""
     total, size = 0j, 0.0
     for q in range(-radius, radius + 1):
-        mu = (p.right.pair.a * delta - q) % p.m
+        mu = (p.right.a * delta - q) % p.m
         nu = q % p.l
         x = p.A * z - (p.A / p.m) * q + (p.l * p.A / (p.m * p.M)) * delta
         y = p.A * z + (p.B / p.l) * q - (p.B / p.M) * delta
@@ -286,7 +278,7 @@ def test_q_sum_against_every_q():
                 for z in (-0.7, 0.0, 0.45):
                     got = tensor._q_sum(f, g, p, z, delta, tensor.DEFAULT_QMAX)
                     want, size = _reference_q_sum(f, g, p, z, delta)
-                    if i >= 3 and p.right.pair.a * delta % 2 == 0:
+                    if i >= 3 and p.right.a * delta % 2 == 0:
                         assert repr(got) == "0j"
                     assert abs(got - want) <= 2**-50 * size
                     try:

@@ -16,7 +16,7 @@ checkout:
     python3 tools/cli_grid.py record . /tmp/change.json
     python3 tools/cli_grid.py compare /tmp/parent.json /tmp/change.json
 
-The grid of 115 calls covers every subcommand over the five benchmark
+The grid of 119 calls covers every subcommand over the five benchmark
 label pairs at two angles, ``verify-all`` at edge labels and at nonzero
 connection offsets, a left label degenerate at theta = 0.5 through
 ``theta-basis --side left`` and ``algebra-check``, two ``algebra-check``
@@ -27,7 +27,8 @@ products at large Im(s), three overflows (``SeriesOverflow``: one in the
 closed form, two in the direct q-sum), two non-finite holomorphic widths
 (``NoHolomorphicVectors``), four theta moduli that overflow
 (``SeriesOverflow``) and one huge tau whose phases fail the oracle check,
-a basis vector that overflows at a probe point (``SeriesOverflow``), an
+three basis vectors that overflow at a probe point (``SeriesOverflow``), two
+labels with n < 0 or l = 1 whose Bezout pairs have a negative entry, an
 ``algebra-check`` label whose ``module_axiom`` fails from far-centre phase
 rounding, four ``--theta`` expressions (one a division by zero, a usage error),
 every ``--help`` text and one JSON and one CSV ``--output`` file.  Pure
@@ -125,6 +126,12 @@ def grid() -> list[list[str]]:
         ["structure-constants", "--tau=-1e306,-1"],
         # A basis vector whose value at a probe point overflows: a typed SeriesOverflow.
         ["theta-basis", "--c1=1e308,1e308"],
+        # A basis vector whose exponent at a probe point is not finite: the same.
+        ["theta-basis", "--side", "left", "--tau=-1e307,-1"],
+        ["verify-all", "--tau=-1e307,-1"],
+        # A label with n < 0, (a, b) = (1, -1), and one with l = 1, (c, d) = (0, -1).
+        ["structure-constants", "--theta", "0.7", "--nm=-1,2", "--kl", "2,1"],
+        ["algebra-check", "--theta", "0.7", "--nm=-1,2"],
         # Centres near x0 ~ 4e6, where the phase exp(2*pi*i*n*x0) of mul_exp keeps
         # about 3e-9 of rounding: module_axiom fails.  Pins mul_exp's digits.
         ["algebra-check", "--nm", "1000003,1", "--seed", "5"],
