@@ -232,7 +232,7 @@ def grid_abs_max(v: PolyGaussVector) -> float:
     """
     best = 0.0
     try:
-        for mu in range(v.m):
+        for mu in sorted({t.mu for t in v.terms}):
             for x in PROBE_XS:
                 val = abs(evaluate(v, x, mu))
                 if val > best:

@@ -64,7 +64,7 @@ from .errors import (
     SignAssumptionViolated,
 )
 from .modules import ModuleTag, act_U1, act_U2, act_Z1, act_Z2
-from .theta import DEFAULT_EPS, theta
+from .theta import DEFAULT_EPS, log_tail, theta
 
 # Probe points in z used by the verification routines.
 PROBE_ZS: tuple[float, ...] = (-1.0, -0.5, 0.0, 0.3, 0.7, 1.0)
@@ -231,19 +231,15 @@ def _pair_envelope(
 def _log_tail(envelopes: list[tuple[float, float, float, float]], side: int, u: int) -> float:
     """Log bound on the class terms at j with side*j >= side*u; inf before a peak.
 
-    Along that side each pair's log bound c0 + b*j - a*j**2 + k*|j| grows
-    from one j to the next by at most log rho = k + side*b - a*(2*side*u + 1),
-    so where rho < 1 its tail is at most its bound at u over 1 - rho.  The
-    pairs' tails add up to at most their count times the largest.
+    In j' = side*j >= side*u each pair's log bound c0 + b*j - a*j**2 + k*|j|
+    is the :func:`theta.log_tail` envelope with b -> side*b.  The pairs'
+    tails add up to at most their count times the largest.
     """
     worst = -math.inf
     for c0, b, a, k in envelopes:
-        log_rho = k + side * b - a * (2 * side * u + 1)
-        if not log_rho < 0:
-            return math.inf
-        log_tail = c0 + (b - a * u) * u + k * abs(u) - math.log(-math.expm1(log_rho))
-        if log_tail > worst:
-            worst = log_tail
+        pair_tail = log_tail(c0, side * b, a, k, side * u)
+        if pair_tail > worst:
+            worst = pair_tail
     return worst + math.log(len(envelopes))
 
 
@@ -264,7 +260,7 @@ def _q_sum(
     -a*q**2 + b*q + c0 with a = (Re sigma_f*(A/m)**2 + Re sigma_g*(B/l)**2)/2
     > 0 (:func:`_pair_envelope`).  The sum starts at the class member
     nearest the first pair's peak b/(2a) and grows the side whose certified
-    tail (:func:`_log_tail`, a geometric bound as :func:`theta.tail_bound`)
+    tail (:func:`_log_tail`, the geometric bound :func:`theta.log_tail`)
     is larger.  It stops once both tails together are below 2**-53 of
     |class sum|, or below the smallest normal double, so a class that
     underflows still ends.  NonConvergent means that window left
@@ -403,22 +399,25 @@ class ProductClosedForm:
         """(q, t, K) at the representative q of the largest term; None if incompatible.
 
         q is q0 moved by u*L, u = nint(-Im t/Im s) from t at q0, so that
-        |Im t| <= Im s/2 and the u = 0 term is the largest.
+        |Im t| <= Im s/2 and the u = 0 term is the largest.  OverflowError
+        unless K is finite and |Im t| <= Im s after that move.
         """
         q0 = self.q0(delta)
         if q0 is None:
             return None
         t0 = self._t_xy(z, delta, q0)[0]
         q = q0 + round(-t0.imag / self.s.imag) * self.params.L
-        return (q, *self.theta_args(z, delta, q))
+        t, k = self.theta_args(z, delta, q)
+        if not (cmath.isfinite(k) and abs(t.imag) <= self.s.imag):
+            raise OverflowError(f"peak t = {t}, K = {k} is not reduced")
+        return q, t, k
 
     def evaluate(self, z: complex, delta: int, eps: float = DEFAULT_EPS) -> complex:
-        peak = self.peak(z, delta)
-        if peak is None:
-            return 0j
-        _, t, k = peak
         try:
-            return theta(self.s, t, eps, k)
+            peak = self.peak(z, delta)
+            if peak is None:
+                return 0j
+            return theta(self.s, peak[1], eps, peak[2])
         except OverflowError as exc:
             p = self.params
             raise SeriesOverflow(
@@ -559,12 +558,12 @@ def structure_constants(
             form = tensor_gaussian_closed(alpha, beta, sigma1, c, sigma2, c, p)
             col = []
             for gamma in range(p.M):
-                peak = form.peak(0.0, gamma)
-                if peak is None:
-                    col.append(0j)
-                    continue
-                q, t, k_exp = peak
                 try:
+                    peak = form.peak(0.0, gamma)
+                    if peak is None:
+                        col.append(0j)
+                        continue
+                    q, t, k_exp = peak
                     col.append(theta(form.s, t, eps, k_exp))
                 except OverflowError as exc:
                     raise SeriesOverflow(

@@ -2,11 +2,11 @@
 
 The sum runs over u in Z and converges for Im(s) > 0.  Truncation is
 certified: with a = pi*Im(s) and b = 2*pi*|Im(t)| the term magnitudes are
-exp(-a*u**2 + b*|u|), so past the peak |u| = b/(2a) consecutive term ratios
-are at most rho = exp(-a*(2U + 3) + b) and the discarded tail is bounded by
-a geometric series.  The radius returned by :func:`truncation_radius` makes
-that bound smaller than the requested eps.  An offset k enters each term's
-exponent, so exp(k)*Theta(s, t) has no factor apart that could overflow.
+exp(-a*u**2 + b*|u|), so past the peak |u| = b/(2a) the discarded tail is
+bounded by a geometric series, taken in log space (:func:`log_tail`) so that
+no peak term overflows.  :func:`truncation_radius` makes that bound smaller
+than the requested eps.  An offset k enters each term's exponent, so
+exp(k)*Theta(s, t) has no factor apart that could overflow.
 """
 
 from __future__ import annotations
@@ -19,18 +19,17 @@ from .errors import InvalidS
 DEFAULT_EPS = 1e-13
 
 
-def tail_bound(s: complex, t: complex, radius: int) -> float:
-    """Upper bound on |sum over |u| > radius|; inf when radius is pre-peak."""
-    a = math.pi * s.imag
-    b = 2 * math.pi * abs(t.imag)
-    u = radius + 1
-    if 2 * a * u <= b:
+def log_tail(c0: float, b: float, a: float, k: float, u: int) -> float:
+    """Log bound on sum over j >= u of exp(c0 + b*j - a*j**2 + k*|j|); inf before the peak.
+
+    For a > 0 and k >= 0 the exponent grows from one j >= u to the next by
+    at most log rho = k + b - a*(2*u + 1), so where rho < 1 the sum is at
+    most its term at u over 1 - rho.
+    """
+    log_rho = k + b - a * (2 * u + 1)
+    if not log_rho < 0:
         return math.inf
-    rho = math.exp(-a * (2 * u + 1) + b)
-    if rho >= 1:
-        return math.inf
-    first = 2 * math.exp(-a * u * u + b * u)
-    return first / (1 - rho)
+    return c0 + (b - a * u) * u + k * abs(u) - math.log(-math.expm1(log_rho))
 
 
 def truncation_radius(s: complex, t: complex, eps: float = DEFAULT_EPS) -> int:
@@ -42,7 +41,8 @@ def truncation_radius(s: complex, t: complex, eps: float = DEFAULT_EPS) -> int:
     a = math.pi * s.imag
     b = 2 * math.pi * abs(t.imag)
     radius = max(1, math.ceil(b / (2 * a)))
-    while tail_bound(s, t, radius) > eps:
+    log_eps = math.log(eps)
+    while log_tail(math.log(2), b, a, 0.0, radius + 1) > log_eps:
         radius += max(1, radius // 2)
     return radius
 

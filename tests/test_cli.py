@@ -127,6 +127,19 @@ def test_arithmetic_overflow_is_usage_error(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("offset", ["--c1=0,1e308", "--c2=-1e308,0", "--c2=1e307,0",
+                                    "--c1=0,1e200"])
+def test_unreduced_peak_is_typed(capsys, offset):
+    # the rounding of -Im t/Im s keeps no digit, so K is nan and |Im t| huge;
+    # summing from there once asked theta for ~1e290 terms (a MemoryError)
+    assert main(["structure-constants", offset]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: structure_constants: peak t = ")
+    assert "K = (nan+0j) is not reduced at entry (alpha, beta, gamma) = (0, 0, 0)" in captured.err
+    assert "(1, 2) x (1, 3) at theta = 0.2" in captured.err
+    assert captured.out == ""
+
+
 def test_tensor_closed_form_overflow_is_typed(capsys):
     # the true value exceeds double range; cmd_tensor runs the direct q-sum
     # first, which reports it before the closed form is reached: at c1 = 280i

@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nctorus.connections import ComplexStructure, holomorphic_basis
 from nctorus.errors import (
@@ -310,6 +312,33 @@ def test_q_sum_evaluates_only_live_residues(monkeypatch):
                 calls[0] = 0
                 tensor_direct(fb[alpha], gb[beta], p, 0.3, delta)
                 assert 0 < calls[0] <= 2 * (65 // p.L + 1)
+
+
+def _inline_log_tail(envelopes, side, u):
+    # the pair tails as _q_sum once computed them inline, kept as a reference
+    worst = -math.inf
+    for c0, b, a, k in envelopes:
+        log_rho = k + side * b - a * (2 * side * u + 1)
+        if not log_rho < 0:
+            return math.inf
+        log_tail = c0 + (b - a * u) * u + k * abs(u) - math.log(-math.expm1(log_rho))
+        if log_tail > worst:
+            worst = log_tail
+    return worst + math.log(len(envelopes))
+
+
+_ENVELOPE = st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(1e-3, 1e3),
+                      st.floats(0, 50))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ENVELOPE, min_size=1, max_size=3), st.sampled_from((1, -1)),
+       st.integers(-1000, 1000))
+def test_log_tail_through_theta_is_bit_exact(envelopes, side, u):
+    # the class tails read theta.log_tail with side folded into b and u;
+    # negation is exact, so every bit matches, inf included
+    got = tensor._log_tail(envelopes, side, u)
+    assert got.hex() == _inline_log_tail(envelopes, side, u).hex()
 
 
 def test_direct_sum_rejects_delta_outside_fundamental_range():

@@ -4,12 +4,13 @@ import cmath
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nctorus.errors import InvalidS
-from nctorus.theta import tail_bound, theta, theta_truncated, truncation_radius
+from nctorus.theta import log_tail, theta, theta_truncated, truncation_radius
 
 
 def _brute(s, t, radius=80):
@@ -83,20 +84,84 @@ def test_validation():
         truncation_radius(1.0 + 0j, 0.0)
 
 
-def test_tail_bound_certifies_radius():
+def _log_bound(s, t, radius):
+    # log of the bound on |sum over |u| > radius|: both sides, so c0 = log 2
+    return log_tail(math.log(2), 2 * math.pi * abs(t.imag), math.pi * s.imag, 0.0, radius + 1)
+
+
+def test_log_tail_certifies_radius():
     s = 0.2 + 0.6j
     t = 0.4 + 0.9j
     for eps in (1e-6, 1e-10, 1e-13):
         radius = truncation_radius(s, t, eps)
-        assert tail_bound(s, t, radius) < eps
+        assert _log_bound(s, t, radius) < math.log(eps)
         # truncating further out never moves the value by more than eps
         drift = abs(theta_truncated(s, t, radius + 40) - theta_truncated(s, t, radius))
         assert drift <= eps
 
 
-def test_tail_bound_infinite_before_peak():
+def test_log_tail_infinite_before_peak():
     # with large Im t the summand still grows at small |u|
-    assert tail_bound(1j, 3j, 1) == math.inf
+    assert _log_bound(1j, 3j, 1) == math.inf
+
+
+def _linear_bound(s, t, radius):
+    # the linear-space bound truncation_radius once used, kept as a reference
+    a = math.pi * s.imag
+    b = 2 * math.pi * abs(t.imag)
+    u = radius + 1
+    if 2 * a * u <= b:
+        return math.inf
+    rho = math.exp(-a * (2 * u + 1) + b)
+    if rho >= 1:
+        return math.inf
+    first = 2 * math.exp(-a * u * u + b * u)
+    return first / (1 - rho)
+
+
+def _linear_radius(s, t, eps):
+    a = math.pi * s.imag
+    b = 2 * math.pi * abs(t.imag)
+    radius = max(1, math.ceil(b / (2 * a)))
+    while _linear_bound(s, t, radius) > eps:
+        radius += max(1, radius // 2)
+    return radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-3, 3), st.floats(-3, 4), st.booleans(), st.floats(-15, -3))
+def test_radius_matches_linear_bound(log_s, log_t, negative, log_eps):
+    # the log-space bound picks the same radius wherever the linear one
+    # returns; where the linear one overflows, it still certifies a radius
+    s = complex(0.3, 10**log_s)
+    t = complex(0.1, -(10**log_t) if negative else 10**log_t)
+    eps = 10**log_eps
+    radius = truncation_radius(s, t, eps)
+    try:
+        want = _linear_radius(s, t, eps)
+    except OverflowError:
+        assert _log_bound(s, t, radius) < math.log(eps)
+    else:
+        assert radius == want
+
+
+def test_peak_beyond_double_range_gets_a_radius():
+    # the peak term exp(pi*1557**2/620.6) ~ exp(12272) overflows a double
+    s, t = 620.6j, 1557j
+    with pytest.raises(OverflowError):
+        _linear_radius(s, t, 1e-13)
+    assert truncation_radius(s, t) == 6
+    # exp(k) brings the value back into range: about 5.68e-205
+    k = -math.pi * 1557**2 / 620.6
+    with mpmath.workdps(40):
+        ms, mt = mpmath.mpc(s), mpmath.mpc(t)
+        want = mpmath.fsum(
+            mpmath.exp(1j * mpmath.pi * ms * u * u + 2j * mpmath.pi * mt * u + k)
+            for u in range(-40, 41)
+        )
+        got = theta(s, t, k=k)
+        assert abs(want - 5.68296058389e-205) < 1e-11 * 5.68296058389e-205
+        assert float(abs(mpmath.mpc(got) - want) / abs(want)) < 1e-11
 
 
 def test_radius_shrinks_with_looser_eps():

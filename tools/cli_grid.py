@@ -6,17 +6,19 @@ Usage:
 
 ``record`` runs ``python -m nctorus.cli`` with ``PYTHONPATH=SRC/src`` once
 per argv of the grid and stores its exit code, stdout and stderr, plus the
-files written by the ``--output`` calls.  ``compare`` lists every argv whose
-record differs between two recordings and exits 1 if any does, so a
-refactor that must not change output can be checked against the parent
-checkout:
+files written by the ``--output`` calls.  Each child runs under an address
+space limit of 2 GiB and a CPU limit of 120 s, set in the child alone, so a
+checkout that runs away on some call fails that call and not the machine.
+``compare`` lists every argv whose record differs between two recordings
+and exits 1 if any does, so a refactor that must not change output can be
+checked against the parent checkout:
 
     git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
     python3 tools/cli_grid.py record /tmp/parent /tmp/parent.json
     python3 tools/cli_grid.py record . /tmp/change.json
     python3 tools/cli_grid.py compare /tmp/parent.json /tmp/change.json
 
-The grid of 119 calls covers every subcommand over the five benchmark
+The grid of 123 calls covers every subcommand over the five benchmark
 label pairs at two angles, ``verify-all`` at edge labels and at nonzero
 connection offsets, a left label degenerate at theta = 0.5 through
 ``theta-basis --side left`` and ``algebra-check``, two ``algebra-check``
@@ -24,11 +26,13 @@ seeds that shift Gaussians far from their centres, an exact-zero component
 pair, two ``--qmax`` caps above the certified window of the direct q-sum,
 two below it (``NonConvergent``) and one below 1 (a usage error), two
 products at large Im(s), three overflows (``SeriesOverflow``: one in the
-closed form, two in the direct q-sum), two non-finite holomorphic widths
-(``NoHolomorphicVectors``), four theta moduli that overflow
-(``SeriesOverflow``) and one huge tau whose phases fail the oracle check,
-three basis vectors that overflow at a probe point (``SeriesOverflow``), two
-labels with n < 0 or l = 1 whose Bezout pairs have a negative entry, an
+closed form, two in the direct q-sum), four connection offsets whose peak
+representative is not reduced (``SeriesOverflow``), two non-finite
+holomorphic widths (``NoHolomorphicVectors``), four theta moduli that
+overflow (``SeriesOverflow``) and one huge tau whose phases fail the
+oracle check, three basis vectors that overflow at a probe point
+(``SeriesOverflow``), two labels with n < 0 or l = 1 whose Bezout pairs
+have a negative entry, an
 ``algebra-check`` label whose ``module_axiom`` fails from far-centre phase
 rounding, four ``--theta`` expressions (one a division by zero, a usage error),
 every ``--help`` text and one JSON and one CSV ``--output`` file.  Pure
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -106,6 +111,11 @@ def grid() -> list[list[str]]:
         ["structure-constants", "--c1=0,400"],
         ["tensor", "--c1=0,280", "--z=-7", "--delta", "1"],
         ["tensor", "--c1=0,400"],
+        # Offsets so large that the peak representative keeps no digit: K is nan.
+        ["structure-constants", "--c1=0,1e308"],
+        ["structure-constants", "--c2=-1e308,0"],
+        ["structure-constants", "--c2=1e307,0"],
+        ["structure-constants", "--c1=0,1e200"],
         # A left label degenerate at theta = 0.5: (1, 2) with 1 - 2*theta = 0.
         ["theta-basis", "--side", "left", "--theta", "0.5", "--nm", "1,2"],
         ["algebra-check", "--theta", "0.5", "--kl", "1,2"],
@@ -141,11 +151,17 @@ def grid() -> list[list[str]]:
     return calls
 
 
+def _limit_child() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    resource.setrlimit(resource.RLIMIT_CPU, (120, 120))
+
+
 def run(src: Path, argv: list[str], cwd: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src / "src"), COLUMNS="80")
     done = subprocess.run(
         [sys.executable, "-m", "nctorus.cli", *argv],
         capture_output=True, text=True, env=env, cwd=cwd, timeout=600,
+        preexec_fn=_limit_child,
     )
     return {"exit": done.returncode, "stdout": done.stdout, "stderr": done.stderr}
 
