@@ -64,6 +64,7 @@ from .modules import (
     module_tag,
 )
 from .tensor import (
+    DirectSeries,
     ProductClosedForm,
     ProductParams,
     StructureConstants,
@@ -83,6 +84,7 @@ __all__ = [
     "ComplexStructure",
     "DegenerateDenominator",
     "DimensionMismatch",
+    "DirectSeries",
     "IndexOutOfRange",
     "InvalidS",
     "InvalidSigma",

@@ -65,6 +65,7 @@ from .errors import DegenerateDenominator, IndexOutOfRange, NCTorusError, Series
 from .modules import ModuleTag, act_element, act_U1, act_U2, act_Z1, act_Z2, module_tag
 from .tensor import (
     DEFAULT_QMAX,
+    DirectSeries,
     PROBE_ZS,
     product_basis,
     product_params,
@@ -326,11 +327,11 @@ def _oracle_checks(args: argparse.Namespace, checks: CheckList) -> None:
         for alpha in range(m):
             for beta in range(l):
                 form = tensor_gaussian_closed(alpha, beta, sigma1, c1, sigma2, c2, p)
-                fv = gs.gaussian(m, sigma1, c1, alpha)
-                gv = gs.gaussian(l, sigma2, c2, beta)
+                series = DirectSeries(gs.gaussian(m, sigma1, c1, alpha),
+                                      gs.gaussian(l, sigma2, c2, beta), p, args.qmax)
                 for z in PROBE_ZS:
                     for delta in range(p.M):
-                        direct = tensor_direct(fv, gv, p, z, delta, args.qmax)
+                        direct = series.evaluate(z, delta)
                         closed = form.evaluate(z, delta)
                         worst = max(worst, abs(closed - direct) / (1 + abs(direct)))
     checks.add("closed_form_vs_direct", worst, ORACLE_TOL)
@@ -352,13 +353,14 @@ def _structure_constant_checks(args: argparse.Namespace, checks: CheckList) -> d
     recon = 0.0
     for alpha in range(m):
         for beta in range(l):
+            series = DirectSeries(basis_f[alpha], basis_g[beta], p, args.qmax)
             for gamma in range(p.M):
                 val = sc.values[alpha][beta][gamma]
-                d0 = tensor_direct(basis_f[alpha], basis_g[beta], p, 0.0, gamma, args.qmax)
+                d0 = series.evaluate(0.0, gamma)
                 # phi_gamma(0) = 1, so the coefficient itself is the value at z = 0.
                 oracle = max(oracle, abs(val - d0) / (1 + abs(d0)))
                 for z in (0.3, -0.5):
-                    dz = tensor_direct(basis_f[alpha], basis_g[beta], p, z, gamma, args.qmax)
+                    dz = series.evaluate(z, gamma)
                     recon = max(recon, abs(dz - val * gs.evaluate(basis[gamma], z, gamma)))
     checks.add("structure_constants_vs_direct", oracle, ORACLE_TOL)
     checks.add("basis_reconstruction", recon / (1 + cmax), BASIS_TOL)

@@ -209,122 +209,132 @@ def crt_q0(alpha: int, beta: int, delta: int, p: ProductParams) -> int | None:
     return beta_mod + l * y
 
 
-def _pair_envelope(
-    tf: gs.PolyGaussTerm, tg: gs.PolyGaussTerm, x: float, y: float, dx: float, dy: float
-) -> tuple[float, float, float, float]:
-    """(c0, b, a, k): log bound c0 + b*j - a*j**2 + k*|j| on a term pair's summand.
-
-    The summand is tf at x + j*dx times tg at y + j*dy, so with u = x - x0
-    its log modulus is -(Re sigma*u/2 + Re c)*u per factor, plus at most
-    log ||P||_1 + deg P*|u| from |P(u)| <= ||P||_1*exp(deg P*|u|).
-    """
-    u_f, u_g = x - tf.x0, y - tg.x0
-    sf, cf, sg, cg = tf.sigma.real, tf.c.real, tg.sigma.real, tg.c.real
-    c0 = -(sf * u_f / 2 + cf) * u_f - (sg * u_g / 2 + cg) * u_g
-    c0 += math.log(sum(map(abs, tf.poly)) * sum(map(abs, tg.poly)))
-    deg_f, deg_g = len(tf.poly) - 1, len(tg.poly) - 1
-    c0 += deg_f * abs(u_f) + deg_g * abs(u_g)
-    b = -(sf * u_f + cf) * dx - (sg * u_g + cg) * dy
-    return c0, b, (sf * dx * dx + sg * dy * dy) / 2, deg_f * abs(dx) + deg_g * abs(dy)
-
-
-def _log_tail(envelopes: list[tuple[float, float, float, float]], side: int, u: int) -> float:
+def _log_tail(envelopes: list[tuple[float, ...]], side: int, u: int, log_count: float) -> float:
     """Log bound on the class terms at j with side*j >= side*u; inf before a peak.
 
     In j' = side*j >= side*u each pair's log bound c0 + b*j - a*j**2 + k*|j|
     is the :func:`theta.log_tail` envelope with b -> side*b.  The pairs'
-    tails add up to at most their count times the largest.
+    tails add up to at most their count, log_count = log(count), times the
+    largest.
     """
     worst = -math.inf
     for c0, b, a, k in envelopes:
         pair_tail = log_tail(c0, side * b, a, k, side * u)
         if pair_tail > worst:
             worst = pair_tail
-    return worst + math.log(len(envelopes))
+    return worst + log_count
 
 
-def _q_sum(
-    f: gs.PolyGaussVector,
-    g: gs.PolyGaussVector,
-    p: ProductParams,
-    z: float,
-    delta: int,
-    qmax: int,
-) -> complex:
-    """The q-series summed class by class, outward from each class's peak.
+class DirectSeries:
+    """The q-series of f (x) g, set up once and summed class by class at any (z, delta).
 
     Only q whose components a*delta - q (mod m) of f and q (mod l) of g both
     carry a term contribute; for a component pair (mu, nu) these q form one
     class q1 + j*L, found by stepping q through a*delta - mu (mod m) until
-    q = nu (mod l).  Each term pair of the class has a real log-envelope
-    -a*q**2 + b*q + c0 with a = (Re sigma_f*(A/m)**2 + Re sigma_g*(B/l)**2)/2
-    > 0 (:func:`_pair_envelope`).  The sum starts at the class member
-    nearest the first pair's peak b/(2a) and grows the side whose certified
-    tail (:func:`_log_tail`, the geometric bound :func:`theta.log_tail`)
-    is larger.  It stops once both tails together are below 2**-53 of
-    |class sum|, or below the smallest normal double, so a class that
-    underflows still ends.  NonConvergent means that window left
-    |q| <= qmax.  An overflowing summand or a non-finite total raises
-    SeriesOverflow, and a cap qmax < 1, which would sum nothing, raises
-    ValueError.
+    q = nu (mod l) and tabulated by a*delta mod m.  Each term pair bounds
+    its log summand at q1 + j*L by c0 + b*j - a*j**2 + k*|j|: with
+    u = x - x0 a factor's log modulus is -(Re sigma*u/2 + Re c)*u, plus at
+    most log ||P||_1 + deg P*|u|.  Set-up keeps all that depends on
+    neither z nor delta, a > 0 and k included; :meth:`evaluate` builds c0
+    and b, starts at the class member nearest the first pair's peak
+    b/(2a) and grows the side whose certified tail (:func:`_log_tail`,
+    the geometric bound :func:`theta.log_tail`) is larger, until both
+    tails together are below 2**-53 of |class sum| or below the smallest
+    normal double.  NonConvergent means that window left |q| <= qmax.  An
+    overflowing summand, term norm or total raises SeriesOverflow at the
+    call that reaches it; qmax < 1, which would sum nothing, a ValueError.
     """
-    if qmax < 1:
-        raise ValueError(f"qmax must be >= 1, got {qmax}")
-    evaluate = gs.evaluate
-    m, l, big_l = p.m, p.l, p.L
-    a_delta = p.right.a * delta
-    az = p.A * z
-    f_q, f_delta = p.A / m, (p.l * p.A / (m * p.M)) * delta
-    g_q, g_delta = p.B / l, (p.B / p.M) * delta
-    dx, dy = -f_q * big_l, g_q * big_l
-    classes: dict[tuple[int, int], list[tuple[gs.PolyGaussTerm, gs.PolyGaussTerm]]] = {}
-    for tf in f.terms:
-        for tg in g.terms:
-            classes.setdefault((tf.mu, tg.mu), []).append((tf, tg))
-    total = 0j
-    try:
+
+    def __init__(self, f: gs.PolyGaussVector, g: gs.PolyGaussVector, p: ProductParams,
+                 qmax: int = DEFAULT_QMAX) -> None:
+        if qmax < 1:
+            raise ValueError(f"qmax must be >= 1, got {qmax}")
+        m, l, big_l = p.m, p.l, p.L
+        self.f, self.g, self.p, self.qmax = f, g, p, qmax
+        f_q, g_q = p.A / m, p.B / l
+        dx, dy = -f_q * big_l, g_q * big_l
+        # the steps of the f- and g-arguments in q, in j and in delta
+        self._coefs = f_q, g_q, dx, dy, p.l * p.A / (m * p.M), p.B / p.M
+        classes: dict[tuple[int, int], list[tuple[gs.PolyGaussTerm, gs.PolyGaussTerm]]] = {}
+        for tf in f.terms:
+            for tg in g.terms:
+                classes.setdefault((tf.mu, tg.mu), []).append((tf, tg))
+        self._classes = []
         for (mu, nu), pairs in classes.items():
-            for q1 in range((a_delta - mu) % m, big_l, m):
-                if q1 % l == nu:
-                    break
-            else:
-                continue  # a*delta - mu != nu (mod r): no q carries the pair
-            x, y = az - f_q * q1 + f_delta, az + g_q * q1 - g_delta
-            envelopes = [_pair_envelope(tf, tg, x, y, dx, dy) for tf, tg in pairs]
-            # start at the class member nearest the first pair's peak
-            _, b, a, _ = envelopes[0]
-            lo = hi = round(b / (2 * a))
-            q = q1 + hi * big_l
-            right, left = _log_tail(envelopes, 1, hi + 1), _log_tail(envelopes, -1, lo - 1)
-            acc = 0j
-            while True:
-                if abs(q) > qmax:
-                    raise NonConvergent(
-                        f"q-series not certified within |q| <= {qmax} at z = {z}, delta = {delta}"
+            # None where a*delta - mu != nu (mod r): no q carries the pair
+            q1s = [next((q for q in range((rho - mu) % m, big_l, m) if q % l == nu), None)
+                   for rho in range(m)]
+            fault, consts = None, []
+            for tf, tg in pairs:
+                sf, sg = tf.sigma.real, tg.sigma.real
+                deg_f, deg_g = len(tf.poly) - 1, len(tg.poly) - 1
+                try:
+                    log_norm = math.log(sum(map(abs, tf.poly)) * sum(map(abs, tg.poly)))
+                except (ArithmeticError, ValueError) as exc:
+                    fault, log_norm = fault or exc, math.nan
+                consts.append((tf.x0, tg.x0, sf, tf.c.real, sg, tg.c.real, log_norm, deg_f,
+                               deg_g, (sf * dx * dx + sg * dy * dy) / 2,
+                               deg_f * abs(dx) + deg_g * abs(dy)))
+            self._classes.append((mu, nu, q1s, math.log(len(pairs)), consts, fault))
+
+    def evaluate(self, z: float, delta: int) -> complex:
+        """h(z, delta) for any integer delta; the series is M-periodic in delta."""
+        evaluate = gs.evaluate
+        f, g, p, qmax = self.f, self.g, self.p, self.qmax
+        big_l, rho, az = p.L, p.right.a * delta % p.m, p.A * z
+        f_q, g_q, dx, dy, f_dn, g_dn = self._coefs
+        f_delta, g_delta = f_dn * delta, g_dn * delta
+        total = 0j
+        try:
+            for mu, nu, q1s, log_count, consts, fault in self._classes:
+                q1 = q1s[rho]
+                if q1 is None:
+                    continue
+                if fault is not None:
+                    raise type(fault)(*fault.args)
+                x, y = az - f_q * q1 + f_delta, az + g_q * q1 - g_delta
+                envelopes = []
+                for x0_f, x0_g, sf, cf, sg, cg, log_norm, deg_f, deg_g, a, k in consts:
+                    u_f, u_g = x - x0_f, y - x0_g
+                    c0 = -(sf * u_f / 2 + cf) * u_f - (sg * u_g / 2 + cg) * u_g
+                    c0 += log_norm
+                    c0 += deg_f * abs(u_f) + deg_g * abs(u_g)
+                    envelopes.append((c0, -(sf * u_f + cf) * dx - (sg * u_g + cg) * dy, a, k))
+                # start at the class member nearest the first pair's peak
+                _, b, a, _ = envelopes[0]
+                lo = hi = round(b / (2 * a))
+                q = q1 + hi * big_l
+                right = _log_tail(envelopes, 1, hi + 1, log_count)
+                left = _log_tail(envelopes, -1, lo - 1, log_count)
+                acc = 0j
+                while True:
+                    if abs(q) > qmax:
+                        raise NonConvergent(f"q-series not certified within |q| <= {qmax} "
+                                            f"at z = {z}, delta = {delta}")
+                    acc += evaluate(f, az - f_q * q + f_delta, mu) * evaluate(
+                        g, az + g_q * q - g_delta, nu
                     )
-                acc += evaluate(f, az - f_q * q + f_delta, mu) * evaluate(
-                    g, az + g_q * q - g_delta, nu
-                )
-                # the two tails together are at most twice the larger; a nan
-                # bound walks on, a non-finite acc stops (log inf) or walks on
-                # to the floor
-                if max(right, left) <= math.log(max(_TINY, _ROUNDOFF * abs(acc)) / 2):
-                    break
-                if right >= left:
-                    hi += 1
-                    q, right = q1 + hi * big_l, _log_tail(envelopes, 1, hi + 1)
-                else:
-                    lo -= 1
-                    q, left = q1 + lo * big_l, _log_tail(envelopes, -1, lo - 1)
-            total += acc
-        if not cmath.isfinite(total):
-            raise OverflowError(f"non-finite sum {total}")
-    except (ArithmeticError, ValueError) as exc:
-        raise SeriesOverflow(
-            f"tensor._q_sum: {exc} at z = {z}, delta = {delta} of ({p.n}, {p.m}) x "
-            f"({p.k}, {p.l}) at theta = {p.theta}"
-        ) from exc
-    return total
+                    # the two tails together are at most twice the larger; a nan
+                    # bound walks on, a non-finite acc stops (log inf) or walks on
+                    # to the floor
+                    if max(right, left) <= math.log(max(_TINY, _ROUNDOFF * abs(acc)) / 2):
+                        break
+                    if right >= left:
+                        hi += 1
+                        q, right = q1 + hi * big_l, _log_tail(envelopes, 1, hi + 1, log_count)
+                    else:
+                        lo -= 1
+                        q, left = q1 + lo * big_l, _log_tail(envelopes, -1, lo - 1, log_count)
+                total += acc
+            if not cmath.isfinite(total):
+                raise OverflowError(f"non-finite sum {total}")
+        except (ArithmeticError, ValueError) as exc:
+            # the stage keeps the name it has always been reported under
+            raise SeriesOverflow(
+                f"tensor._q_sum: {exc} at z = {z}, delta = {delta} of ({p.n}, {p.m}) x "
+                f"({p.k}, {p.l}) at theta = {p.theta}"
+            ) from exc
+        return total
 
 
 def _check_factors(f: gs.PolyGaussVector, g: gs.PolyGaussVector, p: ProductParams) -> None:
@@ -342,11 +352,15 @@ def tensor_direct(
     delta: int,
     qmax: int = DEFAULT_QMAX,
 ) -> complex:
-    """The bilinear map evaluated pointwise by direct summation over q."""
+    """The bilinear map evaluated pointwise by direct summation over q.
+
+    One throwaway :class:`DirectSeries`; a caller that sums the same factors
+    at many (z, delta) builds the series once and calls its ``evaluate``.
+    """
     _check_factors(f, g, p)
     if not 0 <= delta < p.M:
         raise IndexOutOfRange(f"delta = {delta} outside range(0, {p.M})")
-    return _q_sum(f, g, p, z, delta, qmax)
+    return DirectSeries(f, g, p, qmax).evaluate(z, delta)
 
 
 @dataclass(frozen=True)
@@ -378,13 +392,14 @@ class ProductClosedForm:
             raise IndexOutOfRange(f"delta = {delta} outside range(0, {self.params.M})")
         return self.q0_table[delta]
 
-    def _t_xy(self, z: complex, delta: int, q: int) -> tuple[complex, complex, complex]:
+    def _t_k(self, z: complex, delta: int, q: int) -> tuple[complex, complex]:
         xn, yn, p = self.x_n, self.y_n, self.params
         n = p.M * q - p.l * delta
         az = p.A * z
         x, y = az + xn * n, az + yn * n
         slope = (self.sigma1 * x + self.c1) * xn + (self.sigma2 * y + self.c2) * yn
-        return -slope * (p.M * p.L) / TWO_PI_I, x, y
+        k = -(self.sigma1 * x / 2 + self.c1) * x - (self.sigma2 * y / 2 + self.c2) * y
+        return -slope * (p.M * p.L) / TWO_PI_I, k
 
     def theta_args(self, z: complex, delta: int, q: int) -> tuple[complex, complex]:
         """(t, K) of the series exp(pi*i*s*u**2 + 2*pi*i*t*u + K) over q + u*L.
@@ -392,22 +407,23 @@ class ProductClosedForm:
         K = -sigma1*X**2/2 - c1*X - sigma2*Y**2/2 - c2*Y is the log of the
         summand at q, with X, Y read off the affine maps at q.
         """
-        t, x, y = self._t_xy(z, delta, q)
-        return t, -(self.sigma1 * x / 2 + self.c1) * x - (self.sigma2 * y / 2 + self.c2) * y
+        return self._t_k(z, delta, q)
 
     def peak(self, z: complex, delta: int) -> tuple[int, complex, complex] | None:
         """(q, t, K) at the representative q of the largest term; None if incompatible.
 
         q is q0 moved by u*L, u = nint(-Im t/Im s) from t at q0, so that
-        |Im t| <= Im s/2 and the u = 0 term is the largest.  OverflowError
-        unless K is finite and |Im t| <= Im s after that move.
+        |Im t| <= Im s/2 and the u = 0 term is the largest; t and K are
+        built again only if q moved.  OverflowError unless K is finite and
+        |Im t| <= Im s after that move.
         """
         q0 = self.q0(delta)
         if q0 is None:
             return None
-        t0 = self._t_xy(z, delta, q0)[0]
-        q = q0 + round(-t0.imag / self.s.imag) * self.params.L
-        t, k = self.theta_args(z, delta, q)
+        t, k = self._t_k(z, delta, q0)
+        q = q0 + round(-t.imag / self.s.imag) * self.params.L
+        if q != q0:
+            t, k = self._t_k(z, delta, q)
         if not (cmath.isfinite(k) and abs(t.imag) <= self.s.imag):
             raise OverflowError(f"peak t = {t}, K = {k} is not reduced")
         return q, t, k
@@ -604,28 +620,27 @@ def verify_identities(
     delta_periodicity: h(z, delta) = h(z, delta + M); z1_covariance:
     (Z1 f) (x) g at (z, delta) = h(z - N'/M + theta', delta - 1);
     z2_covariance: (Z2 f) (x) g at (z, delta) = exp(2*pi*i*(z - N'*delta/M))
-    * h(z, delta), the same h(z, delta) as delta_periodicity's lhs.
+    * h(z, delta), the same h(z, delta) as delta_periodicity's lhs.  Each
+    of the seven factor pairs is one :class:`DirectSeries`, set up once.
     """
     _check_factors(f, g, p)
     fu1, gu1 = act_U1(f, p.right), act_U1(g, p.left)
     fu2, gu2 = act_U2(f, p.right), act_U2(g, p.left)
     z1f, z2f = act_Z1(f, p.right), act_Z2(f, p.right)
     shift_z = -p.N_prime / p.M + p.theta_prime
-
-    def q_sum(u: gs.PolyGaussVector, v: gs.PolyGaussVector, z: float, d: int) -> complex:
-        return _q_sum(u, v, p, z, d, qmax)
-
+    # one direct series per factor pair, summed at every probe point
+    hu1f, hu1g, hu2f, hu2g, hfg, hz1, hz2 = (DirectSeries(u, v, p, qmax).evaluate for u, v in (
+        (fu1, g), (f, gu1), (fu2, g), (f, gu2), (f, g), (z1f, g), (z2f, g)))
     worst: dict[str, float] = {}
     ref: dict[str, float] = {}
     for z in PROBE_ZS:
         for d in range(p.M):
             sides = {
-                "identification_u1": (q_sum(fu1, g, z, d), q_sum(f, gu1, z, d)),
-                "identification_u2": (q_sum(fu2, g, z, d), q_sum(f, gu2, z, d)),
-                "delta_periodicity": (h := q_sum(f, g, z, d), q_sum(f, g, z, d + p.M)),
-                "z1_covariance": (q_sum(z1f, g, z, d), q_sum(f, g, z + shift_z, d - 1)),
-                "z2_covariance": (
-                    q_sum(z2f, g, z, d), cmath.exp(TWO_PI_I * (z - p.N_prime * d / p.M)) * h),
+                "identification_u1": (hu1f(z, d), hu1g(z, d)),
+                "identification_u2": (hu2f(z, d), hu2g(z, d)),
+                "delta_periodicity": (h := hfg(z, d), hfg(z, d + p.M)),
+                "z1_covariance": (hz1(z, d), hfg(z + shift_z, d - 1)),
+                "z2_covariance": (hz2(z, d), cmath.exp(TWO_PI_I * (z - p.N_prime * d / p.M)) * h),
             }
             for name, (lhs, rhs) in sides.items():
                 worst[name] = max(worst.get(name, 0.0), abs(lhs - rhs))

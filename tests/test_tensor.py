@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from nctorus import gaussians as gs
 from nctorus import tensor
 from nctorus.modules import act_U1, act_U2, act_Z1, act_Z2, module_tag
 from nctorus.tensor import (
+    DirectSeries,
     crt_q0,
     product_basis,
     product_params,
@@ -276,15 +278,16 @@ def test_q_sum_against_every_q():
                     (gs.gaussian(m, 1.0, mu=0, poly=monomial),
                      gs.gaussian(l, 1.0, mu=1, poly=monomial))]
         for i, (f, g) in enumerate(factors):
+            series, capped_series = DirectSeries(f, g, p), DirectSeries(f, g, p, 2)
             for delta in (-1, 0, p.M - 1, p.M):
                 for z in (-0.7, 0.0, 0.45):
-                    got = tensor._q_sum(f, g, p, z, delta, tensor.DEFAULT_QMAX)
+                    got = series.evaluate(z, delta)
                     want, size = _reference_q_sum(f, g, p, z, delta)
                     if i >= 3 and p.right.a * delta % 2 == 0:
                         assert repr(got) == "0j"
                     assert abs(got - want) <= 2**-50 * size
                     try:
-                        assert tensor._q_sum(f, g, p, z, delta, 2) == got
+                        assert capped_series.evaluate(z, delta) == got
                     except NonConvergent as exc:
                         assert str(exc) == (
                             f"q-series not certified within |q| <= 2 at z = {z}, delta = {delta}")
@@ -294,10 +297,14 @@ def test_q_sum_against_every_q():
 
 def test_q_sum_evaluates_only_live_residues(monkeypatch):
     # with one term per factor only q in one class mod L = lcm(m, l) are
-    # evaluated, two evaluate calls each, within |q| <= 32
+    # evaluated, two evaluate calls each, within |q| <= 32; a series looks
+    # gs.evaluate up at each call, so one built before the patch is counted
+    # too, with the same calls as a throwaway one
     p = product_params(3, 2, 2, 3, 0.2)
     assert p.L == 6
     fb, gb = _factor_bases(p)
+    series = {(alpha, beta): DirectSeries(fb[alpha], gb[beta], p)
+              for alpha in range(p.m) for beta in range(p.l)}
     calls = [0]
     evaluate = gs.evaluate
 
@@ -306,12 +313,123 @@ def test_q_sum_evaluates_only_live_residues(monkeypatch):
         return evaluate(v, x, mu)
 
     monkeypatch.setattr(gs, "evaluate", counting)
-    for alpha in range(p.m):
-        for beta in range(p.l):
-            for delta in range(p.M):
-                calls[0] = 0
-                tensor_direct(fb[alpha], gb[beta], p, 0.3, delta)
-                assert 0 < calls[0] <= 2 * (65 // p.L + 1)
+    for (alpha, beta), built in series.items():
+        for delta in range(p.M):
+            calls[0] = 0
+            tensor_direct(fb[alpha], gb[beta], p, 0.3, delta)
+            assert 0 < calls[0] <= 2 * (65 // p.L + 1)
+            throwaway, calls[0] = calls[0], 0
+            built.evaluate(0.3, delta)
+            assert calls[0] == throwaway
+
+
+def _old_pair_envelope(tf, tg, x, y, dx, dy):
+    # the per-call term-pair envelope of the former tensor._q_sum, kept as a reference
+    u_f, u_g = x - tf.x0, y - tg.x0
+    sf, cf, sg, cg = tf.sigma.real, tf.c.real, tg.sigma.real, tg.c.real
+    c0 = -(sf * u_f / 2 + cf) * u_f - (sg * u_g / 2 + cg) * u_g
+    c0 += math.log(sum(map(abs, tf.poly)) * sum(map(abs, tg.poly)))
+    deg_f, deg_g = len(tf.poly) - 1, len(tg.poly) - 1
+    c0 += deg_f * abs(u_f) + deg_g * abs(u_g)
+    b = -(sf * u_f + cf) * dx - (sg * u_g + cg) * dy
+    return c0, b, (sf * dx * dx + sg * dy * dy) / 2, deg_f * abs(dx) + deg_g * abs(dy)
+
+
+def _old_q_sum(f, g, p, z, delta, qmax):
+    """The former tensor._q_sum, which set every class up again at each call;
+    its class tails are _inline_log_tail, bit for bit the former _log_tail."""
+    if qmax < 1:
+        raise ValueError(f"qmax must be >= 1, got {qmax}")
+    m, l, big_l = p.m, p.l, p.L
+    a_delta = p.right.a * delta
+    az = p.A * z
+    f_q, f_delta = p.A / m, (p.l * p.A / (m * p.M)) * delta
+    g_q, g_delta = p.B / l, (p.B / p.M) * delta
+    dx, dy = -f_q * big_l, g_q * big_l
+    classes = {}
+    for tf in f.terms:
+        for tg in g.terms:
+            classes.setdefault((tf.mu, tg.mu), []).append((tf, tg))
+    total = 0j
+    try:
+        for (mu, nu), pairs in classes.items():
+            for q1 in range((a_delta - mu) % m, big_l, m):
+                if q1 % l == nu:
+                    break
+            else:
+                continue
+            x, y = az - f_q * q1 + f_delta, az + g_q * q1 - g_delta
+            envelopes = [_old_pair_envelope(tf, tg, x, y, dx, dy) for tf, tg in pairs]
+            _, b, a, _ = envelopes[0]
+            lo = hi = round(b / (2 * a))
+            q = q1 + hi * big_l
+            right = _inline_log_tail(envelopes, 1, hi + 1)
+            left = _inline_log_tail(envelopes, -1, lo - 1)
+            acc = 0j
+            while True:
+                if abs(q) > qmax:
+                    raise NonConvergent(
+                        f"q-series not certified within |q| <= {qmax} at z = {z}, delta = {delta}"
+                    )
+                acc += gs.evaluate(f, az - f_q * q + f_delta, mu) * gs.evaluate(
+                    g, az + g_q * q - g_delta, nu)
+                if max(right, left) <= math.log(max(sys.float_info.min, 2.0**-53 * abs(acc)) / 2):
+                    break
+                if right >= left:
+                    hi += 1
+                    q, right = q1 + hi * big_l, _inline_log_tail(envelopes, 1, hi + 1)
+                else:
+                    lo -= 1
+                    q, left = q1 + lo * big_l, _inline_log_tail(envelopes, -1, lo - 1)
+            total += acc
+        if not cmath.isfinite(total):
+            raise OverflowError(f"non-finite sum {total}")
+    except (ArithmeticError, ValueError) as exc:
+        raise SeriesOverflow(
+            f"tensor._q_sum: {exc} at z = {z}, delta = {delta} of ({p.n}, {p.m}) x "
+            f"({p.k}, {p.l}) at theta = {p.theta}"
+        ) from exc
+    return total
+
+
+def _outcome(fn, *args):
+    """repr of the value, or the type and text of the NCTorusError it raised."""
+    try:
+        return repr(fn(*args))
+    except (NonConvergent, SeriesOverflow) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# (n, m, k, l): r = 2 for the first two, so some (mu, nu) classes are empty
+_SERIES_LABELS = ((1, 2, 1, 4), (1, 4, 1, 6), (1, 2, 1, 3), (3, 2, 2, 3), (2, 3, 3, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_SERIES_LABELS), st.sampled_from(("random", "zero", "overflow")),
+       st.sampled_from((2, 16, tensor.DEFAULT_QMAX)), st.integers(0, 2**32 - 1))
+def test_direct_series_is_bit_exact(label, kind, qmax, seed):
+    # one series reused over shuffled (z, delta) gives every bit, and every
+    # error text, of the former per-call q-sum
+    rng = random.Random(seed)
+    p = product_params(*label, 0.2, strict=False)
+    if kind == "random":
+        f, g = (random_vector(rng, p.m, nterms=3), random_vector(rng, p.l, nterms=3))
+    elif kind == "zero":  # incompatible wherever a*delta is even when r = 2
+        f, g = gs.gaussian(p.m, 1.0, mu=0), gs.gaussian(p.l, 1.0, mu=1)
+    else:  # a summand overflows, or a term norm does: only that class's calls raise
+        f = gs.gaussian(p.m, 1.0, c=rng.choice((-30.0, -400.0)), mu=0)
+        poly = rng.choice(((1 + 0j,), (1.5e308 + 1.5e308j,), ()))  # built raw: vector() rejects
+        g = gs.PolyGaussVector(p.l, (gs.PolyGaussTerm(poly, 1 + 0j, 0j, 0),
+                                     gs.PolyGaussTerm((1 + 0j,), 0.5 + 0j, 0j, 1)))
+    points = [(z, delta) for delta in (-1, 0, p.M - 1, p.M, rng.randrange(p.M))
+              for z in (-0.7, 0.0, rng.uniform(-1, 1))]
+    rng.shuffle(points)
+    series = DirectSeries(f, g, p, qmax)
+    for z, delta in points:
+        got = _outcome(series.evaluate, z, delta)
+        assert got == _outcome(_old_q_sum, f, g, p, z, delta, qmax)
+        if kind == "zero" and p.r == 2 and p.right.a * delta % 2 == 0:
+            assert got == "0j"
 
 
 def _inline_log_tail(envelopes, side, u):
@@ -337,7 +455,7 @@ _ENVELOPE = st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(1e-3
 def test_log_tail_through_theta_is_bit_exact(envelopes, side, u):
     # the class tails read theta.log_tail with side folded into b and u;
     # negation is exact, so every bit matches, inf included
-    got = tensor._log_tail(envelopes, side, u)
+    got = tensor._log_tail(envelopes, side, u, math.log(len(envelopes)))
     assert got.hex() == _inline_log_tail(envelopes, side, u).hex()
 
 
@@ -487,7 +605,11 @@ def _reference_residual(p, sides):
 def _reference_identities(f, g, p):
     """The former verify_identification, verify_delta_period and
     verify_z_covariance: each identity in its own pass, h(z, delta) summed twice."""
-    qmax, q_sum = tensor.DEFAULT_QMAX, tensor._q_sum
+    qmax = tensor.DEFAULT_QMAX
+
+    def q_sum(f, g, p, z, delta, qmax):
+        return DirectSeries(f, g, p, qmax).evaluate(z, delta)
+
     res = {}
     for name, act in (("identification_u1", act_U1), ("identification_u2", act_U2)):
         fu, gu = act(f, p.right), act(g, p.left)
