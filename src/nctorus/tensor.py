@@ -27,9 +27,19 @@ where X0 and Y0 are the f- and g-arguments at q = q0, affine in z and
 N = M*q - l*Delta as X = A*z - (A/(m*M))*N and Y = A*z + (B/(l*M))*N,
 and exp(K) is the summand at q0.  Always Im(s) > 0, and replacing q0 by
 q0 + L shifts t by s and relabels the terms, so every representative
-gives the same value.  The closed form builds t and K at the
-representative of the largest term, where |Im t| <= Im s/2, and sums each
-term as one exponent, so none overflows where the value is representable.
+gives the same value.  With x_n = -A/(m*M), y_n = B/(l*M), t and K are
+affine and quadratic in the integer N: at z = 0,
+
+    t = -(kappa*N + lam)*M*L/(2*pi*i),    K = -(kappa*N/2 + lam)*N,
+    kappa = sigma1*x_n**2 + sigma2*y_n**2,    lam = c1*x_n + c2*y_n,
+
+and at z != 0, lam and a constant k0 subtracted from K take the z terms.
+The closed form builds t and K from these coefficients, once per component
+pair, at the representative of the largest term, where |Im t| <= Im s/2,
+and sums each term as one exponent, so none overflows where the value is
+representable.  Every entry of a pair (alpha, beta) shares s, and the
+certified tail bound grows with |Im t|, so the structure constants take
+one truncation radius per pair, at its largest |Im t|.
 
 Specializing f, g to the Gaussian vectors holomorphic for a common
 complex structure tau makes t independent of z and factors out
@@ -64,7 +74,7 @@ from .errors import (
     SignAssumptionViolated,
 )
 from .modules import ModuleTag, act_U1, act_U2, act_Z1, act_Z2
-from .theta import DEFAULT_EPS, log_tail, theta
+from .theta import DEFAULT_EPS, log_tail, theta, theta_truncated, truncation_radius
 
 # Probe points in z used by the verification routines.
 PROBE_ZS: tuple[float, ...] = (-1.0, -0.5, 0.0, 0.3, 0.7, 1.0)
@@ -329,10 +339,9 @@ class DirectSeries:
             if not cmath.isfinite(total):
                 raise OverflowError(f"non-finite sum {total}")
         except (ArithmeticError, ValueError) as exc:
-            # the stage keeps the name it has always been reported under
             raise SeriesOverflow(
-                f"tensor._q_sum: {exc} at z = {z}, delta = {delta} of ({p.n}, {p.m}) x "
-                f"({p.k}, {p.l}) at theta = {p.theta}"
+                f"tensor.DirectSeries.evaluate: {exc} at z = {z}, delta = {delta} of "
+                f"({p.n}, {p.m}) x ({p.k}, {p.l}) at theta = {p.theta}"
             ) from exc
         return total
 
@@ -392,50 +401,55 @@ class ProductClosedForm:
             raise IndexOutOfRange(f"delta = {delta} outside range(0, {self.params.M})")
         return self.q0_table[delta]
 
-    def _t_k(self, z: complex, delta: int, q: int) -> tuple[complex, complex]:
-        xn, yn, p = self.x_n, self.y_n, self.params
-        n = p.M * q - p.l * delta
-        az = p.A * z
-        x, y = az + xn * n, az + yn * n
-        slope = (self.sigma1 * x + self.c1) * xn + (self.sigma2 * y + self.c2) * yn
-        k = -(self.sigma1 * x / 2 + self.c1) * x - (self.sigma2 * y / 2 + self.c2) * y
-        return -slope * (p.M * p.L) / TWO_PI_I, k
+    def n_coefficients(self, z: complex) -> tuple[complex, complex, complex]:
+        """(kappa, lam, k0), the coefficients of t and K at z in N = M*q - l*delta.
 
-    def theta_args(self, z: complex, delta: int, q: int) -> tuple[complex, complex]:
+        kappa = sigma1*x_n**2 + sigma2*y_n**2, lam = (sigma1*A*z + c1)*x_n +
+        (sigma2*A*z + c2)*y_n and k0 = ((sigma1 + sigma2)*A*z/2 + c1 + c2)*A*z;
+        at z = 0, lam = c1*x_n + c2*y_n and k0 = 0.
+        """
+        xn, yn, az = self.x_n, self.y_n, self.params.A * z
+        kappa = self.sigma1 * xn * xn + self.sigma2 * yn * yn
+        lam = (self.sigma1 * az + self.c1) * xn + (self.sigma2 * az + self.c2) * yn
+        return kappa, lam, ((self.sigma1 + self.sigma2) * az / 2 + self.c1 + self.c2) * az
+
+    def theta_args(self, coefs: tuple[complex, ...], n: int) -> tuple[complex, complex]:
         """(t, K) of the series exp(pi*i*s*u**2 + 2*pi*i*t*u + K) over q + u*L.
 
-        K = -sigma1*X**2/2 - c1*X - sigma2*Y**2/2 - c2*Y is the log of the
-        summand at q, with X, Y read off the affine maps at q.
+        coefs are the :meth:`n_coefficients` at z and n = M*q - l*delta;
+        t = -(kappa*n + lam)*M*L/(2*pi*i) and K = -(kappa*n/2 + lam)*n - k0
+        is the log of the summand at q, -sigma1*X**2/2 - c1*X -
+        sigma2*Y**2/2 - c2*Y with X, Y read off the affine maps at q.
         """
-        return self._t_k(z, delta, q)
+        kappa, lam, k0 = coefs
+        p = self.params
+        return -(kappa * n + lam) * (p.M * p.L) / TWO_PI_I, -(kappa * n / 2 + lam) * n - k0
 
-    def peak(self, z: complex, delta: int) -> tuple[int, complex, complex] | None:
-        """(q, t, K) at the representative q of the largest term; None if incompatible.
+    def peak(self, coefs: tuple[complex, ...], n: int) -> tuple[int, complex, complex]:
+        """(u, t, K) at n + u*M*L, the N of the largest term.
 
-        q is q0 moved by u*L, u = nint(-Im t/Im s) from t at q0, so that
+        coefs are the :meth:`n_coefficients` at z and n = M*q - l*delta at
+        any representative q.  u = nint(-Im t/Im s) from t at n, so that
         |Im t| <= Im s/2 and the u = 0 term is the largest; t and K are
-        built again only if q moved.  OverflowError unless K is finite and
+        built again only if u != 0.  OverflowError unless K is finite and
         |Im t| <= Im s after that move.
         """
-        q0 = self.q0(delta)
-        if q0 is None:
-            return None
-        t, k = self._t_k(z, delta, q0)
-        q = q0 + round(-t.imag / self.s.imag) * self.params.L
-        if q != q0:
-            t, k = self._t_k(z, delta, q)
+        t, k = self.theta_args(coefs, n)
+        u = round(-t.imag / self.s.imag)
+        if u:
+            t, k = self.theta_args(coefs, n + u * self.params.M * self.params.L)
         if not (cmath.isfinite(k) and abs(t.imag) <= self.s.imag):
             raise OverflowError(f"peak t = {t}, K = {k} is not reduced")
-        return q, t, k
+        return u, t, k
 
     def evaluate(self, z: complex, delta: int, eps: float = DEFAULT_EPS) -> complex:
+        q0, p = self.q0(delta), self.params
+        if q0 is None:
+            return 0j
         try:
-            peak = self.peak(z, delta)
-            if peak is None:
-                return 0j
-            return theta(self.s, peak[1], eps, peak[2])
+            _, t, k = self.peak(self.n_coefficients(z), p.M * q0 - p.l * delta)
+            return theta(self.s, t, eps, k)
         except OverflowError as exc:
-            p = self.params
             raise SeriesOverflow(
                 f"ProductClosedForm.evaluate: {exc} at (alpha, beta) = ({self.alpha}, "
                 f"{self.beta}), delta = {delta}, z = {z} of ({p.n}, {p.m}) x ({p.k}, {p.l}) "
@@ -468,9 +482,11 @@ def tensor_gaussian_closed(
             f"({alpha}, {beta}) of ({p.n}, {p.m}) x ({p.k}, {p.l}) at theta = {p.theta}"
         )
     assert s.imag > 0
+    # q0 depends on delta only through a*delta mod m
+    first = [crt_q0(alpha, beta, delta, p) for delta in range(min(p.m, p.M))]
     return ProductClosedForm(
         p, alpha, beta, sigma1, c1, sigma2, c2, -p.A / (p.m * p.M), p.B / (p.l * p.M), s,
-        q0_table=tuple(crt_q0(alpha, beta, delta, p) for delta in range(p.M)),
+        q0_table=tuple(first[delta % p.m] for delta in range(p.M)),
     )
 
 
@@ -514,8 +530,10 @@ class StructureConstants:
     """Coefficients c^gamma_{alpha,beta} with their theta-series provenance.
 
     values[alpha][beta][gamma] is the coefficient; provenance maps each
-    compatible (alpha, beta, gamma) to the (s, t, K, q, q0) it was built
-    from, so every number is reproducible as theta(s, t, eps, K).
+    compatible (alpha, beta, gamma) to the (s, t, K, q, q0, radius) it was
+    built from, so every number is reproducible as theta_truncated(s, t,
+    radius, K).  The radius is the one of its (alpha, beta) row, at least the
+    :func:`theta.truncation_radius` of the entry's own t.
     """
 
     shape: tuple[int, int, int]
@@ -563,36 +581,57 @@ def structure_constants(
 
     The (alpha, beta) product equals sum_gamma c^gamma_{alpha,beta} *
     phi_gamma with phi_gamma from :func:`product_basis`; the coefficient
-    is the closed form at z = 0, where phi_gamma(0) = 1.
+    is the closed form at z = 0, where phi_gamma(0) = 1.  Each row
+    (alpha, beta) builds every peak first and then sums its entries with
+    one radius, the :func:`theta.truncation_radius` at the row's largest
+    |Im t|; an overflow names the first failing entry in (alpha, beta,
+    gamma) order.
     """
     sigma1, sigma2, c, sigma_p, c_p = _common_holomorphic_data(p, cs)
+
+    def overflow(entry: tuple[int, int, int], exc: OverflowError) -> SeriesOverflow:
+        return SeriesOverflow(
+            f"structure_constants: {exc} at entry (alpha, beta, gamma) = {entry} of "
+            f"({p.n}, {p.m}) x ({p.k}, {p.l}) at theta = {p.theta}"
+        )
+
     values = []
     provenance: dict[tuple[int, int, int], dict] = {}
     for alpha in range(p.m):
         row = []
         for beta in range(p.l):
             form = tensor_gaussian_closed(alpha, beta, sigma1, c, sigma2, c, p)
-            col = []
-            for gamma in range(p.M):
+            coefs = form.n_coefficients(0.0)
+            peaks, fault, worst = [], None, 0.0
+            for gamma, q0 in enumerate(form.q0_table):
+                if q0 is None:
+                    continue
                 try:
-                    peak = form.peak(0.0, gamma)
-                    if peak is None:
-                        col.append(0j)
-                        continue
-                    q, t, k_exp = peak
-                    col.append(theta(form.s, t, eps, k_exp))
+                    u, t, k_exp = form.peak(coefs, p.M * q0 - p.l * gamma)
                 except OverflowError as exc:
-                    raise SeriesOverflow(
-                        f"structure_constants: {exc} at entry (alpha, beta, gamma) = ({alpha}, "
-                        f"{beta}, {gamma}) of ({p.n}, {p.m}) x ({p.k}, {p.l}) at theta = {p.theta}"
-                    ) from exc
+                    # reported after the entries before it, which may fail first
+                    fault = gamma, exc
+                    break
+                peaks.append((gamma, q0, u, t, k_exp))
+                worst = max(worst, abs(t.imag))
+            # the tail bound grows with |Im t|: this radius certifies every entry
+            radius = truncation_radius(form.s, 1j * worst, eps)
+            col = [0j] * p.M
+            for gamma, q0, u, t, k_exp in peaks:
+                try:
+                    col[gamma] = theta_truncated(form.s, t, radius, k_exp)
+                except OverflowError as exc:
+                    raise overflow((alpha, beta, gamma), exc) from exc
                 provenance[(alpha, beta, gamma)] = {
                     "s": form.s,
                     "t": t,
                     "K": k_exp,
-                    "q": q,
-                    "q0": form.q0_table[gamma],
+                    "q": q0 + u * p.L,
+                    "q0": q0,
+                    "radius": radius,
                 }
+            if fault is not None:
+                raise overflow((alpha, beta, fault[0]), fault[1]) from fault[1]
             row.append(tuple(col))
         values.append(tuple(row))
     params_doc = p.to_json()

@@ -130,12 +130,13 @@ def test_arithmetic_overflow_is_usage_error(capsys):
 @pytest.mark.parametrize("offset", ["--c1=0,1e308", "--c2=-1e308,0", "--c2=1e307,0",
                                     "--c1=0,1e200"])
 def test_unreduced_peak_is_typed(capsys, offset):
-    # the rounding of -Im t/Im s keeps no digit, so K is nan and |Im t| huge;
-    # summing from there once asked theta for ~1e290 terms (a MemoryError)
+    # the rounding of -Im t/Im s keeps no digit, so the representative N is
+    # huge and K = -(kappa*N/2 + lam)*N overflows; summing from there once
+    # asked theta for ~1e290 terms (a MemoryError)
     assert main(["structure-constants", offset]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: structure_constants: peak t = ")
-    assert "K = (nan+0j) is not reduced at entry (alpha, beta, gamma) = (0, 0, 0)" in captured.err
+    assert "K = (inf+0j) is not reduced at entry (alpha, beta, gamma) = (0, 0, 0)" in captured.err
     assert "(1, 2) x (1, 3) at theta = 0.2" in captured.err
     assert captured.out == ""
 
@@ -149,7 +150,7 @@ def test_tensor_closed_form_overflow_is_typed(capsys):
                        (["--c1=0,400"], "math range error")):
         assert main(["tensor", *argv]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: tensor._q_sum: {what} at z = ")
+        assert captured.err.startswith(f"error: tensor.DirectSeries.evaluate: {what} at z = ")
         assert "(1, 2) x (1, 3)" in captured.err
         assert "theta = 0.2" in captured.err
         assert captured.out == ""

@@ -28,14 +28,14 @@ from nctorus.tensor import (
     tensor_gaussian_closed,
     verify_identities,
 )
-from nctorus.theta import theta
+from nctorus.theta import DEFAULT_EPS, theta, truncation_radius
 
 from conftest import random_gaussian, random_vector
 
 mpmath.mp.dps = 50
 
-# Worst relative error measured: 7.7e-15 for the entries of the eight valid
-# benchmark points, 6.4e-14 at the three large-Im(s) points, 9.2e-15 for
+# Worst relative error measured: 1.4e-14 for the entries of the eight valid
+# benchmark points, 5.5e-14 at the three large-Im(s) points, 8.8e-15 for
 # theta alone.
 REL_TOL = 1e-13
 # Worst relative error of the direct q-sum measured over the eight valid
@@ -213,7 +213,7 @@ def test_referee_keeps_the_term_jtheta_drops():
     g = holomorphic_basis(p.left, cs)[3].terms[0]
     form = tensor_gaussian_closed(2, 3, f.sigma, f.c, g.sigma, g.c, p)
     assert form.q0(27) == 24
-    t, k = form.theta_args(0.0, 27, 24)
+    t, k = form.theta_args(form.n_coefficients(0.0), p.M * 24 - p.l * 27)
     assert abs(t.imag / form.s.imag - 0.5) < 0.01
     scale = mpmath.exp(mpmath.mpc(k))
     assert _rel(1.63417e-55, _theta_ref(form.s, t) * scale) < 1e-5
@@ -231,9 +231,9 @@ def test_overflow_reproducers_against_referee(n, m, k, l, th):
 
 
 @st.composite
-def _sweep_cases(draw):
+def _sweep_cases(draw, thetas=st.floats(0.05, 0.95)):
     """(n, m, k, l, theta, alpha, beta): a strict label pair with M <= SWEEP_MAX_M."""
-    th = draw(st.floats(0.05, 0.95))
+    th = draw(thetas)
     m, l = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     n_min, k_min = math.floor(-m * th) + 1, math.floor(l * th) + 1
     room = SWEEP_MAX_M - n_min * l - m * k_min
@@ -274,13 +274,17 @@ def test_closed_form_sweep(case):
     real multiples of i, i, 1.  With P1 = sigma1*X**2/2, P3 = sigma2*Y**2/2
     and dX = -A*l/r, dY = B*m/r the steps of X and Y per u:
 
-    - K = -(sigma1*x/2)*x - (sigma2*y/2)*y with x = fl(fl(-A/(m*M))*N):
-      2 roundings in x, so 4 in x**2, 2 products, 1 subtraction:
+    - kappa = sigma1*x_n*x_n + sigma2*y_n*y_n with x_n = fl(-A/(m*M)) and
+      y_n = fl(B/(l*M)): 1 rounding in x_n, so 2 in x_n**2, 2 products and
+      1 sum of two positive terms: 5 roundings relative to sigma1*x_n**2 +
+      sigma2*y_n**2.  lam = c1*x_n + c2*y_n = 0 exactly.
+    - K = -(kappa*N/2 + lam)*N: 5 in kappa, 1 in kappa*N (N < 2**53 is an
+      exact double, /2 and + 0 are exact), 1 product by N:
       7*(P1 + P3) <= 14*E.
-    - 2*pi*i*t = -(sigma1*x*x_n + sigma2*y*y_n)*M*L: 3 roundings in sigma*x,
-      2 from x_n, 1 sum, 1 product by M*L, 1 division by 2*pi*i, 1 product
-      by 2*pi*i, so 9*(|sigma1*X*dX| + |sigma2*Y*dY|) <= 9*(P1 + P3 + pi*Im s)
-      <= 27*E, since |sigma*X*dX| <= sigma*(X**2 + dX**2)/2 and
+    - 2*pi*i*t = -(kappa*N + lam)*M*L: 5 in kappa, 1 in kappa*N, 1 product
+      by M*L, 1 division by 2*pi*i, 1 product by 2*pi*i, so
+      9*(|sigma1*X*dX| + |sigma2*Y*dY|) <= 9*(P1 + P3 + pi*Im s) <= 27*E,
+      since |sigma*X*dX| <= sigma*(X**2 + dX**2)/2 and
       sigma1*dX**2/2 + sigma2*dY**2/2 = pi*Im s.
     - i*pi*s: 3 in (l*A)**2 (libm pow within 0.52 ulp), 1 product, 1 sum,
       2 in 2*pi*i*r*r, 1 division, 1 product by i*pi: 9*pi*Im s <= 9*E.
@@ -312,6 +316,30 @@ def test_closed_form_sweep(case):
             continue
         e_max = _largest_piece(p, f, g, prov["q"], gamma, prov["s"])
         assert _rel(got, want) <= REL_TOL + ROUNDING_C * e_max * 2**-53
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@example((3, 2, 1, 2, 0.2, 0, 0), -1j)  # every row at radius 3
+@given(_sweep_cases(st.sampled_from(THETAS)), st.sampled_from((-1j, 0.3 - 1.2j)))
+def test_row_radius_certifies_every_entry(case, tau):
+    """One radius per (alpha, beta) row, and no entry summed with fewer terms than its own.
+
+    Every entry equals its own certified sum theta(s, t, eps, K) up to the
+    terms the row radius adds, whose sum is below the certified tail
+    eps*|exp(K)|, and the rounding of the two sums.
+    """
+    n, m, k, l, th, _, _ = case
+    p = product_params(n, m, k, l, th)
+    sc = structure_constants(p, ComplexStructure(tau))
+    eps = DEFAULT_EPS
+    rows = {}
+    for (a, b, gamma), prov in sc.provenance.items():
+        s, t, k_exp, radius = prov["s"], prov["t"], prov["K"], prov["radius"]
+        assert rows.setdefault((a, b), radius) == radius
+        assert radius >= truncation_radius(s, t, eps)
+        own = theta(s, t, eps, k_exp)
+        got = sc.values[a][b][gamma]
+        assert abs(got - own) <= eps * math.exp(k_exp.real) + 2**-51 * abs(own)
 
 
 def test_large_shift_is_not_a_silent_zero():

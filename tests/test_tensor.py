@@ -386,8 +386,8 @@ def _old_q_sum(f, g, p, z, delta, qmax):
             raise OverflowError(f"non-finite sum {total}")
     except (ArithmeticError, ValueError) as exc:
         raise SeriesOverflow(
-            f"tensor._q_sum: {exc} at z = {z}, delta = {delta} of ({p.n}, {p.m}) x "
-            f"({p.k}, {p.l}) at theta = {p.theta}"
+            f"tensor.DirectSeries.evaluate: {exc} at z = {z}, delta = {delta} of "
+            f"({p.n}, {p.m}) x ({p.k}, {p.l}) at theta = {p.theta}"
         ) from exc
     return total
 
@@ -527,13 +527,16 @@ def test_closed_form_q0_shift_consistency():
     p = _canonical()
     form = tensor_gaussian_closed(0, 0, 1.2, 0.1, 0.8, -0.2, p)
     q0 = form.q0(1)
-    t, k = form.theta_args(0.3, 1, q0)
-    t_next, k_next = form.theta_args(0.3, 1, q0 + p.L)
+    coefs = form.n_coefficients(0.3)
+    t, k = form.theta_args(coefs, p.M * q0 - p.l)
+    t_next, k_next = form.theta_args(coefs, p.M * (q0 + p.L) - p.l)
     assert abs(t_next - t - form.s) < 1e-13 * abs(form.s)
     value = theta(form.s, t, k=k)
     assert abs(theta(form.s, t_next, k=k_next) - value) <= 1e-13 * abs(value)
-    q, t_peak, k_peak = form.peak(0.3, 1)
-    assert (q - q0) % p.L == 0 and abs(t_peak.imag) <= form.s.imag / 2
+    u, t_peak, k_peak = form.peak(coefs, p.M * q0 - p.l)
+    assert abs(t_peak.imag) <= form.s.imag / 2
+    # the peak is one integer N, whichever representative it is reached from
+    assert form.peak(coefs, p.M * (q0 + 3 * p.L) - p.l) == (u - 3, t_peak, k_peak)
     assert abs(theta(form.s, t_peak, k=k_peak) - value) <= 1e-13 * abs(value)
 
 
@@ -683,12 +686,14 @@ def test_structure_constants_shape_and_zeros():
 
 
 def test_structure_constants_provenance_reproduces_values():
-    from nctorus.theta import theta
+    from nctorus.theta import theta_truncated, truncation_radius
     p = _canonical()
     cs = ComplexStructure(tau=-1j)
     sc = structure_constants(p, cs)
     for (alpha, beta, gamma), prov in sc.provenance.items():
-        assert theta(prov["s"], prov["t"], k=prov["K"]) == sc.value(alpha, beta, gamma)
+        s, t, k, radius = prov["s"], prov["t"], prov["K"], prov["radius"]
+        assert theta_truncated(s, t, radius, k) == sc.value(alpha, beta, gamma)
+        assert radius >= truncation_radius(s, t)
         assert prov["q0"] == crt_q0(alpha, beta, gamma, p)
         assert (prov["q"] - prov["q0"]) % p.L == 0
 
@@ -755,6 +760,34 @@ def test_structure_constants_overflow_is_typed():
     assert "(1, 2) x (1, 3)" in str(info.value)
 
 
+@pytest.mark.parametrize("sum_fails, gamma", [(True, 1), (False, 3)])
+def test_structure_constants_report_the_first_failing_entry(monkeypatch, sum_fails, gamma):
+    # a row builds every peak before it sums any entry: a peak that fails at
+    # gamma = 3 is reported unless the sum of an earlier entry fails first
+    calls = {"peak": 0, "sum": 0}
+    peak, theta_truncated = tensor.ProductClosedForm.peak, tensor.theta_truncated
+
+    def failing_peak(self, coefs, n):
+        calls["peak"] += 1
+        if calls["peak"] == 4:
+            raise OverflowError("peak fails")
+        return peak(self, coefs, n)
+
+    def failing_sum(*args):
+        calls["sum"] += 1
+        if sum_fails and calls["sum"] == 2:
+            raise OverflowError("sum fails")
+        return theta_truncated(*args)
+
+    monkeypatch.setattr(tensor.ProductClosedForm, "peak", failing_peak)
+    monkeypatch.setattr(tensor, "theta_truncated", failing_sum)
+    with pytest.raises(SeriesOverflow) as info:
+        structure_constants(_canonical(), ComplexStructure(tau=-1j))
+    what = "sum fails" if sum_fails else "peak fails"
+    assert str(info.value).startswith(
+        f"structure_constants: {what} at entry (alpha, beta, gamma) = (0, 0, {gamma}) of ")
+
+
 def test_closed_form_evaluate_overflow_is_typed():
     # the same product overflows in the closed form of one component pair
     p = _canonical()
@@ -783,7 +816,7 @@ def test_direct_sum_overflow_is_typed():
             tensor_direct(fb[0], gb[0], p, z, delta)
         assert isinstance(info.value.__cause__, OverflowError)
         assert str(info.value) == (
-            f"tensor._q_sum: {what} at z = {z}, delta = {delta} of (1, 2) x (1, 3) "
+            f"tensor.DirectSeries.evaluate: {what} at z = {z}, delta = {delta} of (1, 2) x (1, 3) "
             f"at theta = {p.theta}"
         )
 

@@ -18,14 +18,16 @@ checked against the parent checkout:
     python3 tools/cli_grid.py record . /tmp/change.json
     python3 tools/cli_grid.py compare /tmp/parent.json /tmp/change.json
 
-The grid of 123 calls covers every subcommand over the five benchmark
+The grid of 126 calls covers every subcommand over the five benchmark
 label pairs at two angles, ``verify-all`` at edge labels and at nonzero
-connection offsets, a left label degenerate at theta = 0.5 through
+connection offsets, ``structure-constants`` at the M = 29 edge label and
+at a label whose every row sums to truncation radius 3, a left label
+degenerate at theta = 0.5 through
 ``theta-basis --side left`` and ``algebra-check``, two ``algebra-check``
 seeds that shift Gaussians far from their centres, an exact-zero component
 pair, two ``--qmax`` caps above the certified window of the direct q-sum,
-two below it (``NonConvergent``) and one below 1 (a usage error), two
-products at large Im(s), three overflows (``SeriesOverflow``: one in the
+two below it (``NonConvergent``) and one below 1 (a usage error), three
+products at large Im(s) (one at nonzero offsets), three overflows (``SeriesOverflow``: one in the
 closed form, two in the direct q-sum), four connection offsets whose peak
 representative is not reduced (``SeriesOverflow``), two non-finite
 holomorphic widths (``NoHolomorphicVectors``), four theta moduli that
@@ -107,6 +109,11 @@ def grid() -> list[list[str]]:
         ["tensor", *R2, "--qmax", "4"],
         ["structure-constants", *LARGE_S],
         ["tensor", "--alpha", "0", "--beta", "0", "--delta", "1", *LARGE_S],
+        ["structure-constants", *OFFSETS, *LARGE_S],
+        # One truncation radius per row: 1 on every row of the M = 29 edge
+        # label, 3 on every row of (3, 2) x (1, 2), where Im(s) is small.
+        ["structure-constants", "--nm", "1,2", "--kl", "14,1"],
+        ["structure-constants", "--nm", "3,2", "--kl", "1,2"],
         # Products whose true value exceeds double range: typed overflows.
         ["structure-constants", "--c1=0,400"],
         ["tensor", "--c1=0,280", "--z=-7", "--delta", "1"],
