@@ -74,6 +74,7 @@ from .tensor import (
     tensor_gaussian_closed,
     verify_identities,
 )
+from .theta import theta_truncated
 
 ORACLE_TOL = 1e-10
 BASIS_TOL = 1e-8
@@ -330,10 +331,21 @@ def _oracle_checks(args: argparse.Namespace, checks: CheckList) -> None:
                 series = DirectSeries(gs.gaussian(m, sigma1, c1, alpha),
                                       gs.gaussian(l, sigma2, c2, beta), p, args.qmax)
                 for z in PROBE_ZS:
+                    # the row's closed values at one radius; the first failing peak
+                    # or sum is raised when the walk reaches it, after its direct sum
+                    peaks, radius, fault = form.row(z, range(p.M))
+                    closed = [0j] * p.M
+                    for delta, _, _, t, k_exp in peaks:
+                        try:
+                            closed[delta] = theta_truncated(form.s, t, radius, k_exp)
+                        except OverflowError as exc:
+                            fault = delta, exc
+                            break
                     for delta in range(p.M):
                         direct = series.evaluate(z, delta)
-                        closed = form.evaluate(z, delta)
-                        worst = max(worst, abs(closed - direct) / (1 + abs(direct)))
+                        if fault is not None and fault[0] == delta:
+                            raise form.overflow(fault[1], z, delta) from fault[1]
+                        worst = max(worst, abs(closed[delta] - direct) / (1 + abs(direct)))
     checks.add("closed_form_vs_direct", worst, ORACLE_TOL)
 
 

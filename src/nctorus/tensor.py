@@ -38,8 +38,10 @@ The closed form builds t and K from these coefficients, once per component
 pair, at the representative of the largest term, where |Im t| <= Im s/2,
 and sums each term as one exponent, so none overflows where the value is
 representable.  Every entry of a pair (alpha, beta) shares s, and the
-certified tail bound grows with |Im t|, so the structure constants take
-one truncation radius per pair, at its largest |Im t|.
+certified tail bound grows with |Im t|, so the entries at one z take one
+truncation radius, at their largest |Im t| (:meth:`ProductClosedForm.row`):
+the structure constants one per pair, the oracle of verify-all one per
+pair and probe point z, and a single value its own.
 
 Specializing f, g to the Gaussian vectors holomorphic for a common
 complex structure tau makes t independent of z and factors out
@@ -58,7 +60,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from . import gaussians as gs
 from .algebra import TWO_PI_I, bezout
@@ -74,7 +76,7 @@ from .errors import (
     SignAssumptionViolated,
 )
 from .modules import ModuleTag, act_U1, act_U2, act_Z1, act_Z2
-from .theta import DEFAULT_EPS, log_tail, theta, theta_truncated, truncation_radius
+from .theta import DEFAULT_EPS, log_tail, theta_truncated, truncation_radius
 
 # Probe points in z used by the verification routines.
 PROBE_ZS: tuple[float, ...] = (-1.0, -0.5, 0.0, 0.3, 0.7, 1.0)
@@ -442,19 +444,61 @@ class ProductClosedForm:
             raise OverflowError(f"peak t = {t}, K = {k} is not reduced")
         return u, t, k
 
+    def row(self, z: complex, deltas: Iterable[int], eps: float = DEFAULT_EPS
+            ) -> tuple[list[tuple[int, int, int, complex, complex]], int,
+                       tuple[int, OverflowError] | None]:
+        """(peaks, radius, fault) of the entries at z over deltas, each in range(M).
+
+        peaks lists (delta, q0, u, t, K) of every compatible delta in order,
+        from :meth:`peak` at q0, so that entry is exp(K)*Theta(s, t) =
+        theta_truncated(s, t, radius, K).  The entries share s, and radius
+        is the :func:`theta.truncation_radius` at their largest |Im t|,
+        which certifies each of them and is at least each one's own radius,
+        since every peak has |Im t| <= Im s.  fault is (delta, OverflowError)
+        of the first peak that fails, with no peak built after it, or None.
+        """
+        p, coefs = self.params, self.n_coefficients(z)
+        peaks, fault, worst = [], None, 0.0
+        for delta in deltas:
+            q0 = self.q0_table[delta]
+            if q0 is None:
+                continue
+            try:
+                u, t, k = self.peak(coefs, p.M * q0 - p.l * delta)
+            except OverflowError as exc:
+                fault = delta, exc
+                break
+            peaks.append((delta, q0, u, t, k))
+            worst = max(worst, abs(t.imag))
+        return peaks, truncation_radius(self.s, 1j * worst, eps), fault
+
+    def overflow(self, exc: OverflowError, z: complex, delta: int) -> SeriesOverflow:
+        """The typed error of an entry at (z, delta) whose peak or sum overflows."""
+        p = self.params
+        return SeriesOverflow(
+            f"ProductClosedForm.evaluate: {exc} at (alpha, beta) = ({self.alpha}, "
+            f"{self.beta}), delta = {delta}, z = {z} of ({p.n}, {p.m}) x ({p.k}, {p.l}) "
+            f"at theta = {p.theta}"
+        )
+
     def evaluate(self, z: complex, delta: int, eps: float = DEFAULT_EPS) -> complex:
-        q0, p = self.q0(delta), self.params
-        if q0 is None:
+        """exp(K)*Theta(s, t) at (z, delta), within eps*|exp(K)|: a one-entry :meth:`row`.
+
+        0j where the component pair is incompatible at delta; IndexOutOfRange
+        unless 0 <= delta < M; SeriesOverflow where the peak or the sum
+        overflows.  The radius of one entry is its own, as :func:`theta.theta`
+        takes it.
+        """
+        if self.q0(delta) is None:
             return 0j
+        peaks, radius, fault = self.row(z, (delta,), eps)
+        if fault is not None:
+            raise self.overflow(fault[1], z, delta) from fault[1]
+        _, _, _, t, k = peaks[0]
         try:
-            _, t, k = self.peak(self.n_coefficients(z), p.M * q0 - p.l * delta)
-            return theta(self.s, t, eps, k)
+            return theta_truncated(self.s, t, radius, k)
         except OverflowError as exc:
-            raise SeriesOverflow(
-                f"ProductClosedForm.evaluate: {exc} at (alpha, beta) = ({self.alpha}, "
-                f"{self.beta}), delta = {delta}, z = {z} of ({p.n}, {p.m}) x ({p.k}, {p.l}) "
-                f"at theta = {p.theta}"
-            ) from exc
+            raise self.overflow(exc, z, delta) from exc
 
 
 def tensor_gaussian_closed(
@@ -582,10 +626,10 @@ def structure_constants(
     The (alpha, beta) product equals sum_gamma c^gamma_{alpha,beta} *
     phi_gamma with phi_gamma from :func:`product_basis`; the coefficient
     is the closed form at z = 0, where phi_gamma(0) = 1.  Each row
-    (alpha, beta) builds every peak first and then sums its entries with
-    one radius, the :func:`theta.truncation_radius` at the row's largest
-    |Im t|; an overflow names the first failing entry in (alpha, beta,
-    gamma) order.
+    (alpha, beta) is one :meth:`ProductClosedForm.row` at z = 0, every
+    entry summed at its radius; a failing peak is raised after the sums of
+    the entries before it, so an overflow names the first failing entry in
+    (alpha, beta, gamma) order.
     """
     sigma1, sigma2, c, sigma_p, c_p = _common_holomorphic_data(p, cs)
 
@@ -601,21 +645,7 @@ def structure_constants(
         row = []
         for beta in range(p.l):
             form = tensor_gaussian_closed(alpha, beta, sigma1, c, sigma2, c, p)
-            coefs = form.n_coefficients(0.0)
-            peaks, fault, worst = [], None, 0.0
-            for gamma, q0 in enumerate(form.q0_table):
-                if q0 is None:
-                    continue
-                try:
-                    u, t, k_exp = form.peak(coefs, p.M * q0 - p.l * gamma)
-                except OverflowError as exc:
-                    # reported after the entries before it, which may fail first
-                    fault = gamma, exc
-                    break
-                peaks.append((gamma, q0, u, t, k_exp))
-                worst = max(worst, abs(t.imag))
-            # the tail bound grows with |Im t|: this radius certifies every entry
-            radius = truncation_radius(form.s, 1j * worst, eps)
+            peaks, radius, fault = form.row(0.0, range(p.M), eps)
             col = [0j] * p.M
             for gamma, q0, u, t, k_exp in peaks:
                 try:

@@ -33,7 +33,17 @@ def log_tail(c0: float, b: float, a: float, k: float, u: int) -> float:
 
 
 def truncation_radius(s: complex, t: complex, eps: float = DEFAULT_EPS) -> int:
-    """Smallest tested radius whose certified tail bound is below eps."""
+    """Smallest tested radius whose certified tail bound is below eps.
+
+    The search starts at max(1, ceil(|Im t|/Im s)) and grows by half of
+    itself.  The bound grows with |Im t|, so the radius of the largest
+    |Im t| certifies every smaller one.  It is also at least each one's own
+    radius only on 0 <= |Im t| <= Im s, where every search starts at 1 and
+    the radius is nondecreasing in |Im t|.  Above Im s it is not monotone
+    (at s = 0.5i: 15 at |Im t| = 2.5, 13 at 2.501), so a radius shared by
+    a row of t is taken only at peaks, whose |Im t| <= Im s
+    (``tensor.ProductClosedForm.peak`` checks it).
+    """
     if s.imag <= 0:
         raise InvalidS(f"Im(s) must be positive, got s = {s}")
     if eps <= 0:

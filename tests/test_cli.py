@@ -6,6 +6,8 @@ import math
 import pytest
 
 import nctorus.cli as cli
+import nctorus.gaussians as gs
+import nctorus.tensor as tensor
 from nctorus.cli import main, parse_complex, parse_int_pair, parse_theta
 
 
@@ -172,6 +174,61 @@ def test_verify_all_does_not_skip_an_overflow(capsys, monkeypatch):
     assert main(["verify-all", "--c1=0,400"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: structure_constants:")
+    assert captured.out == ""
+
+
+_ORACLE_FAILURES = [
+    # (closed sum fails at, closed peak fails at, direct fails at, reported)
+    (None, 3, 4, "ProductClosedForm.evaluate: peak fails at (alpha, beta) = (0, 0), delta = 3, "),
+    (1, 3, 4, "ProductClosedForm.evaluate: sum fails at (alpha, beta) = (0, 0), delta = 1, "),
+    (None, 3, 3, "tensor.DirectSeries.evaluate: direct fails at z = -1.0, delta = 3 of "),
+    (1, None, 1, "tensor.DirectSeries.evaluate: direct fails at z = -1.0, delta = 1 of "),
+    (None, 3, 2, "tensor.DirectSeries.evaluate: direct fails at z = -1.0, delta = 2 of "),
+]
+
+
+@pytest.mark.parametrize("sum_at, peak_at, direct_at, reported", _ORACLE_FAILURES)
+def test_oracle_reports_the_first_failing_point(capsys, monkeypatch, sum_at, peak_at,
+                                                direct_at, reported):
+    # a row builds its peaks and sums before its direct q-sums; a closed-side
+    # fault is still reported only where the walk over delta reaches it, after
+    # that point's direct sum.  The first row is z = -1.0 at (alpha, beta) =
+    # (0, 0), where every delta of (1, 2) x (1, 3) is compatible, so the
+    # (delta + 1)-th peak or sum is the one at delta.
+    monkeypatch.setattr(cli, "_identity_checks", lambda cfg, checks: None)
+    calls = {"peak": 0, "sum": 0}
+    peak, theta_truncated = tensor.ProductClosedForm.peak, cli.theta_truncated
+    direct = tensor.DirectSeries.evaluate
+
+    def failing_peak(self, coefs, n):
+        calls["peak"] += 1
+        if calls["peak"] - 1 == peak_at:
+            raise OverflowError("peak fails")
+        return peak(self, coefs, n)
+
+    def failing_sum(*args):
+        calls["sum"] += 1
+        if calls["sum"] - 1 == sum_at:
+            raise OverflowError("sum fails")
+        return theta_truncated(*args)
+
+    def fails(*args):
+        raise OverflowError("direct fails")
+
+    def failing_direct(self, z, delta):
+        if (z, delta) != (-1.0, direct_at):
+            return direct(self, z, delta)
+        with monkeypatch.context() as patch:
+            patch.setattr(gs, "evaluate", fails)  # inside the q-sum's own error wrapper
+            return direct(self, z, delta)
+
+    monkeypatch.setattr(tensor.ProductClosedForm, "peak", failing_peak)
+    monkeypatch.setattr(cli, "theta_truncated", failing_sum)
+    monkeypatch.setattr(tensor.DirectSeries, "evaluate", failing_direct)
+    assert main(["verify-all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {reported}")
+    assert captured.err.endswith("of (1, 2) x (1, 3) at theta = 0.2\n")
     assert captured.out == ""
 
 

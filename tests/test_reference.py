@@ -28,7 +28,7 @@ from nctorus.tensor import (
     tensor_gaussian_closed,
     verify_identities,
 )
-from nctorus.theta import DEFAULT_EPS, theta, truncation_radius
+from nctorus.theta import DEFAULT_EPS, theta, theta_truncated, truncation_radius
 
 from conftest import random_gaussian, random_vector
 
@@ -318,28 +318,57 @@ def test_closed_form_sweep(case):
         assert _rel(got, want) <= REL_TOL + ROUNDING_C * e_max * 2**-53
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@example((3, 2, 1, 2, 0.2, 0, 0), -1j)  # every row at radius 3
-@given(_sweep_cases(st.sampled_from(THETAS)), st.sampled_from((-1j, 0.3 - 1.2j)))
-def test_row_radius_certifies_every_entry(case, tau):
-    """One radius per (alpha, beta) row, and no entry summed with fewer terms than its own.
+def _assert_certified(s, t, k_exp, radius, got, eps=DEFAULT_EPS):
+    """got, summed at a shared radius, is the entry's own certified theta(s, t, eps, K).
 
-    Every entry equals its own certified sum theta(s, t, eps, K) up to the
-    terms the row radius adds, whose sum is below the certified tail
-    eps*|exp(K)|, and the rounding of the two sums.
+    The shared radius is at least the entry's own, and the terms it adds sum
+    to less than the certified tail eps*|exp(K)|, plus the rounding of the
+    two sums.
+    """
+    assert radius >= truncation_radius(s, t, eps)
+    own = theta(s, t, eps, k_exp)
+    assert abs(got - own) <= eps * math.exp(k_exp.real) + 2**-51 * abs(own)
+
+
+# The labels of the verify benchmark, checked as verify-all checks them.
+VERIFY_LABELS = tuple((*pair, th) for pair in PAIRS for th in THETAS) + ((1, 2, 14, 1, 0.2),)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@example((3, 2, 1, 2, 0.2, 0, 0), -1j, VERIFY_LABELS[0], 3)  # every row at radius 3
+@given(_sweep_cases(st.sampled_from(THETAS)), st.sampled_from((-1j, 0.3 - 1.2j)),
+       st.sampled_from(VERIFY_LABELS), st.integers(0, 2**32 - 1))
+def test_row_radius_certifies_every_entry(case, tau, label, seed):
+    """One radius per row, and no entry summed with fewer terms than its own.
+
+    The rows are the structure constants' (alpha, beta) rows at z = 0 and
+    the closed-form oracle's rows at each z in PROBE_ZS, for the Gaussians
+    verify-all draws, over every component pair of a verify label.
     """
     n, m, k, l, th, _, _ = case
     p = product_params(n, m, k, l, th)
     sc = structure_constants(p, ComplexStructure(tau))
-    eps = DEFAULT_EPS
     rows = {}
     for (a, b, gamma), prov in sc.provenance.items():
-        s, t, k_exp, radius = prov["s"], prov["t"], prov["K"], prov["radius"]
-        assert rows.setdefault((a, b), radius) == radius
-        assert radius >= truncation_radius(s, t, eps)
-        own = theta(s, t, eps, k_exp)
-        got = sc.values[a][b][gamma]
-        assert abs(got - own) <= eps * math.exp(k_exp.real) + 2**-51 * abs(own)
+        assert rows.setdefault((a, b), prov["radius"]) == prov["radius"]
+        _assert_certified(prov["s"], prov["t"], prov["K"], prov["radius"], sc.values[a][b][gamma])
+    n, m, k, l, th = label
+    p = product_params(n, m, k, l, th, strict=False)
+    rng = random.Random(seed)
+    sigma1 = complex(rng.uniform(0.6, 1.6), rng.uniform(-0.4, 0.4))
+    sigma2 = complex(rng.uniform(0.6, 1.6), rng.uniform(-0.4, 0.4))
+    c1 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+    c2 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+    for alpha in range(m):
+        for beta in range(l):
+            form = tensor_gaussian_closed(alpha, beta, sigma1, c1, sigma2, c2, p)
+            for z in PROBE_ZS:
+                peaks, radius, fault = form.row(z, range(p.M))
+                assert fault is None
+                assert [d for d, *_ in peaks] == [d for d in range(p.M) if form.q0(d) is not None]
+                for _, _, _, t, k_exp in peaks:
+                    got = theta_truncated(form.s, t, radius, k_exp)
+                    _assert_certified(form.s, t, k_exp, radius, got)
 
 
 def test_large_shift_is_not_a_silent_zero():

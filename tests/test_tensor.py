@@ -538,6 +538,8 @@ def test_closed_form_q0_shift_consistency():
     # the peak is one integer N, whichever representative it is reached from
     assert form.peak(coefs, p.M * (q0 + 3 * p.L) - p.l) == (u - 3, t_peak, k_peak)
     assert abs(theta(form.s, t_peak, k=k_peak) - value) <= 1e-13 * abs(value)
+    # a one-entry row takes the entry's own radius, as theta() does
+    assert form.evaluate(0.3, 1) == theta(form.s, t_peak, k=k_peak)
 
 
 def test_closed_form_unsolvable_is_exact_zero():

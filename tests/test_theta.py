@@ -6,7 +6,7 @@ import random
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nctorus.errors import InvalidS
@@ -177,3 +177,21 @@ def test_wide_imaginary_offset():
     got = theta(s, t, eps=1e-12)
     want = _brute(s, t, radius=60)
     assert abs(got - want) <= 1e-11 * (1 + abs(want))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.floats(-3, 3), st.floats(0, 1), st.floats(0, 1), st.floats(-1, 1), st.floats(-1, 1))
+@example(math.log10(0.5), 0.0, 1.0, 0.0, 0.0)
+def test_radius_is_nondecreasing_up_to_im_s(log_s, x, y, re_s, re_t):
+    # on 0 <= |Im t| <= Im s the radius of the largest |Im t| is at least
+    # every smaller one's own, so one radius may serve a row of peaks
+    s = complex(re_s, 10**log_s)
+    lo, hi = sorted((x * s.imag, y * s.imag))
+    assert truncation_radius(s, complex(re_t, lo)) <= truncation_radius(s, complex(re_t, -hi))
+
+
+def test_radius_is_not_monotone_above_im_s():
+    # past Im s the search starts at ceil(|Im t|/Im s) and steps by half of
+    # itself, so a larger |Im t| can stop at a smaller radius
+    assert truncation_radius(0.5j, 2.5j) == 15
+    assert truncation_radius(0.5j, 2.501j) == 13
