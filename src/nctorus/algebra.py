@@ -87,7 +87,13 @@ def add(f: TorusElement, g: TorusElement) -> TorusElement:
 
 
 def sub(f: TorusElement, g: TorusElement) -> TorusElement:
-    return add(f, scale(-1.0, g))
+    """f - g in one pass, bit-identical to add(f, scale(-1.0, g)) for finite coefficients:
+    a - b is a + (-b) in IEEE arithmetic, and the -0.0 parts where the two
+    could differ become +0.0 in :func:`_canonical`'s ``0j + v``."""
+    acc = dict(f.coeffs)
+    for idx, val in g.coeffs.items():
+        acc[idx] = acc.get(idx, 0j) - val
+    return _canonical(acc)
 
 
 def scale(alpha: complex, f: TorusElement) -> TorusElement:

@@ -191,34 +191,25 @@ def _algebra_checks(args: argparse.Namespace, checks: CheckList) -> None:
          "leibniz", "derivations_commute", "star_derivation"),
         0.0,
     )
+
+    def note(name: str, residual: float) -> None:
+        worst[name] = max(worst[name], residual)
+
     for _ in range(10):
         f, g, h = (_random_element(rng) for _ in range(3))
-        worst["associativity"] = max(
-            worst["associativity"],
-            norm_max(sub(mul(mul(f, g, th), h, th), mul(f, mul(g, h, th), th))),
-        )
-        worst["involution"] = max(
-            worst["involution"],
-            norm_max(sub(involution(mul(f, g, th)), mul(involution(g), involution(f), th))),
-        )
-        worst["trace_cyclic"] = max(
-            worst["trace_cyclic"], abs(trace(mul(f, g, th)) - trace(mul(g, f, th)))
-        )
-        ff = mul(f, involution(f), th)
+        fg, f_star = mul(f, g, th), involution(f)
+        df = {axis: derivation(f, axis) for axis in (1, 2)}
+        note("associativity", norm_max(sub(mul(fg, h, th), mul(f, mul(g, h, th), th))))
+        note("involution", norm_max(sub(involution(fg), mul(involution(g), f_star, th))))
+        note("trace_cyclic", abs(trace(fg) - trace(mul(g, f, th))))
         gram = sum(abs(v) ** 2 for v in f.coeffs.values())
-        worst["trace_positive"] = max(worst["trace_positive"], abs(trace(ff) - gram))
+        note("trace_positive", abs(trace(mul(f, f_star, th)) - gram))
         for axis in (1, 2):
-            lhs = derivation(mul(f, g, th), axis)
-            rhs = add(mul(derivation(f, axis), g, th), mul(f, derivation(g, axis), th))
-            worst["leibniz"] = max(worst["leibniz"], norm_max(sub(lhs, rhs)))
-            worst["star_derivation"] = max(
-                worst["star_derivation"],
-                norm_max(sub(derivation(involution(f), axis), involution(derivation(f, axis)))),
-            )
-        worst["derivations_commute"] = max(
-            worst["derivations_commute"],
-            norm_max(sub(derivation(derivation(f, 1), 2), derivation(derivation(f, 2), 1))),
-        )
+            lhs = derivation(fg, axis)
+            rhs = add(mul(df[axis], g, th), mul(f, derivation(g, axis), th))
+            note("leibniz", norm_max(sub(lhs, rhs)))
+            note("star_derivation", norm_max(sub(derivation(f_star, axis), involution(df[axis]))))
+        note("derivations_commute", norm_max(sub(derivation(df[1], 2), derivation(df[2], 1))))
     u1u2 = mul(monomial(1, 0), monomial(0, 1), th)
     u2u1 = mul(monomial(0, 1), monomial(1, 0), th)
     weyl = norm_max(sub(u1u2, scale(cmath.exp(TWO_PI_I * th), u2u1)))
@@ -235,20 +226,21 @@ def _algebra_checks(args: argparse.Namespace, checks: CheckList) -> None:
     def rel(a: gs.PolyGaussVector, b: gs.PolyGaussVector) -> float:
         return gs.grid_abs_max(gs.sub(a, b)) / scale_v
 
+    u1v, u2v, z1v, z2v = (act(v, tag) for act in (act_U1, act_U2, act_Z1, act_Z2))
     checks.add(
         "module_u1u2_phase",
-        rel(act_U2(act_U1(v, tag), tag), gs.scale(cmath.exp(TWO_PI_I * th), act_U1(act_U2(v, tag), tag))),
+        rel(act_U2(u1v, tag), gs.scale(cmath.exp(TWO_PI_I * th), act_U1(u2v, tag))),
         args.tol,
     )
     checks.add(
         "endo_z1z2_phase",
-        rel(act_Z2(act_Z1(v, tag), tag), gs.scale(cmath.exp(-TWO_PI_I * tp), act_Z1(act_Z2(v, tag), tag))),
+        rel(act_Z2(z1v, tag), gs.scale(cmath.exp(-TWO_PI_I * tp), act_Z1(z2v, tag))),
         args.tol,
     )
     commute = 0.0
-    for zgen in (act_Z1, act_Z2):
-        for ugen in (act_U1, act_U2):
-            commute = max(commute, rel(zgen(ugen(v, tag), tag), ugen(zgen(v, tag), tag)))
+    for zgen, zv in ((act_Z1, z1v), (act_Z2, z2v)):
+        for ugen, uv in ((act_U1, u1v), (act_U2, u2v)):
+            commute = max(commute, rel(zgen(uv, tag), ugen(zv, tag)))
     checks.add("endo_commutes_with_action", commute, args.tol)
     f, g = _random_element(rng), _random_element(rng)
     checks.add(

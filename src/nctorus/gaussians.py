@@ -7,11 +7,12 @@ A vector is a finite sum of terms
 with P a complex polynomial, x0 a real centre and Re(sigma) > 0, so every
 term is Schwartz.  This is the wave-packet parametrisation of Heller
 (J. Chem. Phys. 62, 1544 (1975)).  The family is exactly closed under
-translation (x0 moves, nothing else changes), multiplication by
-exp(beta*x) and by x, differentiation, and linear combination.  All module
-actions, connections, and tensor products in this library are expressed
-through these operations, so nothing is ever discretized; floating error
-enters only through complex arithmetic on the parameters.
+translation with a roll (:func:`translate`: x0 and mu move, nothing else
+changes), multiplication by exp(beta*x) times a per-component factor
+(:func:`modulate`) and by x, differentiation, and linear combination.  All
+module actions, connections, and tensor products in this library are
+expressed through these operations, so nothing is ever discretized;
+floating error enters only through complex arithmetic on the parameters.
 
 Because a translation never touches P, coefficients stay at the scale of
 the term's own centre.  Canonicalization merges terms sharing
@@ -145,20 +146,38 @@ def evaluate(v: PolyGaussVector, x: float, mu: int) -> complex:
     return acc
 
 
-def shift(v: PolyGaussVector, s: float) -> PolyGaussVector:
-    """The translate x -> v(x - s, mu): every centre moves by s."""
-    return vector(v.m, (PolyGaussTerm(t.poly, t.sigma, t.c, t.mu, t.x0 + s) for t in v.terms))
+def translate(v: PolyGaussVector, s: float, dmu: int) -> PolyGaussVector:
+    """The translate x -> v(x - s, mu - dmu): centres move by s, components by dmu (mod m).
 
-
-def mul_exp(v: PolyGaussVector, beta: complex) -> PolyGaussVector:
-    """Multiply by exp(beta*x) = exp(beta*x0) * exp(beta*u): c -> c - beta.
-
-    For the imaginary beta of the module actions, exp(beta*x0) is a phase.
+    x0 + s is monotone and mu + dmu a bijection, so terms merge as a shift
+    followed by a separate roll would merge them, in the same order.
     """
     return vector(v.m, (
-        PolyGaussTerm(_poly_scale(cmath.exp(beta * t.x0), t.poly), t.sigma, t.c - beta, t.mu, t.x0)
-        for t in v.terms
+        PolyGaussTerm(t.poly, t.sigma, t.c, (t.mu + dmu) % v.m, t.x0 + s) for t in v.terms
     ))
+
+
+def modulate(v: PolyGaussVector, beta: complex, factors: Sequence[complex]) -> PolyGaussVector:
+    """Multiply by exp(beta*x) * factors[mu]: c -> c - beta, P -> factors[mu]*exp(beta*x0)*P.
+
+    For the imaginary beta of the module actions exp(beta*x0) is a phase.
+    Terms meeting on (sigma, c - beta, mu, x0) merge in term order and are
+    trimmed before the factors apply, then :func:`vector` runs once: the
+    float operations, in order, of the two products as canonical steps,
+    less the first ``0j + v``.  The sign of a zero part moves no other bit,
+    and :func:`vector` makes it +0.0.
+    """
+    if len(factors) != v.m:
+        raise DimensionMismatch(f"need {v.m} factors, got {len(factors)}")
+    merged: dict[tuple[complex, complex, int, float], Poly] = {}
+    for t in v.terms:
+        key = (t.sigma, t.c - beta, t.mu, t.x0)
+        poly = _poly_scale(cmath.exp(beta * t.x0), t.poly)
+        prev = merged.get(key)
+        merged[key] = poly if prev is None else _poly_add(prev, poly)
+    trimmed = ((key, _poly_trim(poly)) for key, poly in merged.items())
+    return vector(v.m, (PolyGaussTerm(_poly_scale(factors[mu], poly), sigma, c, mu, x0)
+                        for (sigma, c, mu, x0), poly in trimmed if poly))
 
 
 def mul_x(v: PolyGaussVector) -> PolyGaussVector:
@@ -179,23 +198,6 @@ def differentiate(v: PolyGaussVector) -> PolyGaussVector:
         )
         out.append(PolyGaussTerm(poly, t.sigma, t.c, t.mu, t.x0))
     return vector(v.m, out)
-
-
-def roll(v: PolyGaussVector, dmu: int) -> PolyGaussVector:
-    """Rotate components: the result's value at mu is v at mu - dmu (mod m)."""
-    return vector(
-        v.m, (PolyGaussTerm(t.poly, t.sigma, t.c, (t.mu + dmu) % v.m, t.x0) for t in v.terms)
-    )
-
-
-def component_scale(v: PolyGaussVector, factors: Sequence[complex]) -> PolyGaussVector:
-    """Multiply the component-mu part by factors[mu]."""
-    if len(factors) != v.m:
-        raise DimensionMismatch(f"need {v.m} factors, got {len(factors)}")
-    return vector(v.m, (
-        PolyGaussTerm(_poly_scale(factors[t.mu], t.poly), t.sigma, t.c, t.mu, t.x0)
-        for t in v.terms
-    ))
 
 
 def _scaled(alpha: complex, v: PolyGaussVector) -> tuple[PolyGaussTerm, ...]:

@@ -90,31 +90,31 @@ def _check_dim(v: g.PolyGaussVector, tag: ModuleTag) -> None:
 
 
 def act_U1(v: g.PolyGaussVector, tag: ModuleTag, power: int = 1) -> g.PolyGaussVector:
-    """Action of U1**power: translate by power*D/m and rotate components."""
+    """Action of U1**power: one translate by power*D/m with a roll by power."""
     _check_dim(v, tag)
-    return g.roll(g.shift(v, power * tag.denominator / tag.m), power)
+    return g.translate(v, power * tag.denominator / tag.m, power)
 
 
 def act_U2(v: g.PolyGaussVector, tag: ModuleTag, power: int = 1) -> g.PolyGaussVector:
-    """Action of U2**power: the phase exp(2*pi*i*power*(x - mu*n/m))."""
+    """Action of U2**power: one modulation by exp(2*pi*i*power*(x - mu*n/m))."""
     _check_dim(v, tag)
     factors = [
         cmath.exp(-TWO_PI_I * power * mu * tag.n / tag.m) for mu in range(tag.m)
     ]
-    return g.component_scale(g.mul_exp(v, TWO_PI_I * power), factors)
+    return g.modulate(v, TWO_PI_I * power, factors)
 
 
 def act_Z1(v: g.PolyGaussVector, tag: ModuleTag, power: int = 1) -> g.PolyGaussVector:
-    """Endomorphism Z1**power: translate by power/m, rotate by power*a."""
+    """Endomorphism Z1**power: one translate by power/m with a roll by power*a."""
     _check_dim(v, tag)
-    return g.roll(g.shift(v, power / tag.m), power * tag.a)
+    return g.translate(v, power / tag.m, power * tag.a)
 
 
 def act_Z2(v: g.PolyGaussVector, tag: ModuleTag, power: int = 1) -> g.PolyGaussVector:
-    """Endomorphism Z2**power: the phase exp(2*pi*i*power*(x/D - mu/m))."""
+    """Endomorphism Z2**power: one modulation by exp(2*pi*i*power*(x/D - mu/m))."""
     _check_dim(v, tag)
     factors = [cmath.exp(-TWO_PI_I * power * mu / tag.m) for mu in range(tag.m)]
-    return g.component_scale(g.mul_exp(v, TWO_PI_I * power / tag.denominator), factors)
+    return g.modulate(v, TWO_PI_I * power / tag.denominator, factors)
 
 
 def act_element(

@@ -332,3 +332,41 @@ def test_fast_paths_are_bit_exact(f, g, theta, alpha):
             {i: TWO_PI_I * i[axis - 1] * v for i, v in f.coeffs.items()}))
     for name, (got, want) in cases.items():
         assert _bits(got) == _bits(want), name
+
+
+def _sub_ref(f, g):
+    # the former algebra.sub
+    return add(f, scale(-1.0, g))
+
+
+# parts a few ulps either side of 1e-14 (gaussians.PRUNE_TOL), with -0.0 parts
+_NEAR_TOL = TorusElement({(0, 0): complex(math.nextafter(1e-14, 1), -0.0),
+                          (1, 0): complex(-0.0, math.nextafter(1e-14, 0)),
+                          (1, 2): complex(-0.3, 0.7 + 2 * math.ulp(0.7))})
+
+
+@settings(max_examples=75, deadline=None)
+@given(_RAW, _RAW)
+@example(_SIGNED, _SIGNED)
+@example(_SIGNED, _NEAR_TOL)
+@example(_NEAR_TOL, _SIGNED)
+def test_sub_is_bit_exact(f, g):
+    # acc[idx] - val in one pass is add(f, scale(-1.0, g)) bit for bit, on
+    # raw maps with 0 coefficients and -0.0 parts too, and sub(f, f) is empty
+    for a, b in ((f, g), (g, f), (f, f)):
+        got, want = sub(a, b), _sub_ref(a, b)
+        assert got == want
+        assert _bits(got) == _bits(want)
+    assert not sub(f, f).coeffs
+
+
+def test_sub_of_random_elements_is_bit_exact():
+    rng = random.Random(25)
+    for _ in range(100):
+        f, g = random_element(rng), random_element(rng)
+        # a copy of f a few ulps off leaves differences near the rounding floor
+        near = element({k: v * (1 + rng.randint(-3, 3) * 2**-52) for k, v in f.coeffs.items()})
+        for a, b in ((f, g), (g, f), (f, f), (f, near), (mul(f, g, 0.2), mul(g, f, -0.2))):
+            got, want = sub(a, b), _sub_ref(a, b)
+            assert got == want
+            assert _bits(got) == _bits(want)

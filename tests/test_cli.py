@@ -102,6 +102,29 @@ def test_repeated_main_calls_share_no_state(capsys):
     assert json.loads(capsys.readouterr().out)["config"]["seed"] == 0
 
 
+def test_algebra_check_builds_each_operand_once(capsys, monkeypatch):
+    # each sample's f*g, f* and delta_a f, and each generator's action on the
+    # module's vector, are built once and read by every check that needs them;
+    # each generator action is one canonical vector
+    calls = {"mul": 0, "vector": 0}
+    mul, vector = cli.mul, gs.vector
+
+    def counting_mul(f, g, theta):
+        calls["mul"] += 1
+        return mul(f, g, theta)
+
+    def counting_vector(m, terms):
+        calls["vector"] += 1
+        return vector(m, terms)
+
+    monkeypatch.setattr(cli, "mul", counting_mul)
+    monkeypatch.setattr(gs, "vector", counting_vector)
+    assert main(["algebra-check"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"]
+    assert calls["mul"] == 113
+    assert calls["vector"] <= 173
+
+
 def test_non_coprime_label_is_usage_error(capsys):
     assert main(["theta-basis", "--nm", "2,4"]) == 2
     assert "error:" in capsys.readouterr().err

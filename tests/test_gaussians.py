@@ -1,6 +1,7 @@
 """Closure operations on polynomial Gaussian sections of R x Z_m."""
 
 import cmath
+import math
 import random
 
 import pytest
@@ -9,24 +10,24 @@ from hypothesis import strategies as st
 
 from nctorus.errors import DimensionMismatch, IndexOutOfRange, InvalidSigma
 from nctorus.gaussians import (
+    PRUNE_TOL,
     PolyGaussTerm,
     PolyGaussVector,
     _poly_add,
+    _poly_scale,
     _poly_trim,
     add,
     axpy,
-    component_scale,
     differentiate,
     evaluate,
     gaussian,
     grid_abs_max,
-    mul_exp,
+    modulate,
     mul_x,
-    roll,
     scale,
-    shift,
     sub,
     to_json,
+    translate,
     vector,
     zero,
 )
@@ -62,7 +63,7 @@ def test_sigma_must_decay():
 
 def _two_centres(rng, m):
     """Random terms centred at 0 plus random terms centred at some s != 0."""
-    return add(random_vector(rng, m), shift(random_vector(rng, m), rng.uniform(-1.5, 1.5)))
+    return add(random_vector(rng, m), translate(random_vector(rng, m), rng.uniform(-1.5, 1.5), 0))
 
 
 @settings(max_examples=50, deadline=None)
@@ -71,24 +72,26 @@ def test_shift_pointwise(seed):
     rng = random.Random(seed)
     v = _two_centres(rng, 2)
     s = rng.uniform(-1.5, 1.5)
+    dmu = rng.randint(-3, 3)
     x = rng.uniform(-2, 2)
-    w = shift(v, s)
+    w = translate(v, s, dmu)
     for mu in range(2):
-        want = evaluate(v, x - s, mu)
+        want = evaluate(v, x - s, (mu - dmu) % 2)
         got = evaluate(w, x, mu)
         assert abs(got - want) <= 1e-12 * (1 + abs(want))
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**9))
-def test_mul_exp_pointwise(seed):
+def test_modulate_pointwise(seed):
     rng = random.Random(seed)
     v = _two_centres(rng, 2)
     beta = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    factors = [cmath.exp(complex(rng.uniform(-0.5, 0.5), rng.uniform(-3, 3))) for _ in range(2)]
     x = rng.uniform(-2, 2)
-    w = mul_exp(v, beta)
+    w = modulate(v, beta, factors)
     for mu in range(2):
-        want = cmath.exp(beta * x) * evaluate(v, x, mu)
+        want = cmath.exp(beta * x) * factors[mu] * evaluate(v, x, mu)
         got = evaluate(w, x, mu)
         assert abs(got - want) <= 1e-12 * (1 + abs(want))
 
@@ -124,23 +127,112 @@ def test_differentiate_structural_example():
 def test_shift_by_zero_is_identity():
     rng = random.Random(9)
     v = random_vector(rng, 2)
-    assert shift(v, 0.0) == v
+    assert translate(v, 0.0, 0) == v
+    assert translate(v, 0.0, 2) == v
 
 
 def test_roll_cycles_components():
     g = gaussian(3, 1.0, mu=0)
-    assert roll(g, 1).terms[0].mu == 1
-    assert roll(g, 5).terms[0].mu == 2
-    assert roll(roll(g, 2), 1) == g
+    assert translate(g, 0.0, 1).terms[0].mu == 1
+    assert translate(g, 0.0, 5).terms[0].mu == 2
+    assert translate(translate(g, 0.0, 2), 0.0, 1) == g
 
 
-def test_component_scale():
+def test_modulate_component_factors():
     v = add(gaussian(2, 1.0, mu=0), gaussian(2, 2.0, mu=1))
-    w = component_scale(v, [2.0, 3.0])
+    w = modulate(v, 0j, [2.0, 3.0])
     assert evaluate(w, 0.0, 0) == 2.0
     assert evaluate(w, 0.0, 1) == 3.0
     with pytest.raises(DimensionMismatch):
-        component_scale(v, [1.0])
+        modulate(v, 0j, [1.0])
+
+
+# The former two-step forms of translate and modulate, kept as references.
+def _shift_ref(v, s):
+    return vector(v.m, (PolyGaussTerm(t.poly, t.sigma, t.c, t.mu, t.x0 + s) for t in v.terms))
+
+
+def _roll_ref(v, dmu):
+    return vector(
+        v.m, (PolyGaussTerm(t.poly, t.sigma, t.c, (t.mu + dmu) % v.m, t.x0) for t in v.terms)
+    )
+
+
+def _mul_exp_ref(v, beta):
+    return vector(v.m, (
+        PolyGaussTerm(_poly_scale(cmath.exp(beta * t.x0), t.poly), t.sigma, t.c - beta, t.mu, t.x0)
+        for t in v.terms
+    ))
+
+
+def _component_scale_ref(v, factors):
+    return vector(v.m, (
+        PolyGaussTerm(_poly_scale(factors[t.mu], t.poly), t.sigma, t.c, t.mu, t.x0)
+        for t in v.terms
+    ))
+
+
+def _assert_same_bits(got, want):
+    assert got == want
+    assert repr(got.terms) == repr(want.terms)
+
+
+_ULP = math.ulp(PRUNE_TOL)
+_EDGE_VECTORS = [
+    # centres 0.0 and 1e-17 meet at 1.0 after a translation by 1.0, and
+    # their linear coefficients cancel
+    vector(2, [PolyGaussTerm((1 + 2j, 0.5), 1.0, 0.2j, 0, 0.0),
+               PolyGaussTerm((-1 + 0.5j, -0.5), 1.0, 0.2j, 0, 1e-17)]),
+    # c = 1e-17 and c = 0 meet at c - beta = -1 for beta = 1, leaving 1.5e-14
+    vector(2, [PolyGaussTerm((1 + 0j,), 1.0, 1e-17, 1, 0.5),
+               PolyGaussTerm((complex(-1.0, 1.5e-14),), 1.0, 0j, 1, 0.5)]),
+    # coefficients within a few ulps of PRUNE_TOL, off centre so a phase turns them
+    vector(2, [PolyGaussTerm((PRUNE_TOL + 2 * _ULP, complex(0.0, PRUNE_TOL + _ULP), 1.0),
+                             1.0 + 0.1j, 0.3, 0, 0.37),
+               PolyGaussTerm((complex(PRUNE_TOL + 3 * _ULP, -0.0),), 0.8, 0j, 1, -1.25)]),
+    # -0.0 parts in sigma, c and x0 (the coefficients' own are canonicalised away)
+    vector(2, [PolyGaussTerm((complex(-0.0, 1.0), complex(0.5, -0.0)), complex(1.0, -0.0),
+                             complex(-0.0, 0.3), 1, -0.0),
+               PolyGaussTerm((complex(-0.0, -2.0),), 1.0, complex(0.1, -0.0), 0, 0.0)]),
+]
+_EDGE_ACTIONS = [
+    (1.0, 1, 1.0, [1.0, 1.0]),
+    (-0.0, 3, 1 + 0j, [complex(-0.0, 1.0), cmath.exp(0.1j)]),
+    (0.0, -1, complex(-0.0, 2 * math.pi), [cmath.exp(0.1j), cmath.exp(-2.3j)]),
+    (1e6, 2, 2j * math.pi / 0.7, [complex(1.0, -0.0), 0.5]),
+]
+
+
+@pytest.mark.parametrize("s, dmu, beta, factors", _EDGE_ACTIONS)
+@pytest.mark.parametrize("v", _EDGE_VECTORS)
+def test_fused_actions_are_bit_exact_at_edges(v, s, dmu, beta, factors):
+    _assert_same_bits(translate(v, s, dmu), _roll_ref(_shift_ref(v, s), dmu))
+    _assert_same_bits(modulate(v, beta, factors),
+                      _component_scale_ref(_mul_exp_ref(v, beta), factors))
+
+
+def test_edge_vectors_meet_where_intended():
+    collide, meet_c = _EDGE_VECTORS[:2]
+    assert len(translate(collide, 1.0, 1).terms) == 1
+    assert len(modulate(meet_c, 1.0, [1.0, 1.0]).terms) == 1
+
+
+@settings(max_examples=75, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 4))
+def test_fused_actions_are_bit_exact(seed, m):
+    # translate is one canonical pass for a shift and a roll, modulate one
+    # for mul_exp and component_scale; every part keeps its bits
+    rng = random.Random(seed)
+    v = add(random_vector(rng, m, nterms=rng.randint(1, 4)),
+            _shift_ref(random_vector(rng, m), rng.choice((1e-17, rng.uniform(-3, 3)))))
+    s = rng.choice((rng.uniform(-3, 3), float(rng.randint(-3, 3)), rng.uniform(-1e6, 1e6)))
+    dmu = rng.randint(-2 * m, 2 * m)
+    beta = rng.choice((complex(0.0, rng.uniform(-7, 7)),
+                       complex(rng.uniform(-2, 2), rng.uniform(-2, 2))))
+    factors = [cmath.exp(complex(0.0, rng.uniform(-4, 4))) for _ in range(m)]
+    _assert_same_bits(translate(v, s, dmu), _roll_ref(_shift_ref(v, s), dmu))
+    _assert_same_bits(modulate(v, beta, factors),
+                      _component_scale_ref(_mul_exp_ref(v, beta), factors))
 
 
 # ------------------------------------------------------- exact cancellation

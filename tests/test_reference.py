@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nctorus.connections import ComplexStructure, holomorphic_basis
-from nctorus.gaussians import evaluate, gaussian, shift
+from nctorus.gaussians import evaluate, gaussian, translate
 from nctorus.tensor import (
     PROBE_ZS,
     product_params,
@@ -372,7 +372,7 @@ def test_row_radius_certifies_every_entry(case, tau, label, seed):
 
 
 def test_large_shift_is_not_a_silent_zero():
-    v = shift(gaussian(1, 4), 5)
+    v = translate(gaussian(1, 4), 5, 0)
     assert not v.is_zero()
     assert _rel(evaluate(v, 5.0, 0), mpmath.mpc(1)) <= REL_TOL
 
@@ -397,8 +397,8 @@ def test_shift_round_trip(seed, s):
     # translate takes v's value at d, however far s moves the centre.
     rng = random.Random(seed)
     v = random_vector(rng, 2)
-    w = shift(v, s)
-    assert shift(w, -s) == v
+    w = translate(v, s, 0)
+    assert translate(w, -s, 0) == v
     for d in (0.0, rng.uniform(-2, 2)):
         x = s + d
         u = mpmath.mpf(x) - mpmath.mpf(s)

@@ -149,8 +149,8 @@ def grid() -> list[list[str]]:
         # A label with n < 0, (a, b) = (1, -1), and one with l = 1, (c, d) = (0, -1).
         ["structure-constants", "--theta", "0.7", "--nm=-1,2", "--kl", "2,1"],
         ["algebra-check", "--theta", "0.7", "--nm=-1,2"],
-        # Centres near x0 ~ 4e6, where the phase exp(2*pi*i*n*x0) of mul_exp keeps
-        # about 3e-9 of rounding: module_axiom fails.  Pins mul_exp's digits.
+        # Centres near x0 ~ 4e6, where the phase exp(2*pi*i*n*x0) of modulate keeps
+        # about 3e-9 of rounding: module_axiom fails.  Pins modulate's digits.
         ["algebra-check", "--nm", "1000003,1", "--seed", "5"],
     ]
     calls += THETA_EXPRS
