@@ -45,6 +45,7 @@ from .errors import (
     NotCoprime,
     SeriesOverflow,
     SignAssumptionViolated,
+    TableTooLarge,
 )
 from .gaussians import (
     PolyGaussTerm,
@@ -100,6 +101,7 @@ __all__ = [
     "SeriesOverflow",
     "SignAssumptionViolated",
     "StructureConstants",
+    "TableTooLarge",
     "TorusElement",
     "act_U1",
     "act_U2",

@@ -146,7 +146,7 @@ def parse_int_pair(text: str) -> tuple[int, int]:
 def _random_element(rng: random.Random, terms: int = 3):
     out = {}
     for _ in range(terms):
-        idx = (rng.randint(-2, 2), rng.randint(-2, 2))
+        idx = (rng.randrange(5) - 2, rng.randrange(5) - 2)
         out[idx] = out.get(idx, 0j) + complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     return element(out)
 

@@ -51,3 +51,7 @@ class SeriesOverflow(NCTorusError):
     Raised for a theta-series or direct q-series sum, a theta modulus, and
     a Gaussian vector's value at a probe point of its residual norm.
     """
+
+
+class TableTooLarge(NCTorusError):
+    """A structure-constant table has more entries than its size gate admits."""

@@ -127,12 +127,28 @@ def act_element(
     act_element(g, act_element(f, v)) == act_element(f*g, v) at tag.theta;
     on a left module's tag, at -theta, that is the left law
     act_element(f, act_element(g, v)) == act_element(mul(f, g, theta), v).
+
+    U1**n1 is built once per distinct n1 and U2**n2 only for n2 != 0, and
+    the words are summed into one dict keyed by (sigma, c, mu, x0), with one
+    :func:`gaussians.vector` at the end.  Each term enters as 0j + alpha*P
+    ahead of the entry it meets, keyed by itself, and is trimmed at once:
+    the float operations of one ``gaussians.axpy`` per word, so a
+    coefficient that cancels below PRUNE_TOL partway is 0j for the next word.
     """
     _check_dim(v, tag)
-    acc = g.zero(tag.m)
+    u1 = {n1: act_U1(v, tag, n1) if n1 else v for n1 in {n1 for n1, _ in f.coeffs}}
+    acc: dict[tuple[complex, complex, int, float], g.Poly] = {}
     for (n1, n2), coef in f.coeffs.items():
-        w = act_U2(act_U1(v, tag, n1), tag, n2)
-        weyl = cmath.exp(-1j * math.pi * tag.theta * n1 * n2)
-        acc = g.axpy(coef * weyl, w, acc)
-    return acc
+        w = act_U2(u1[n1], tag, n2) if n2 else u1[n1]
+        alpha = coef * cmath.exp(-1j * math.pi * tag.theta * n1 * n2)
+        # U1**0 moves x0 by 0*D/m, +0.0 if D > 0; x + -0.0 is x for every x.
+        dx = 0 * tag.denominator / tag.m if n1 == 0 else -0.0
+        for t in w.terms:
+            key = (t.sigma, t.c, t.mu, t.x0 + dx)
+            prev = acc.pop(key, None)
+            poly = tuple(0j + alpha * p for p in t.poly)
+            poly = g._poly_trim(poly if prev is None else g._poly_add(poly, prev))
+            if poly:
+                acc[key] = poly
+    return g.vector(tag.m, (g.PolyGaussTerm(poly, *key) for key, poly in acc.items()))
 

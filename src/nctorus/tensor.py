@@ -74,6 +74,7 @@ from .errors import (
     NonConvergent,
     SeriesOverflow,
     SignAssumptionViolated,
+    TableTooLarge,
 )
 from .modules import ModuleTag, act_U1, act_U2, act_Z1, act_Z2
 from .theta import DEFAULT_EPS, log_tail, theta_truncated, truncation_radius
@@ -86,6 +87,10 @@ DEFAULT_QMAX = 16384
 # roundoff of the sum, or below the smallest normal double.
 _ROUNDOFF = 2.0**-53
 _TINY = sys.float_info.min
+# Largest table, in entries m*l*M, that structure_constants builds: the CLI
+# table costs about 1.7 KB of peak memory and 39 us per entry, so one at
+# the limit needs about 0.9 GB, under half a 2 GiB address-space cap, and 20 s.
+TABLE_LIMIT = 500_000
 
 
 @dataclass(frozen=True)
@@ -629,8 +634,14 @@ def structure_constants(
     (alpha, beta) is one :meth:`ProductClosedForm.row` at z = 0, every
     entry summed at its radius; a failing peak is raised after the sums of
     the entries before it, so an overflow names the first failing entry in
-    (alpha, beta, gamma) order.
+    (alpha, beta, gamma) order.  A table of more than TABLE_LIMIT entries
+    m*l*M raises TableTooLarge before any work.
     """
+    if p.m * p.l * p.M > TABLE_LIMIT:
+        raise TableTooLarge(
+            f"structure_constants: m*l*M = {p.m * p.l * p.M} entries exceed the limit "
+            f"{TABLE_LIMIT} for ({p.n}, {p.m}) x ({p.k}, {p.l})"
+        )
     sigma1, sigma2, c, sigma_p, c_p = _common_holomorphic_data(p, cs)
 
     def overflow(entry: tuple[int, int, int], exc: OverflowError) -> SeriesOverflow:

@@ -1,14 +1,27 @@
 """Command line entry points: exit codes, output layout, determinism."""
 
+import importlib.util
 import json
 import math
+import random
+from pathlib import Path
 
 import pytest
 
 import nctorus.cli as cli
 import nctorus.gaussians as gs
+import nctorus.modules as modules
 import nctorus.tensor as tensor
+from nctorus.algebra import element
 from nctorus.cli import main, parse_complex, parse_int_pair, parse_theta
+from nctorus.connections import ComplexStructure
+from nctorus.errors import TableTooLarge
+
+REPO = Path(__file__).resolve().parent.parent
+DIGESTS = REPO / "tests" / "data" / "cli_grid_digests.json"
+_spec = importlib.util.spec_from_file_location("cli_grid", REPO / "tools" / "cli_grid.py")
+cli_grid = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cli_grid)
 
 
 # ----------------------------------------------------------------- parsing
@@ -105,8 +118,10 @@ def test_repeated_main_calls_share_no_state(capsys):
 def test_algebra_check_builds_each_operand_once(capsys, monkeypatch):
     # each sample's f*g, f* and delta_a f, and each generator's action on the
     # module's vector, are built once and read by every check that needs them;
-    # each generator action is one canonical vector
+    # each generator action is one canonical vector; act_element builds U1 once
+    # per power, U2 only at a nonzero power, and one canonical sum
     calls = {"mul": 0, "vector": 0}
+    powers = {"act_U1": [], "act_U2": []}
     mul, vector = cli.mul, gs.vector
 
     def counting_mul(f, g, theta):
@@ -117,12 +132,90 @@ def test_algebra_check_builds_each_operand_once(capsys, monkeypatch):
         calls["vector"] += 1
         return vector(m, terms)
 
+    def recording(name):
+        act = getattr(modules, name)
+
+        def wrapped(v, tag, power=1):
+            powers[name].append(power)
+            return act(v, tag, power)
+        return wrapped
+
     monkeypatch.setattr(cli, "mul", counting_mul)
     monkeypatch.setattr(gs, "vector", counting_vector)
+    for name in powers:
+        monkeypatch.setattr(modules, name, recording(name))
     assert main(["algebra-check"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"]
     assert calls["mul"] == 113
-    assert calls["vector"] <= 173
+    assert calls["vector"] <= 132
+    assert powers["act_U1"] and powers["act_U2"]
+    assert 0 not in powers["act_U1"] + powers["act_U2"]
+
+
+def test_random_element_draws_as_randint():
+    # randrange(5) - 2 and randint(-2, 2) both take one _randbelow(5): the
+    # same elements, in the same order, and the same generator state
+    def randint_element(rng, terms=3):
+        out = {}
+        for _ in range(terms):
+            idx = (rng.randint(-2, 2), rng.randint(-2, 2))
+            out[idx] = out.get(idx, 0j) + complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        return element(out)
+
+    for seed in range(300):
+        a, b = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            got, want = cli._random_element(a), randint_element(b)
+            assert list(got.coeffs.items()) == list(want.coeffs.items())
+        assert a.getstate() == b.getstate()
+
+
+def test_table_size_gate(monkeypatch):
+    # a table of m*l*M entries up to TABLE_LIMIT is built; one more is refused
+    # before any work.  (1, 2) x (14, 1) has m*l*M = 2*1*29 = 58.
+    p = tensor.product_params(1, 2, 14, 1, 0.2)
+    cs = ComplexStructure(-1j)
+    monkeypatch.setattr(tensor, "TABLE_LIMIT", 58)
+    assert tensor.structure_constants(p, cs).shape == (2, 1, 29)
+    monkeypatch.setattr(tensor, "TABLE_LIMIT", 57)
+    with pytest.raises(TableTooLarge, match=r"m\*l\*M = 58 entries exceed the limit 57 "
+                                            r"for \(1, 2\) x \(14, 1\)"):
+        tensor.structure_constants(p, cs)
+
+
+def test_oversized_table_is_typed_at_once(tmp_path):
+    # --kl 999999,1 once ran out of memory after about 7 GB; under the gate it
+    # exits 2 at once.  It runs in cli_grid's capped child, never in process.
+    argv = cli_grid.CAPPED_ONLY
+    entry = cli_grid.run(REPO, argv, str(tmp_path))
+    assert entry["exit"] == 2
+    assert entry["stdout"] == ""
+    assert entry["stderr"] == (
+        "error: structure_constants: m*l*M = 3999998 entries exceed the limit "
+        f"{tensor.TABLE_LIMIT} for (1, 2) x (999999, 1)\n"
+    )
+    want = json.loads(DIGESTS.read_text())[" ".join(argv)]
+    assert cli_grid.digests({"call": entry})["call"] == want
+
+
+def test_cli_grid_matches_committed_digests(monkeypatch):
+    """Every call of tools/cli_grid.py, run in process, against its committed digest.
+
+    tests/data/cli_grid_digests.json holds the SHA-256 of each call's exit
+    code, stdout, stderr and written file, as ``python3 tools/cli_grid.py
+    digest . tests/data/cli_grid_digests.json`` records them from capped
+    children.  The digests pin the libm of the machine that recorded them:
+    elsewhere a last-bit difference in cmath or math can move printed digits.
+    A change that moves output on purpose re-records the file and names each
+    call it moved.  The CAPPED_ONLY call is checked by
+    test_oversized_table_is_typed_at_once.
+    """
+    monkeypatch.setenv("COLUMNS", "80")
+    want = json.loads(DIGESTS.read_text())
+    del want[" ".join(cli_grid.CAPPED_ONLY)]
+    got = cli_grid.digests(cli_grid.collect(None))
+    differ = sorted(key for key in want.keys() | got.keys() if want.get(key) != got.get(key))
+    assert not differ, f"{len(differ)} calls differ from {DIGESTS.name}: {differ}"
 
 
 def test_non_coprime_label_is_usage_error(capsys):

@@ -5,10 +5,13 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nctorus.algebra import TWO_PI_I, monomial, mul
+import nctorus.gaussians as gs
+from nctorus.algebra import TWO_PI_I, TorusElement, monomial, mul
 from nctorus.errors import DegenerateDenominator, DimensionMismatch, NotCoprime
-from nctorus.gaussians import evaluate, grid_abs_max, scale, sub
+from nctorus.gaussians import PolyGaussTerm, evaluate, grid_abs_max, scale, sub
 from nctorus.modules import (
     act_U1,
     act_U2,
@@ -208,3 +211,86 @@ def test_act_element_weyl_phase():
                  act_U2(act_U1(v, tag), tag))
     assert _rel(got, want) < 1e-13
 
+
+
+# ------------------------------------------------- one accumulator, bit-exact
+
+def _act_element_ref(f, v, tag):
+    # the former act_element: U1 then U2 per word, one canonical axpy per word
+    acc = gs.zero(tag.m)
+    for (n1, n2), coef in f.coeffs.items():
+        w = act_U2(act_U1(v, tag, n1), tag, n2)
+        acc = gs.axpy(coef * cmath.exp(-1j * math.pi * tag.theta * n1 * n2), w, acc)
+    return acc
+
+
+# D = n + m*theta of each sign, a left tag (at -theta) and m = 1
+_TAGS = (module_tag(1, 2, 0.3), module_tag(-1, 2, 0.3), module_tag(1, 3, -0.31),
+         module_tag(2, 1, 0.2))
+# signed zeros, values at and below 1e-14 (gaussians.PRUNE_TOL) and ordinary ones
+_PARTS = st.sampled_from((0.0, -0.0, 1e-14, -1e-14, 5e-15, 1.0, -0.7)) | st.floats(-2, 2)
+_COEFFS = st.builds(complex, _PARTS, _PARTS)
+# raw maps, not through element: a coefficient may hold -0.0 parts or be 0
+_ELEMENTS = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), _COEFFS, max_size=5
+).map(TorusElement)
+# c.imag on multiples of 2*pi, so U2 powers map one term's c onto another's
+_CS = st.builds(complex, st.sampled_from((0.0, -0.0, 0.25)),
+                st.sampled_from((0.0, -0.0, TWO_PI_I.imag, -TWO_PI_I.imag, 2 * TWO_PI_I.imag)))
+
+
+@st.composite
+def _tagged_vectors(draw):
+    # centres on multiples of the U1 step D/m, so U1 powers map centres onto centres
+    tag = draw(st.sampled_from(_TAGS))
+    x0s = st.integers(-2, 2).map(lambda j: j * tag.denominator / tag.m)
+    terms = draw(st.lists(st.builds(
+        PolyGaussTerm,
+        poly=st.lists(_COEFFS, min_size=1, max_size=2).map(tuple),
+        sigma=st.sampled_from((1 + 0j, complex(0.8, -0.0), complex(0.8, 0.3))),
+        c=_CS, mu=st.integers(0, tag.m - 1), x0=x0s | st.sampled_from((0.0, -0.0)),
+    ), max_size=4))
+    return tag, gs.vector(tag.m, terms)
+
+
+def _term(poly, c=0j, mu=0, x0=0.0):
+    return PolyGaussTerm(tuple(map(complex, poly)), 1 + 0j, c, mu, x0)
+
+
+_D1 = _TAGS[3].denominator  # m = 1: U1 moves every centre by D
+# Word (1, 0) puts (1, 0.5) on x0 = D and (1, 0.7) on 2D; word (0, 0) leaves the
+# first coefficient on D and both on 2D below PRUNE_TOL, so D enters word (-1, 0)
+# as (0j, -0.2) and 2D is dropped.
+_CANCEL = ((_TAGS[3], gs.vector(1, [_term((1, 0.5)), _term((1, 0.7), x0=_D1),
+                                    _term((1, 0.7), x0=2 * _D1)])),
+           TorusElement({(1, 0): 1 + 0j, (0, 0): complex(-1 - 2**-50, -0.0),
+                         (-1, 0): 0.3 + 0j}))
+# Power-0 words on a centre x0 = -0.0, at D > 0 (U1**0 would make it +0.0) and D < 0.
+_NEG_CENTRE = gs.vector(2, [_term((1, complex(-0.0, 0.5)), x0=-0.0)])
+_POWER0 = TorusElement({(0, 0): complex(-0.0, 1.0), (0, 1): complex(0.5, -0.0),
+                        (1, 0): 1 + 0j})
+# Keys that differ only in a zero's sign: U2**-1 maps c = -0+0j onto +0+2*pi*j,
+# which meets c = -0+2*pi*j at power 0; at D < 0, U1**-1 maps x0 = D/2 on mu = 1
+# onto x0 = +0.0 on mu = 0, which meets x0 = -0.0 at power 0.
+_SIGNED_KEYS = gs.vector(2, [_term((1,), c=complex(-0.0, 0.0), mu=1),
+                             _term((0.5, 1), c=complex(-0.0, TWO_PI_I.imag), mu=1),
+                             _term((0.25,), x0=-0.0),
+                             _term((2,), mu=1, x0=_TAGS[1].denominator / 2)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tagged_vectors(), _ELEMENTS)
+@example(*_CANCEL)
+@example((_TAGS[0], _NEG_CENTRE), _POWER0)
+@example((_TAGS[1], _NEG_CENTRE), _POWER0)
+@example((_TAGS[1], _SIGNED_KEYS), TorusElement({(0, 0): 1 + 0j, (0, -1): -0.5 + 0j,
+                                                 (-1, 0): 1j}))
+@example((_TAGS[1], _SIGNED_KEYS), TorusElement({(-1, 0): 1j, (0, -1): -0.5 + 0j,
+                                                 (0, 0): 1 + 0j}))
+def test_act_element_is_bit_exact(tagged, f):
+    # one accumulator gives the former word-by-word axpy bit for bit: each
+    # term's coefficients, key and the sign of every zero in it
+    tag, v = tagged
+    got, want = act_element(f, v, tag), _act_element_ref(f, v, tag)
+    assert got == want
+    assert [repr(t) for t in got.terms] == [repr(t) for t in want.terms]

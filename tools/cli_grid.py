@@ -3,6 +3,7 @@
 Usage:
     python3 tools/cli_grid.py record SRC OUT.json
     python3 tools/cli_grid.py compare A.json B.json
+    python3 tools/cli_grid.py digest SRC OUT.json
 
 ``record`` runs ``python -m nctorus.cli`` with ``PYTHONPATH=SRC/src`` once
 per argv of the grid and stores its exit code, stdout and stderr, plus the
@@ -18,7 +19,12 @@ checked against the parent checkout:
     python3 tools/cli_grid.py record . /tmp/change.json
     python3 tools/cli_grid.py compare /tmp/parent.json /tmp/change.json
 
-The grid of 126 calls covers every subcommand over the five benchmark
+``digest`` runs the same children and writes, per argv, only the SHA-256 of
+(exit code, stdout, stderr, written file).  ``tests/data/cli_grid_digests.json``
+is that file, and ``tests/test_cli.py`` runs the grid in process against it,
+so Tier-1 names every call whose output moved.
+
+The grid of 127 calls covers every subcommand over the five benchmark
 label pairs at two angles, ``verify-all`` at edge labels and at nonzero
 connection offsets, ``structure-constants`` at the M = 29 edge label and
 at a label whose every row sums to truncation radius 3, a left label
@@ -37,12 +43,16 @@ oracle check, three basis vectors that overflow at a probe point
 have a negative entry, an
 ``algebra-check`` label whose ``module_axiom`` fails from far-centre phase
 rounding, four ``--theta`` expressions (one a division by zero, a usage error),
-every ``--help`` text and one JSON and one CSV ``--output`` file.  Pure
-stdlib.
+a table too large for the size gate of ``structure_constants``
+(``--kl 999999,1``, a typed ``TableTooLarge``), every ``--help`` text and
+one JSON and one CSV ``--output`` file.  Pure stdlib.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import resource
@@ -82,6 +92,9 @@ THETA_EXPRS = (
     ["algebra-check", "--theta", "1/0"],
 )
 COMMANDS = ("algebra-check", "theta-basis", "tensor", "structure-constants", "verify-all")
+# A call that runs away on a checkout without the size gate, so it runs only
+# in a capped child, never in process.
+CAPPED_ONLY = ["structure-constants", "--kl", "999999,1"]
 # Calls run with "--output NAME" in a scratch directory, keyed by NAME.
 OUTPUT_CALLS = {
     "out.json": ["structure-constants"],
@@ -152,6 +165,8 @@ def grid() -> list[list[str]]:
         # Centres near x0 ~ 4e6, where the phase exp(2*pi*i*n*x0) of modulate keeps
         # about 3e-9 of rounding: module_axiom fails.  Pins modulate's digits.
         ["algebra-check", "--nm", "1000003,1", "--seed", "5"],
+        # m*l*M = 3,999,998 entries, past the size gate: a typed TableTooLarge.
+        CAPPED_ONLY,
     ]
     calls += THETA_EXPRS
     calls += [["--help"]] + [[cmd, "--help"] for cmd in COMMANDS]
@@ -173,16 +188,55 @@ def run(src: Path, argv: list[str], cwd: str) -> dict:
     return {"exit": done.returncode, "stdout": done.stdout, "stderr": done.stderr}
 
 
-def record(src: Path, out: Path) -> int:
+def run_in_process(argv: list[str]) -> dict:
+    """One call through ``nctorus.cli.main`` in this process, recorded as ``run`` does.
+
+    The caller sets COLUMNS=80, as ``run`` does for its child, so that
+    ``--help`` wraps alike.
+    """
+    from nctorus.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def collect(src: Path | None) -> dict:
+    """Every grid call's record, keyed by its argv.
+
+    Each call runs in a capped child on the checkout at src, or with
+    src=None in this process, where the CAPPED_ONLY call is left out.
+    """
+    def call(argv: list[str], cwd: str) -> dict:
+        return run_in_process(argv) if src is None else run(src, argv, cwd)
+
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         for argv in grid():
-            results[" ".join(argv)] = run(src, argv, tmp)
+            if src is not None or argv != CAPPED_ONLY:
+                results[" ".join(argv)] = call(argv, tmp)
         for name, cmd in OUTPUT_CALLS.items():
             path = Path(tmp, name)
-            entry = run(src, [*cmd, "--output", str(path)], tmp)
+            entry = call([*cmd, "--output", str(path)], tmp)
             entry["file"] = path.read_text() if path.exists() else None
             results[" ".join([*cmd, "--output", name])] = entry
+    return results
+
+
+def digests(results: dict) -> dict:
+    """SHA-256 of each record's (exit code, stdout, stderr, written file)."""
+    return {
+        key: hashlib.sha256(json.dumps(
+            [e["exit"], e["stdout"], e["stderr"], e.get("file")]).encode()).hexdigest()
+        for key, e in results.items()
+    }
+
+
+def record(src: Path, out: Path, digest_only: bool = False) -> int:
+    results = collect(src)
+    if digest_only:
+        results = digests(results)
     out.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(results)} calls to {out}")
     return 0
@@ -208,6 +262,8 @@ def compare(a: Path, b: Path) -> int:
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "record":
         return record(Path(argv[1]).resolve(), Path(argv[2]))
+    if len(argv) == 3 and argv[0] == "digest":
+        return record(Path(argv[1]).resolve(), Path(argv[2]), digest_only=True)
     if len(argv) == 3 and argv[0] == "compare":
         return compare(Path(argv[1]), Path(argv[2]))
     print(__doc__, file=sys.stderr)
