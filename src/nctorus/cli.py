@@ -61,7 +61,7 @@ from .connections import (
     holomorphic_basis,
     leibniz_defect,
 )
-from .errors import DegenerateDenominator, IndexOutOfRange, NCTorusError, SeriesOverflow
+from .errors import DegenerateDenominator, NCTorusError, SeriesOverflow
 from .modules import ModuleTag, act_element, act_U1, act_U2, act_Z1, act_Z2, module_tag
 from .tensor import (
     DEFAULT_QMAX,
@@ -74,7 +74,6 @@ from .tensor import (
     tensor_gaussian_closed,
     verify_identities,
 )
-from .theta import theta_truncated
 
 ORACLE_TOL = 1e-10
 BASIS_TOL = 1e-8
@@ -323,16 +322,12 @@ def _oracle_checks(args: argparse.Namespace, checks: CheckList) -> None:
                 series = DirectSeries(gs.gaussian(m, sigma1, c1, alpha),
                                       gs.gaussian(l, sigma2, c2, beta), p, args.qmax)
                 for z in PROBE_ZS:
-                    # the row's closed values at one radius; the first failing peak
-                    # or sum is raised when the walk reaches it, after its direct sum
-                    peaks, radius, fault = form.row(z, range(p.M))
+                    # the row's closed values at one radius; its fault, a failing peak
+                    # or sum, is raised when the walk reaches it, after its direct sum
+                    entries, _, fault = form.row(z, range(p.M))
                     closed = [0j] * p.M
-                    for delta, _, _, t, k_exp in peaks:
-                        try:
-                            closed[delta] = theta_truncated(form.s, t, radius, k_exp)
-                        except OverflowError as exc:
-                            fault = delta, exc
-                            break
+                    for delta, _, _, _, _, value in entries:
+                        closed[delta] = value
                     for delta in range(p.M):
                         direct = series.evaluate(z, delta)
                         if fault is not None and fault[0] == delta:
@@ -434,18 +429,14 @@ def cmd_tensor(args: argparse.Namespace) -> int:
     k, l = args.kl
     p = product_params(n, m, k, l, args.theta)
     cs = ComplexStructure(args.tau, args.c1, args.c2)
-    if not 0 <= args.alpha < m:
-        raise IndexOutOfRange(f"alpha = {args.alpha} outside range(0, {m})")
-    if not 0 <= args.beta < l:
-        raise IndexOutOfRange(f"beta = {args.beta} outside range(0, {l})")
-    fv = holomorphic_basis(p.right, cs)[args.alpha]
-    gv = holomorphic_basis(p.left, cs)[args.beta]
-    sig_f = fv.terms[0]
-    sig_g = gv.terms[0]
+    basis_f, basis_g = holomorphic_basis(p.right, cs), holomorphic_basis(p.left, cs)
+    # every basis vector shares sigma and c; the form checks alpha and beta
+    sig_f, sig_g = basis_f[0].terms[0], basis_g[0].terms[0]
     form = tensor_gaussian_closed(
         args.alpha, args.beta, sig_f.sigma, sig_f.c, sig_g.sigma, sig_g.c, p
     )
-    direct = tensor_direct(fv, gv, p, args.z, args.delta, args.qmax)
+    direct = tensor_direct(basis_f[args.alpha], basis_g[args.beta], p, args.z, args.delta,
+                           args.qmax)
     closed = form.evaluate(args.z, args.delta)
     diff = abs(closed - direct)
     return _report(

@@ -38,10 +38,11 @@ The closed form builds t and K from these coefficients, once per component
 pair, at the representative of the largest term, where |Im t| <= Im s/2,
 and sums each term as one exponent, so none overflows where the value is
 representable.  Every entry of a pair (alpha, beta) shares s, and the
-certified tail bound grows with |Im t|, so the entries at one z take one
-truncation radius, at their largest |Im t| (:meth:`ProductClosedForm.row`):
-the structure constants one per pair, the oracle of verify-all one per
-pair and probe point z, and a single value its own.
+certified tail bound grows with |Im t|, so the entries at one z are summed
+together at one truncation radius, at their largest |Im t|, by
+:meth:`ProductClosedForm.row`, the one closed-form summer: the structure
+constants one row per pair, the oracle of verify-all one per pair and
+probe point z, and a single value its own.
 
 Specializing f, g to the Gaussian vectors holomorphic for a common
 complex structure tau makes t independent of z and factors out
@@ -77,7 +78,7 @@ from .errors import (
     TableTooLarge,
 )
 from .modules import ModuleTag, act_U1, act_U2, act_Z1, act_Z2
-from .theta import DEFAULT_EPS, log_tail, theta_truncated, truncation_radius
+from .theta import log_tail, theta_truncated, truncation_radius
 
 # Probe points in z used by the verification routines.
 PROBE_ZS: tuple[float, ...] = (-1.0, -0.5, 0.0, 0.3, 0.7, 1.0)
@@ -449,18 +450,19 @@ class ProductClosedForm:
             raise OverflowError(f"peak t = {t}, K = {k} is not reduced")
         return u, t, k
 
-    def row(self, z: complex, deltas: Iterable[int], eps: float = DEFAULT_EPS
-            ) -> tuple[list[tuple[int, int, int, complex, complex]], int,
+    def row(self, z: complex, deltas: Iterable[int]
+            ) -> tuple[list[tuple[int, int, int, complex, complex, complex]], int,
                        tuple[int, OverflowError] | None]:
-        """(peaks, radius, fault) of the entries at z over deltas, each in range(M).
+        """(entries, radius, fault) of the values at z over deltas, each in range(M).
 
-        peaks lists (delta, q0, u, t, K) of every compatible delta in order,
-        from :meth:`peak` at q0, so that entry is exp(K)*Theta(s, t) =
-        theta_truncated(s, t, radius, K).  The entries share s, and radius
-        is the :func:`theta.truncation_radius` at their largest |Im t|,
-        which certifies each of them and is at least each one's own radius,
-        since every peak has |Im t| <= Im s.  fault is (delta, OverflowError)
-        of the first peak that fails, with no peak built after it, or None.
+        entries lists (delta, q0, u, t, K, value) of every compatible delta
+        in order, with (u, t, K) from :meth:`peak` at q0 and value =
+        exp(K)*Theta(s, t) = theta_truncated(s, t, radius, K).  The entries
+        share s, and radius is the :func:`theta.truncation_radius` at their
+        largest |Im t|, which certifies each of them and is at least each
+        one's own radius, since every peak has |Im t| <= Im s.  Every peak
+        is built before any sum.  fault is (delta, OverflowError) of the
+        first entry whose peak or sum fails, with no entry from it on, or None.
         """
         p, coefs = self.params, self.n_coefficients(z)
         peaks, fault, worst = [], None, 0.0
@@ -475,7 +477,14 @@ class ProductClosedForm:
                 break
             peaks.append((delta, q0, u, t, k))
             worst = max(worst, abs(t.imag))
-        return peaks, truncation_radius(self.s, 1j * worst, eps), fault
+        radius, entries = truncation_radius(self.s, 1j * worst), []
+        for delta, q0, u, t, k in peaks:
+            try:
+                entries.append((delta, q0, u, t, k, theta_truncated(self.s, t, radius, k)))
+            except OverflowError as exc:
+                fault = delta, exc
+                break
+        return entries, radius, fault
 
     def overflow(self, exc: OverflowError, z: complex, delta: int) -> SeriesOverflow:
         """The typed error of an entry at (z, delta) whose peak or sum overflows."""
@@ -486,8 +495,8 @@ class ProductClosedForm:
             f"at theta = {p.theta}"
         )
 
-    def evaluate(self, z: complex, delta: int, eps: float = DEFAULT_EPS) -> complex:
-        """exp(K)*Theta(s, t) at (z, delta), within eps*|exp(K)|: a one-entry :meth:`row`.
+    def evaluate(self, z: complex, delta: int) -> complex:
+        """exp(K)*Theta(s, t) at (z, delta), within DEFAULT_EPS*|exp(K)|: a one-entry :meth:`row`.
 
         0j where the component pair is incompatible at delta; IndexOutOfRange
         unless 0 <= delta < M; SeriesOverflow where the peak or the sum
@@ -496,14 +505,10 @@ class ProductClosedForm:
         """
         if self.q0(delta) is None:
             return 0j
-        peaks, radius, fault = self.row(z, (delta,), eps)
+        entries, _, fault = self.row(z, (delta,))
         if fault is not None:
             raise self.overflow(fault[1], z, delta) from fault[1]
-        _, _, _, t, k = peaks[0]
-        try:
-            return theta_truncated(self.s, t, radius, k)
-        except OverflowError as exc:
-            raise self.overflow(exc, z, delta) from exc
+        return entries[0][-1]
 
 
 def tensor_gaussian_closed(
@@ -623,19 +628,16 @@ class StructureConstants:
         }
 
 
-def structure_constants(
-    p: ProductParams, cs: ComplexStructure, eps: float = DEFAULT_EPS
-) -> StructureConstants:
+def structure_constants(p: ProductParams, cs: ComplexStructure) -> StructureConstants:
     """Expand products of holomorphic basis vectors over the product basis.
 
     The (alpha, beta) product equals sum_gamma c^gamma_{alpha,beta} *
     phi_gamma with phi_gamma from :func:`product_basis`; the coefficient
     is the closed form at z = 0, where phi_gamma(0) = 1.  Each row
-    (alpha, beta) is one :meth:`ProductClosedForm.row` at z = 0, every
-    entry summed at its radius; a failing peak is raised after the sums of
-    the entries before it, so an overflow names the first failing entry in
-    (alpha, beta, gamma) order.  A table of more than TABLE_LIMIT entries
-    m*l*M raises TableTooLarge before any work.
+    (alpha, beta) is one :meth:`ProductClosedForm.row` at z = 0, whose
+    fault is raised at once, so an overflow names the first failing entry
+    in (alpha, beta, gamma) order.  A table of more than TABLE_LIMIT
+    entries m*l*M raises TableTooLarge before any work.
     """
     if p.m * p.l * p.M > TABLE_LIMIT:
         raise TableTooLarge(
@@ -643,26 +645,23 @@ def structure_constants(
             f"{TABLE_LIMIT} for ({p.n}, {p.m}) x ({p.k}, {p.l})"
         )
     sigma1, sigma2, c, sigma_p, c_p = _common_holomorphic_data(p, cs)
-
-    def overflow(entry: tuple[int, int, int], exc: OverflowError) -> SeriesOverflow:
-        return SeriesOverflow(
-            f"structure_constants: {exc} at entry (alpha, beta, gamma) = {entry} of "
-            f"({p.n}, {p.m}) x ({p.k}, {p.l}) at theta = {p.theta}"
-        )
-
     values = []
     provenance: dict[tuple[int, int, int], dict] = {}
     for alpha in range(p.m):
         row = []
         for beta in range(p.l):
             form = tensor_gaussian_closed(alpha, beta, sigma1, c, sigma2, c, p)
-            peaks, radius, fault = form.row(0.0, range(p.M), eps)
+            entries, radius, fault = form.row(0.0, range(p.M))
+            if fault is not None:
+                gamma, exc = fault
+                raise SeriesOverflow(
+                    f"structure_constants: {exc} at entry (alpha, beta, gamma) = "
+                    f"{(alpha, beta, gamma)} of ({p.n}, {p.m}) x ({p.k}, {p.l}) "
+                    f"at theta = {p.theta}"
+                ) from exc
             col = [0j] * p.M
-            for gamma, q0, u, t, k_exp in peaks:
-                try:
-                    col[gamma] = theta_truncated(form.s, t, radius, k_exp)
-                except OverflowError as exc:
-                    raise overflow((alpha, beta, gamma), exc) from exc
+            for gamma, q0, u, t, k_exp, value in entries:
+                col[gamma] = value
                 provenance[(alpha, beta, gamma)] = {
                     "s": form.s,
                     "t": t,
@@ -671,8 +670,6 @@ def structure_constants(
                     "q0": q0,
                     "radius": radius,
                 }
-            if fault is not None:
-                raise overflow((alpha, beta, fault[0]), fault[1]) from fault[1]
             row.append(tuple(col))
         values.append(tuple(row))
     params_doc = p.to_json()

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ DIGESTS = REPO / "tests" / "data" / "cli_grid_digests.json"
 _spec = importlib.util.spec_from_file_location("cli_grid", REPO / "tools" / "cli_grid.py")
 cli_grid = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(cli_grid)
+LABEL_SWEEP = REPO / "tools" / "label_sweep.py"
 
 
 # ----------------------------------------------------------------- parsing
@@ -198,6 +200,23 @@ def test_oversized_table_is_typed_at_once(tmp_path):
     assert cli_grid.digests({"call": entry})["call"] == want
 
 
+def test_label_sweep_counts_points_by_exit(monkeypatch, capsys, tmp_path):
+    # the sweep adds its own directory and the checkout's src to sys.path
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("label_sweep", LABEL_SWEEP)
+    label_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(label_sweep)
+    out = tmp_path / "sweep.json"
+    # (1, 2) x (1, 3) fails the strict sign check at sqrt2-1, so it is swept at 0.2 only
+    assert label_sweep.main(["--label", "1,2,1,3", "--label", "1,2,1,2",
+                             "--json", str(out)]) == 0
+    report = json.loads(out.read_text())["labels"]
+    assert (report["points"], report["by_exit"]) == (3, {"0": 3})
+    assert [(r["labels"], r["theta"]) for r in report["results"]] == [
+        ([1, 2, 1, 3], "0.2"), ([1, 2, 1, 2], "0.2"), ([1, 2, 1, 2], "sqrt2-1")]
+    assert capsys.readouterr().out == "labels: 3 points\n  exit 0: 3\n"
+
+
 def test_cli_grid_matches_committed_digests(monkeypatch):
     """Every call of tools/cli_grid.py, run in process, against its committed digest.
 
@@ -313,7 +332,7 @@ def test_oracle_reports_the_first_failing_point(capsys, monkeypatch, sum_at, pea
     # (delta + 1)-th peak or sum is the one at delta.
     monkeypatch.setattr(cli, "_identity_checks", lambda cfg, checks: None)
     calls = {"peak": 0, "sum": 0}
-    peak, theta_truncated = tensor.ProductClosedForm.peak, cli.theta_truncated
+    peak, theta_truncated = tensor.ProductClosedForm.peak, tensor.theta_truncated
     direct = tensor.DirectSeries.evaluate
 
     def failing_peak(self, coefs, n):
@@ -339,7 +358,7 @@ def test_oracle_reports_the_first_failing_point(capsys, monkeypatch, sum_at, pea
             return direct(self, z, delta)
 
     monkeypatch.setattr(tensor.ProductClosedForm, "peak", failing_peak)
-    monkeypatch.setattr(cli, "theta_truncated", failing_sum)
+    monkeypatch.setattr(tensor, "theta_truncated", failing_sum)
     monkeypatch.setattr(tensor.DirectSeries, "evaluate", failing_direct)
     assert main(["verify-all"]) == 2
     captured = capsys.readouterr()
@@ -494,6 +513,9 @@ def test_tensor_rejects_out_of_range_indices(capsys):
     capsys.readouterr()
     assert main(["tensor", "--delta", "-1"]) == 2
     capsys.readouterr()
+    # a negative index is rejected, never read from the end of a basis
+    assert main(["tensor", "--beta=-1"]) == 2
+    assert capsys.readouterr().err == "error: beta = -1 outside range(0, 3)\n"
 
 
 def test_tensor_unsolvable_pair_reports_zero(capsys):

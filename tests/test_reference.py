@@ -363,11 +363,12 @@ def test_row_radius_certifies_every_entry(case, tau, label, seed):
         for beta in range(l):
             form = tensor_gaussian_closed(alpha, beta, sigma1, c1, sigma2, c2, p)
             for z in PROBE_ZS:
-                peaks, radius, fault = form.row(z, range(p.M))
+                entries, radius, fault = form.row(z, range(p.M))
                 assert fault is None
-                assert [d for d, *_ in peaks] == [d for d in range(p.M) if form.q0(d) is not None]
-                for _, _, _, t, k_exp in peaks:
-                    got = theta_truncated(form.s, t, radius, k_exp)
+                assert [d for d, *_ in entries] == [d for d in range(p.M)
+                                                    if form.q0(d) is not None]
+                for _, _, _, t, k_exp, got in entries:
+                    assert got == theta_truncated(form.s, t, radius, k_exp)
                     _assert_certified(form.s, t, k_exp, radius, got)
 
 

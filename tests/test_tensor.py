@@ -790,6 +790,28 @@ def test_structure_constants_report_the_first_failing_entry(monkeypatch, sum_fai
         f"structure_constants: {what} at entry (alpha, beta, gamma) = (0, 0, {gamma}) of ")
 
 
+def test_row_stops_at_the_first_failing_sum(monkeypatch):
+    # every delta of (0, 0) in (1, 2) x (1, 3) is compatible: the sum at
+    # delta = 2 fails, so the row keeps deltas 0 and 1 and sums nothing after
+    p = _canonical()
+    cs = ComplexStructure(tau=-1j)
+    form = _closed_for(p, holomorphic_basis(p.right, cs), holomorphic_basis(p.left, cs), 0, 0)
+    want, _, _ = form.row(0.3, range(p.M))
+    sums, theta_truncated = [], tensor.theta_truncated
+
+    def failing_sum(s, t, radius, k):
+        sums.append(t)
+        if len(sums) == 3:
+            raise OverflowError("sum fails")
+        return theta_truncated(s, t, radius, k)
+
+    monkeypatch.setattr(tensor, "theta_truncated", failing_sum)
+    entries, _, (delta, exc) = form.row(0.3, range(p.M))
+    assert entries == want[:2]
+    assert (delta, str(exc)) == (2, "sum fails")
+    assert sums == [t for _, _, _, t, _, _ in want[:3]]
+
+
 def test_closed_form_evaluate_overflow_is_typed():
     # the same product overflows in the closed form of one component pair
     p = _canonical()

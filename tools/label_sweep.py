@@ -5,9 +5,10 @@ Usage:
                                  [--json OUT]
 
 Each point runs ``cli.main(["verify-all", "--theta", TH, "--nm=N,M",
-"--kl=K,L", "--seed", S])`` in process, at theta = 0.2 and sqrt2-1, for every
-label of the grid that ``product_params`` accepts with its default strict
-sign checks.  The ``=`` form keeps a negative n from reading as an option.
+"--kl=K,L", "--seed", S])`` in process through ``cli_grid.run_in_process``,
+at theta = 0.2 and sqrt2-1, for every label of the grid that
+``product_params`` accepts with its default strict sign checks.  The ``=``
+form keeps a negative n from reading as an option.
 
     A: n -2..4, m 1..4, k 1..7, l 1..4, M <= 30   (472 points)
     B: n -1..3, m 1..3, k 8..16, l 1..2           (221 points)
@@ -29,13 +30,14 @@ point's outcome.  Pure stdlib apart from the package under test.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import re
 import sys
 from collections import Counter
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import cli_grid  # noqa: E402  (pure stdlib at import time)
 
 THETAS = ("0.2", "sqrt2-1")
 GRIDS = {
@@ -76,17 +78,16 @@ def points(nct, labels):
             yield n, m, k, l, th
 
 
-def run_point(nct, n: int, m: int, k: int, l: int, th: str, seed: int) -> dict:
+def run_point(n: int, m: int, k: int, l: int, th: str, seed: int) -> dict:
     argv = ["verify-all", "--theta", th, f"--nm={n},{m}", f"--kl={k},{l}", "--seed", str(seed)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = nct.cli.main(argv)
+    run = cli_grid.run_in_process(argv)
+    code = run["exit"]
     result = {"labels": [n, m, k, l], "theta": th, "seed": seed, "exit": code}
     if code == 1:
-        checks = json.loads(out.getvalue())["checks"]
+        checks = json.loads(run["stdout"])["checks"]
         result["failing"] = [c["name"] for c in checks if c.get("pass") is False]
     elif code != 0:
-        text = err.getvalue().strip()
+        text = run["stderr"].strip()
         stage = _STAGE_RE.match(text)
         result["failing"] = [stage[1] if stage else text]
     return result
@@ -119,7 +120,7 @@ def main(argv: list[str]) -> int:
         f"grid {grid}": grid_labels(grid) for grid in GRIDS}
     report = {}
     for name, labels in sweeps.items():
-        results = [run_point(nctorus, *point, seed)
+        results = [run_point(*point, seed)
                    for point in points(nctorus, labels) for seed in args.seed]
         summary = summarize(results)
         print(f"{name}: {summary['points']} points")
