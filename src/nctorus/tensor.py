@@ -490,7 +490,7 @@ class ProductClosedForm:
         """The typed error of an entry at (z, delta) whose peak or sum overflows."""
         p = self.params
         return SeriesOverflow(
-            f"ProductClosedForm.evaluate: {exc} at (alpha, beta) = ({self.alpha}, "
+            f"ProductClosedForm.row: {exc} at (alpha, beta) = ({self.alpha}, "
             f"{self.beta}), delta = {delta}, z = {z} of ({p.n}, {p.m}) x ({p.k}, {p.l}) "
             f"at theta = {p.theta}"
         )

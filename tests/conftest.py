@@ -8,9 +8,16 @@ draw the same instances.
 
 import random
 
+from hypothesis import strategies as st
+
 from nctorus import vector
 from nctorus.cli import _random_element as random_element, _random_gaussian as random_gaussian
 from nctorus.gaussians import PolyGaussTerm
+
+# Hypothesis parts of a coefficient: signed zeros, values at and below 1e-14
+# (gaussians.PRUNE_TOL) and ordinary ones; COEFFS builds complex numbers of them.
+PARTS = st.sampled_from((0.0, -0.0, 1e-14, -1e-14, 5e-15, 1.0, -0.7)) | st.floats(-2, 2)
+COEFFS = st.builds(complex, PARTS, PARTS)
 
 
 def random_vector(rng, m, nterms=2, max_deg=2):

@@ -5,10 +5,12 @@ import json
 import math
 import random
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import nctorus
 import nctorus.cli as cli
 import nctorus.gaussians as gs
 import nctorus.modules as modules
@@ -23,7 +25,6 @@ DIGESTS = REPO / "tests" / "data" / "cli_grid_digests.json"
 _spec = importlib.util.spec_from_file_location("cli_grid", REPO / "tools" / "cli_grid.py")
 cli_grid = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(cli_grid)
-LABEL_SWEEP = REPO / "tools" / "label_sweep.py"
 
 
 # ----------------------------------------------------------------- parsing
@@ -200,21 +201,60 @@ def test_oversized_table_is_typed_at_once(tmp_path):
     assert cli_grid.digests({"call": entry})["call"] == want
 
 
-def test_label_sweep_counts_points_by_exit(monkeypatch, capsys, tmp_path):
-    # the sweep adds its own directory and the checkout's src to sys.path
+def test_sweep_counts_points_by_exit(monkeypatch, capsys, tmp_path):
+    # the sweep puts the checkout's src first on sys.path
     monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location("label_sweep", LABEL_SWEEP)
-    label_sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(label_sweep)
     out = tmp_path / "sweep.json"
     # (1, 2) x (1, 3) fails the strict sign check at sqrt2-1, so it is swept at 0.2 only
-    assert label_sweep.main(["--label", "1,2,1,3", "--label", "1,2,1,2",
-                             "--json", str(out)]) == 0
-    report = json.loads(out.read_text())["labels"]
-    assert (report["points"], report["by_exit"]) == (3, {"0": 3})
-    assert [(r["labels"], r["theta"]) for r in report["results"]] == [
-        ([1, 2, 1, 3], "0.2"), ([1, 2, 1, 2], "0.2"), ([1, 2, 1, 2], "sqrt2-1")]
+    assert cli_grid.main(["sweep", "--label", "1,2,1,3", "--label", "1,2,1,2",
+                          "--json", str(out)]) == 0
+    records = json.loads(out.read_text())
+    assert sorted(records) == sorted(
+        f"verify-all --theta {th} --nm=1,2 --kl={kl} --seed 0"
+        for th, kl in (("0.2", "1,3"), ("0.2", "1,2"), ("sqrt2-1", "1,2")))
+    assert {r["exit"] for r in records.values()} == {0}
     assert capsys.readouterr().out == "labels: 3 points\n  exit 0: 3\n"
+
+
+def test_sweep_grids_hold_their_strict_valid_points():
+    points = {name: len(list(cli_grid.sweep_calls(nctorus, grid, [0])))
+              for name, grid in cli_grid.GRIDS.items()}
+    assert points == {"A": 472, "B": 221}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--label", "1,2,3"], "'1,2,3' is not four integers N,M,K,L"),
+    (["sweep", "--seed", "5-3"], "empty seed range '5-3'"),
+    (["record", "."], "the following arguments are required: OUT"),
+])
+def test_cli_grid_rejects_bad_arguments(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        cli_grid.main(argv)
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_sweep_refuses_nctorus_of_another_checkout(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    other = types.ModuleType("nctorus")
+    other.__file__ = str(tmp_path / "nctorus" / "__init__.py")
+    monkeypatch.setitem(sys.modules, "nctorus", other)
+    with pytest.raises(SystemExit) as info:
+        cli_grid.main(["sweep", "--label", "1,2,1,2"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"nctorus imported from {other.__file__}, not {REPO / 'src'}" in captured.err
+    assert captured.out == ""
+
+
+def test_sweeps_of_one_checkout_compare_equal(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for out in (a, b):
+        assert cli_grid.main(["sweep", "--label", "1,2,1,2", "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert cli_grid.main(["compare", str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "0 of 2 calls differ\n"
 
 
 def test_cli_grid_matches_committed_digests(monkeypatch):
@@ -314,8 +354,8 @@ def test_verify_all_does_not_skip_an_overflow(capsys, monkeypatch):
 
 _ORACLE_FAILURES = [
     # (closed sum fails at, closed peak fails at, direct fails at, reported)
-    (None, 3, 4, "ProductClosedForm.evaluate: peak fails at (alpha, beta) = (0, 0), delta = 3, "),
-    (1, 3, 4, "ProductClosedForm.evaluate: sum fails at (alpha, beta) = (0, 0), delta = 1, "),
+    (None, 3, 4, "ProductClosedForm.row: peak fails at (alpha, beta) = (0, 0), delta = 3, "),
+    (1, 3, 4, "ProductClosedForm.row: sum fails at (alpha, beta) = (0, 0), delta = 1, "),
     (None, 3, 3, "tensor.DirectSeries.evaluate: direct fails at z = -1.0, delta = 3 of "),
     (1, None, 1, "tensor.DirectSeries.evaluate: direct fails at z = -1.0, delta = 1 of "),
     (None, 3, 2, "tensor.DirectSeries.evaluate: direct fails at z = -1.0, delta = 2 of "),

@@ -32,7 +32,7 @@ from nctorus.gaussians import (
     zero,
 )
 
-from conftest import random_vector
+from conftest import COEFFS, PARTS, random_vector
 
 
 # ------------------------------------------------------------- evaluation
@@ -300,14 +300,11 @@ def _bits(v):
             for t in v.terms]
 
 
-# signed zeros, values at and below PRUNE_TOL = 1e-14 and ordinary ones
-_PARTS = st.sampled_from((0.0, -0.0, 1e-14, -1e-14, 5e-15, 1.0, -0.7)) | st.floats(-2, 2)
-_COEFFS = st.builds(complex, _PARTS, _PARTS) | _PARTS
 # few keys, given as floats, signed zeros and an int x0, so terms repeat a
 # (sigma, c, mu, x0) key with polynomials of different lengths
 _TERMS = st.builds(
     PolyGaussTerm,
-    poly=st.lists(_COEFFS, max_size=3).map(tuple),
+    poly=st.lists(COEFFS | PARTS, max_size=3).map(tuple),
     sigma=st.sampled_from((1.0, complex(1.0, -0.0), 1 + 0.5j)),
     c=st.sampled_from((0j, -0.0, complex(-0.0, 0.3))),
     mu=st.integers(0, 1),

@@ -21,7 +21,8 @@ from nctorus.modules import (
     module_tag,
 )
 
-from conftest import coprime_pair, random_element, random_gaussian, random_theta, random_vector
+from conftest import (COEFFS, coprime_pair, random_element, random_gaussian, random_theta,
+                      random_vector)
 
 
 def _rel(v, w):
@@ -227,12 +228,9 @@ def _act_element_ref(f, v, tag):
 # D = n + m*theta of each sign, a left tag (at -theta) and m = 1
 _TAGS = (module_tag(1, 2, 0.3), module_tag(-1, 2, 0.3), module_tag(1, 3, -0.31),
          module_tag(2, 1, 0.2))
-# signed zeros, values at and below 1e-14 (gaussians.PRUNE_TOL) and ordinary ones
-_PARTS = st.sampled_from((0.0, -0.0, 1e-14, -1e-14, 5e-15, 1.0, -0.7)) | st.floats(-2, 2)
-_COEFFS = st.builds(complex, _PARTS, _PARTS)
 # raw maps, not through element: a coefficient may hold -0.0 parts or be 0
 _ELEMENTS = st.dictionaries(
-    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), _COEFFS, max_size=5
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), COEFFS, max_size=5
 ).map(TorusElement)
 # c.imag on multiples of 2*pi, so U2 powers map one term's c onto another's
 _CS = st.builds(complex, st.sampled_from((0.0, -0.0, 0.25)),
@@ -246,7 +244,7 @@ def _tagged_vectors(draw):
     x0s = st.integers(-2, 2).map(lambda j: j * tag.denominator / tag.m)
     terms = draw(st.lists(st.builds(
         PolyGaussTerm,
-        poly=st.lists(_COEFFS, min_size=1, max_size=2).map(tuple),
+        poly=st.lists(COEFFS, min_size=1, max_size=2).map(tuple),
         sigma=st.sampled_from((1 + 0j, complex(0.8, -0.0), complex(0.8, 0.3))),
         c=_CS, mu=st.integers(0, tag.m - 1), x0=x0s | st.sampled_from((0.0, -0.0)),
     ), max_size=4))

@@ -822,7 +822,7 @@ def test_closed_form_evaluate_overflow_is_typed():
         form.evaluate(0.0, 1)
     assert isinstance(info.value.__cause__, OverflowError)
     text = str(info.value)
-    assert text.startswith("ProductClosedForm.evaluate:")
+    assert text.startswith("ProductClosedForm.row:")
     assert "(alpha, beta) = (0, 0), delta = 1, z = 0.0" in text
     assert "(1, 2) x (1, 3)" in text
     assert f"theta = {p.theta}" in text

@@ -1,9 +1,10 @@
-"""Record and compare the CLI's output over a fixed grid of calls.
+"""Run the CLI over input sets: record, compare and sweep its output.
 
 Usage:
     python3 tools/cli_grid.py record SRC OUT.json
     python3 tools/cli_grid.py compare A.json B.json
     python3 tools/cli_grid.py digest SRC OUT.json
+    python3 tools/cli_grid.py sweep [--label N,M,K,L]... [--seed SEEDS] [--json OUT]
 
 ``record`` runs ``python -m nctorus.cli`` with ``PYTHONPATH=SRC/src`` once
 per argv of the grid and stores its exit code, stdout and stderr, plus the
@@ -23,6 +24,16 @@ checked against the parent checkout:
 (exit code, stdout, stderr, written file).  ``tests/data/cli_grid_digests.json``
 is that file, and ``tests/test_cli.py`` runs the grid in process against it,
 so Tier-1 names every call whose output moved.
+
+``sweep`` runs ``verify-all --theta TH --nm=N,M --kl=K,L --seed S`` in
+process at theta = 0.2 and sqrt2-1, for every label of grids A (n -2..4,
+m 1..4, k 1..7, l 1..4, M <= 30: 472 points) and B (n -1..3, m 1..3,
+k 8..16, l 1..2: 221 points) that ``product_params`` accepts with its
+default strict sign checks, or of the ``--label`` values alone.  ``--seed``
+takes a comma list or an inclusive range such as ``0-199``.  It prints the
+count of points by exit code, exit 1 by failing check and exit 2 by
+failing stage.  ``--json`` writes the points' records as ``record`` does.
+It runs the ``nctorus`` of this checkout's ``src`` and refuses any other.
 
 The grid of 127 calls covers every subcommand over the five benchmark
 label pairs at two angles, ``verify-all`` at edge labels and at nonzero
@@ -45,21 +56,27 @@ have a negative entry, an
 rounding, four ``--theta`` expressions (one a division by zero, a usage error),
 a table too large for the size gate of ``structure_constants``
 (``--kl 999999,1``, a typed ``TableTooLarge``), every ``--help`` text and
-one JSON and one CSV ``--output`` file.  Pure stdlib.
+one JSON and one CSV ``--output`` file.  Pure stdlib apart from nctorus.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
+
+REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 
 PAIRS = ("1,2 1,3", "3,2 2,3", "1,4 2,3", "1,3 2,5", "2,3 3,5")
 THETAS = ("0.2", "sqrt2-1")
@@ -100,6 +117,13 @@ OUTPUT_CALLS = {
     "out.json": ["structure-constants"],
     "out.csv": ["structure-constants", "--format", "csv"],
 }
+# Label grids (n, m, k, l) of the sweep; grid A keeps M = n*l + m*k <= 30.
+GRIDS = {
+    "A": [(n, m, k, l) for n, m, k, l in itertools.product(
+        range(-2, 5), range(1, 5), range(1, 8), range(1, 5)) if n * l + m * k <= 30],
+    "B": list(itertools.product(range(-1, 4), range(1, 4), range(8, 17), range(1, 3))),
+}
+_STAGE_RE = re.compile(r"error: ([\w.]+):")
 
 
 def grid() -> list[list[str]]:
@@ -233,13 +257,9 @@ def digests(results: dict) -> dict:
     }
 
 
-def record(src: Path, out: Path, digest_only: bool = False) -> int:
-    results = collect(src)
-    if digest_only:
-        results = digests(results)
+def write(results: dict, out: Path) -> None:
+    """The record format of ``record``, ``digest`` and ``sweep``: JSON keyed by argv."""
     out.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(results)} calls to {out}")
-    return 0
 
 
 def compare(a: Path, b: Path) -> int:
@@ -259,15 +279,94 @@ def compare(a: Path, b: Path) -> int:
     return 1 if differ else 0
 
 
+def parse_label(text: str) -> tuple[int, ...]:
+    label = tuple(int(x) for x in text.split(","))
+    if len(label) != 4:
+        raise argparse.ArgumentTypeError(f"{text!r} is not four integers N,M,K,L")
+    return label
+
+
+def parse_seeds(text: str) -> list[int]:
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        span = range(int(lo), int(hi or lo) + 1)
+        if not span:
+            raise argparse.ArgumentTypeError(f"empty seed range {part!r}")
+        seeds += span
+    return seeds
+
+
+def sweep_calls(nct, labels: list, seeds: list[int]):
+    """verify-all argv of every strict-valid label, angle by angle, seed by seed."""
+    for th in THETAS:
+        value = nct.cli.parse_theta(th)
+        for n, m, k, l in labels:
+            try:
+                nct.product_params(n, m, k, l, value)
+            except (nct.NCTorusError, ValueError):
+                continue
+            for seed in seeds:
+                yield ["verify-all", "--theta", th, f"--nm={n},{m}", f"--kl={k},{l}",
+                       "--seed", str(seed)]
+
+
+def failing(entry: dict) -> list[str]:
+    """The failing checks of an exit 1, else the failing stage of a nonzero exit."""
+    if entry["exit"] == 1:
+        checks = json.loads(entry["stdout"])["checks"]
+        return [c["name"] for c in checks if c.get("pass") is False]
+    text = entry["stderr"].strip()
+    stage = _STAGE_RE.match(text)
+    return [stage[1] if stage else text] if entry["exit"] else []
+
+
+def sweep(nct, labels: list | None, seeds: list[int], out: Path | None) -> int:
+    sweeps = {"labels": labels} if labels else {
+        f"grid {name}": grid for name, grid in GRIDS.items()}
+    results = {}
+    for name, group in sweeps.items():
+        entries = {" ".join(argv): run_in_process(argv)
+                   for argv in sweep_calls(nct, group, seeds)}
+        print(f"{name}: {len(entries)} points")
+        for code, count in sorted(Counter(e["exit"] for e in entries.values()).items()):
+            print(f"  exit {code}: {count}")
+        by_failure = Counter(f"exit {e['exit']}: {failure}"
+                             for e in entries.values() for failure in failing(e))
+        for failure, count in sorted(by_failure.items()):
+            print(f"    {failure}: {count}")
+        results |= entries
+    if out:
+        write(results, out)
+    return 0
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) == 3 and argv[0] == "record":
-        return record(Path(argv[1]).resolve(), Path(argv[2]))
-    if len(argv) == 3 and argv[0] == "digest":
-        return record(Path(argv[1]).resolve(), Path(argv[2]), digest_only=True)
-    if len(argv) == 3 and argv[0] == "compare":
-        return compare(Path(argv[1]), Path(argv[2]))
-    print(__doc__, file=sys.stderr)
-    return 2
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, a, b in (("record", "SRC", "OUT"), ("digest", "SRC", "OUT"), ("compare", "A", "B")):
+        sub = commands.add_parser(name)
+        sub.add_argument("a", type=Path, metavar=a)
+        sub.add_argument("b", type=Path, metavar=b)
+    sweeper = commands.add_parser("sweep")
+    sweeper.add_argument("--label", action="append", metavar="N,M,K,L", type=parse_label)
+    sweeper.add_argument("--seed", default="0", type=parse_seeds, metavar="SEEDS")
+    sweeper.add_argument("--json", metavar="OUT", type=Path)
+    args = parser.parse_args(argv)
+    if args.command == "sweep":
+        sys.path.insert(0, str(REPO_SRC))
+        import nctorus
+
+        if Path(nctorus.__file__).resolve().parent != REPO_SRC / "nctorus":
+            sweeper.error(f"nctorus imported from {nctorus.__file__}, not {REPO_SRC}")
+        import nctorus.cli  # noqa: F401
+        return sweep(nctorus, args.label, args.seed, args.json)
+    if args.command == "compare":
+        return compare(args.a, args.b)
+    results = collect(args.a.resolve())
+    write(digests(results) if args.command == "digest" else results, args.b)
+    print(f"recorded {len(results)} calls to {args.b}")
+    return 0
 
 
 if __name__ == "__main__":
