@@ -77,7 +77,7 @@ from .errors import (
     SignAssumptionViolated,
     TableTooLarge,
 )
-from .modules import ModuleTag, act_U1, act_U2, act_Z1, act_Z2
+from .modules import ModuleTag, act_U1, act_U2, act_Z1, act_Z2, module_tag
 from .theta import log_tail, theta_truncated, truncation_radius
 
 # Probe points in z used by the verification routines.
@@ -140,6 +140,9 @@ class ProductParams:
     def N_double_prime(self) -> int:
         return -(self.left.a * self.n + self.left.b * self.m)
 
+    def __str__(self) -> str:
+        return f"({self.n}, {self.m}) x ({self.k}, {self.l}) at theta = {self.theta}"
+
     def to_json(self) -> dict:
         doc = {
             "n": self.n,
@@ -178,23 +181,21 @@ def product_params(
     """Validated parameters for the product of labels (n, m) and (k, l).
 
     The factor tags carry the normal-form Bezout pairs (a, b) of (n, m)
-    and (c, d) of (k, l) from ``algebra.bezout``; a label that is not
-    coprime raises NotCoprime before any sign check.  With strict=True
-    (the default) both n + m*theta > 0 and k - l*theta > 0 are required,
-    which is the regime where ``to_json`` carries the bimodule profile.
-    strict=False admits any k - l*theta; the bilinear map and its
-    verification identities remain well defined there, and ``to_json``
+    and (c, d) of (k, l) from ``algebra.bezout``, and A and B are their
+    denominators.  ``modules.module_tag`` validates the right tag; a label
+    that is not coprime raises NotCoprime before any sign check.  With
+    strict=True (the default) both n + m*theta > 0 and k - l*theta > 0 are
+    required, which is the regime where ``to_json`` carries the bimodule
+    profile.  strict=False admits any k - l*theta; the bilinear map and
+    its verification identities remain well defined there, and ``to_json``
     omits the profile when the sign assumptions fail.
     """
-    if m < 1 or l < 1:
-        raise ValueError(f"m and l must be >= 1, got m = {m}, l = {l}")
+    if l < 1:
+        raise ValueError(f"l must be >= 1, got {l}")
+    right = module_tag(n, m, theta)
     # The constructor, not module_tag: strict=False admits k - l*theta = 0.
-    right = ModuleTag(n, m, theta, *bezout(n, m))
     left = ModuleTag(k, l, -theta, *bezout(k, l))
-    a_val = n + m * theta
-    b_val = k - l * theta
-    if a_val == 0:
-        raise DegenerateDenominator(f"n + m*theta = 0 for ({n}, {m}) at theta = {theta}")
+    a_val, b_val = right.denominator, left.denominator
     if strict and (a_val <= 0 or b_val <= 0):
         raise SignAssumptionViolated(
             f"need n + m*theta > 0 and k - l*theta > 0, got {a_val:.6g} and {b_val:.6g}"
@@ -260,11 +261,16 @@ class DirectSeries:
     tails together are below 2**-53 of |class sum| or below the smallest
     normal double.  NonConvergent means that window left |q| <= qmax.  An
     overflowing summand, term norm or total raises SeriesOverflow at the
-    call that reaches it; qmax < 1, which would sum nothing, a ValueError.
+    call that reaches it.  Factors on other components than Z_m x Z_l raise
+    DimensionMismatch, and qmax < 1, which would sum nothing, a ValueError.
     """
 
     def __init__(self, f: gs.PolyGaussVector, g: gs.PolyGaussVector, p: ProductParams,
                  qmax: int = DEFAULT_QMAX) -> None:
+        if f.m != p.m or g.m != p.l:
+            raise DimensionMismatch(
+                f"factors on Z_{f.m} x Z_{g.m}, label needs Z_{p.m} x Z_{p.l}"
+            )
         if qmax < 1:
             raise ValueError(f"qmax must be >= 1, got {qmax}")
         m, l, big_l = p.m, p.l, p.L
@@ -348,17 +354,9 @@ class DirectSeries:
                 raise OverflowError(f"non-finite sum {total}")
         except (ArithmeticError, ValueError) as exc:
             raise SeriesOverflow(
-                f"tensor.DirectSeries.evaluate: {exc} at z = {z}, delta = {delta} of "
-                f"({p.n}, {p.m}) x ({p.k}, {p.l}) at theta = {p.theta}"
+                f"tensor.DirectSeries.evaluate: {exc} at z = {z}, delta = {delta} of {p}"
             ) from exc
         return total
-
-
-def _check_factors(f: gs.PolyGaussVector, g: gs.PolyGaussVector, p: ProductParams) -> None:
-    if f.m != p.m or g.m != p.l:
-        raise DimensionMismatch(
-            f"factors on Z_{f.m} x Z_{g.m}, label needs Z_{p.m} x Z_{p.l}"
-        )
 
 
 def tensor_direct(
@@ -374,10 +372,10 @@ def tensor_direct(
     One throwaway :class:`DirectSeries`; a caller that sums the same factors
     at many (z, delta) builds the series once and calls its ``evaluate``.
     """
-    _check_factors(f, g, p)
+    series = DirectSeries(f, g, p, qmax)
     if not 0 <= delta < p.M:
         raise IndexOutOfRange(f"delta = {delta} outside range(0, {p.M})")
-    return DirectSeries(f, g, p, qmax).evaluate(z, delta)
+    return series.evaluate(z, delta)
 
 
 @dataclass(frozen=True)
@@ -451,9 +449,8 @@ class ProductClosedForm:
         return u, t, k
 
     def row(self, z: complex, deltas: Iterable[int]
-            ) -> tuple[list[tuple[int, int, int, complex, complex, complex]], int,
-                       tuple[int, OverflowError] | None]:
-        """(entries, radius, fault) of the values at z over deltas, each in range(M).
+            ) -> tuple[list[tuple[int, int, int, complex, complex, complex]], int]:
+        """(entries, radius) of the values at z over deltas, each in range(M).
 
         entries lists (delta, q0, u, t, K, value) of every compatible delta
         in order, with (u, t, K) from :meth:`peak` at q0 and value =
@@ -461,11 +458,11 @@ class ProductClosedForm:
         share s, and radius is the :func:`theta.truncation_radius` at their
         largest |Im t|, which certifies each of them and is at least each
         one's own radius, since every peak has |Im t| <= Im s.  Every peak
-        is built before any sum.  fault is (delta, OverflowError) of the
-        first entry whose peak or sum fails, with no entry from it on, or None.
+        is built before any sum.  SeriesOverflow, from the OverflowError, of
+        the first entry whose peak or sum fails; no sum runs after it.
         """
         p, coefs = self.params, self.n_coefficients(z)
-        peaks, fault, worst = [], None, 0.0
+        peaks, failed, worst = [], None, 0.0
         for delta in deltas:
             q0 = self.q0_table[delta]
             if q0 is None:
@@ -473,27 +470,23 @@ class ProductClosedForm:
             try:
                 u, t, k = self.peak(coefs, p.M * q0 - p.l * delta)
             except OverflowError as exc:
-                fault = delta, exc
+                failed = exc
                 break
             peaks.append((delta, q0, u, t, k))
             worst = max(worst, abs(t.imag))
         radius, entries = truncation_radius(self.s, 1j * worst), []
-        for delta, q0, u, t, k in peaks:
-            try:
-                entries.append((delta, q0, u, t, k, theta_truncated(self.s, t, radius, k)))
-            except OverflowError as exc:
-                fault = delta, exc
-                break
-        return entries, radius, fault
-
-    def overflow(self, exc: OverflowError, z: complex, delta: int) -> SeriesOverflow:
-        """The typed error of an entry at (z, delta) whose peak or sum overflows."""
-        p = self.params
-        return SeriesOverflow(
-            f"ProductClosedForm.row: {exc} at (alpha, beta) = ({self.alpha}, "
-            f"{self.beta}), delta = {delta}, z = {z} of ({p.n}, {p.m}) x ({p.k}, {p.l}) "
-            f"at theta = {p.theta}"
-        )
+        try:
+            for at, q0, u, t, k in peaks:
+                entries.append((at, q0, u, t, k, theta_truncated(self.s, t, radius, k)))
+            if failed is not None:
+                at = delta  # the failing peak, once every entry before it is summed
+                raise failed
+        except OverflowError as exc:
+            raise SeriesOverflow(
+                f"ProductClosedForm.row: {exc} at (alpha, beta) = ({self.alpha}, "
+                f"{self.beta}), delta = {at}, z = {z} of {p}"
+            ) from exc
+        return entries, radius
 
     def evaluate(self, z: complex, delta: int) -> complex:
         """exp(K)*Theta(s, t) at (z, delta), within DEFAULT_EPS*|exp(K)|: a one-entry :meth:`row`.
@@ -505,10 +498,7 @@ class ProductClosedForm:
         """
         if self.q0(delta) is None:
             return 0j
-        entries, _, fault = self.row(z, (delta,))
-        if fault is not None:
-            raise self.overflow(fault[1], z, delta) from fault[1]
-        return entries[0][-1]
+        return self.row(z, (delta,))[0][0][-1]
 
 
 def tensor_gaussian_closed(
@@ -531,10 +521,8 @@ def tensor_gaussian_closed(
         raise IndexOutOfRange(f"beta = {beta} outside range(0, {p.l})")
     s = -(sigma1 * (p.l * p.A) ** 2 + sigma2 * (p.m * p.B) ** 2) / (TWO_PI_I * p.r * p.r)
     if not cmath.isfinite(s):
-        raise SeriesOverflow(
-            f"tensor_gaussian_closed: theta modulus s = {s} is not finite at (alpha, beta) = "
-            f"({alpha}, {beta}) of ({p.n}, {p.m}) x ({p.k}, {p.l}) at theta = {p.theta}"
-        )
+        raise SeriesOverflow(f"tensor_gaussian_closed: theta modulus s = {s} is not finite "
+                             f"at (alpha, beta) = ({alpha}, {beta}) of {p}")
     assert s.imag > 0
     # q0 depends on delta only through a*delta mod m
     first = [crt_q0(alpha, beta, delta, p) for delta in range(min(p.m, p.M))]
@@ -634,9 +622,9 @@ def structure_constants(p: ProductParams, cs: ComplexStructure) -> StructureCons
     The (alpha, beta) product equals sum_gamma c^gamma_{alpha,beta} *
     phi_gamma with phi_gamma from :func:`product_basis`; the coefficient
     is the closed form at z = 0, where phi_gamma(0) = 1.  Each row
-    (alpha, beta) is one :meth:`ProductClosedForm.row` at z = 0, whose
-    fault is raised at once, so an overflow names the first failing entry
-    in (alpha, beta, gamma) order.  A table of more than TABLE_LIMIT
+    (alpha, beta) is one :meth:`ProductClosedForm.row` at z = 0, so an
+    overflow is the row's SeriesOverflow of the first failing entry in
+    (alpha, beta, gamma) order.  A table of more than TABLE_LIMIT
     entries m*l*M raises TableTooLarge before any work.
     """
     if p.m * p.l * p.M > TABLE_LIMIT:
@@ -651,14 +639,7 @@ def structure_constants(p: ProductParams, cs: ComplexStructure) -> StructureCons
         row = []
         for beta in range(p.l):
             form = tensor_gaussian_closed(alpha, beta, sigma1, c, sigma2, c, p)
-            entries, radius, fault = form.row(0.0, range(p.M))
-            if fault is not None:
-                gamma, exc = fault
-                raise SeriesOverflow(
-                    f"structure_constants: {exc} at entry (alpha, beta, gamma) = "
-                    f"{(alpha, beta, gamma)} of ({p.n}, {p.m}) x ({p.k}, {p.l}) "
-                    f"at theta = {p.theta}"
-                ) from exc
+            entries, radius = form.row(0.0, range(p.M))
             col = [0j] * p.M
             for gamma, q0, u, t, k_exp, value in entries:
                 col[gamma] = value
@@ -698,16 +679,17 @@ def verify_identities(
     (Z1 f) (x) g at (z, delta) = h(z - N'/M + theta', delta - 1);
     z2_covariance: (Z2 f) (x) g at (z, delta) = exp(2*pi*i*(z - N'*delta/M))
     * h(z, delta), the same h(z, delta) as delta_periodicity's lhs.  Each
-    of the seven factor pairs is one :class:`DirectSeries`, set up once.
+    of the seven factor pairs is one :class:`DirectSeries`, set up once,
+    f (x) g first, so factors on the wrong components raise its DimensionMismatch.
     """
-    _check_factors(f, g, p)
+    hfg = DirectSeries(f, g, p, qmax).evaluate
     fu1, gu1 = act_U1(f, p.right), act_U1(g, p.left)
     fu2, gu2 = act_U2(f, p.right), act_U2(g, p.left)
     z1f, z2f = act_Z1(f, p.right), act_Z2(f, p.right)
     shift_z = -p.N_prime / p.M + p.theta_prime
     # one direct series per factor pair, summed at every probe point
-    hu1f, hu1g, hu2f, hu2g, hfg, hz1, hz2 = (DirectSeries(u, v, p, qmax).evaluate for u, v in (
-        (fu1, g), (f, gu1), (fu2, g), (f, gu2), (f, g), (z1f, g), (z2f, g)))
+    hu1f, hu1g, hu2f, hu2g, hz1, hz2 = (DirectSeries(u, v, p, qmax).evaluate for u, v in (
+        (fu1, g), (f, gu1), (fu2, g), (f, gu2), (z1f, g), (z2f, g)))
     worst: dict[str, float] = {}
     ref: dict[str, float] = {}
     for z in PROBE_ZS:

@@ -158,9 +158,9 @@ def test_algebra_check_builds_each_operand_once(capsys, monkeypatch):
 def test_random_element_draws_as_randint():
     # randrange(5) - 2 and randint(-2, 2) both take one _randbelow(5): the
     # same elements, in the same order, and the same generator state
-    def randint_element(rng, terms=3):
+    def randint_element(rng):
         out = {}
-        for _ in range(terms):
+        for _ in range(3):
             idx = (rng.randint(-2, 2), rng.randint(-2, 2))
             out[idx] = out.get(idx, 0j) + complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         return element(out)
@@ -234,6 +234,24 @@ def test_cli_grid_rejects_bad_arguments(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+def test_cli_grid_compares_digest_files(capsys, tmp_path):
+    # digests differ whole; a record file against a digest file is hashed first
+    record = {argv: {"exit": 0, "stdout": f"{argv}\n", "stderr": ""}
+              for argv in ("theta-basis", "tensor", "verify-all")}
+    moved = dict(record, tensor={"exit": 2, "stdout": "", "stderr": "error: moved\n"})
+    del moved["verify-all"]
+    paths = {name: tmp_path / f"{name}.json" for name in ("record", "parent", "change")}
+    for name, results in (("record", record), ("parent", cli_grid.digests(record)),
+                          ("change", cli_grid.digests(moved))):
+        cli_grid.write(results, paths[name])
+    for old in ("parent", "record"):
+        assert cli_grid.main(["compare", str(paths[old]), str(paths["change"])]) == 1
+        assert capsys.readouterr().out == (
+            f"tensor: digest differs\nverify-all: only in {paths[old]}\n2 of 3 calls differ\n")
+    assert cli_grid.main(["compare", str(paths["record"]), str(paths["parent"])]) == 0
+    assert capsys.readouterr().out == "0 of 3 calls differ\n"
+
+
 def test_sweep_refuses_nctorus_of_another_checkout(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(sys, "path", list(sys.path))
     other = types.ModuleType("nctorus")
@@ -297,8 +315,8 @@ def test_arithmetic_overflow_is_usage_error(capsys):
     # the products exceed double range here; the CLI reports it instead of a traceback
     assert main(["structure-constants", "--c1=0,400"]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: structure_constants:")
-    assert "(alpha, beta, gamma) = (0, 0, 0)" in captured.err
+    assert captured.err.startswith("error: ProductClosedForm.row:")
+    assert "(alpha, beta) = (0, 0), delta = 0, z = 0.0" in captured.err
     assert "(1, 2) x (1, 3)" in captured.err
     assert "theta = 0.2" in captured.err
     assert captured.out == ""
@@ -312,8 +330,9 @@ def test_unreduced_peak_is_typed(capsys, offset):
     # asked theta for ~1e290 terms (a MemoryError)
     assert main(["structure-constants", offset]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: structure_constants: peak t = ")
-    assert "K = (inf+0j) is not reduced at entry (alpha, beta, gamma) = (0, 0, 0)" in captured.err
+    assert captured.err.startswith("error: ProductClosedForm.row: peak t = ")
+    assert "K = (inf+0j) is not reduced at (alpha, beta) = (0, 0), delta = 0, z = 0.0" in (
+        captured.err)
     assert "(1, 2) x (1, 3) at theta = 0.2" in captured.err
     assert captured.out == ""
 
@@ -348,7 +367,7 @@ def test_verify_all_does_not_skip_an_overflow(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_oracle_checks", lambda cfg, checks: None)
     assert main(["verify-all", "--c1=0,400"]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: structure_constants:")
+    assert captured.err.startswith("error: ProductClosedForm.row:")
     assert captured.out == ""
 
 
@@ -356,20 +375,22 @@ _ORACLE_FAILURES = [
     # (closed sum fails at, closed peak fails at, direct fails at, reported)
     (None, 3, 4, "ProductClosedForm.row: peak fails at (alpha, beta) = (0, 0), delta = 3, "),
     (1, 3, 4, "ProductClosedForm.row: sum fails at (alpha, beta) = (0, 0), delta = 1, "),
-    (None, 3, 3, "tensor.DirectSeries.evaluate: direct fails at z = -1.0, delta = 3 of "),
-    (1, None, 1, "tensor.DirectSeries.evaluate: direct fails at z = -1.0, delta = 1 of "),
-    (None, 3, 2, "tensor.DirectSeries.evaluate: direct fails at z = -1.0, delta = 2 of "),
+    (None, 3, 3, "ProductClosedForm.row: peak fails at (alpha, beta) = (0, 0), delta = 3, "),
+    (1, None, 1, "ProductClosedForm.row: sum fails at (alpha, beta) = (0, 0), delta = 1, "),
+    (None, 3, 2, "ProductClosedForm.row: peak fails at (alpha, beta) = (0, 0), delta = 3, "),
+    # the 6th peak is in the second row, z = -0.5: the first row's direct sum fails first
+    (None, 5, 4, "tensor.DirectSeries.evaluate: direct fails at z = -1.0, delta = 4 of "),
 ]
 
 
 @pytest.mark.parametrize("sum_at, peak_at, direct_at, reported", _ORACLE_FAILURES)
 def test_oracle_reports_the_first_failing_point(capsys, monkeypatch, sum_at, peak_at,
                                                 direct_at, reported):
-    # a row builds its peaks and sums before its direct q-sums; a closed-side
-    # fault is still reported only where the walk over delta reaches it, after
-    # that point's direct sum.  The first row is z = -1.0 at (alpha, beta) =
-    # (0, 0), where every delta of (1, 2) x (1, 3) is compatible, so the
-    # (delta + 1)-th peak or sum is the one at delta.
+    # a row builds its peaks and sums before its direct q-sums, so a failing
+    # closed form is reported before any failing direct sum of its row.  The
+    # first row is z = -1.0 at (alpha, beta) = (0, 0), where every delta of
+    # (1, 2) x (1, 3) is compatible, so the (delta + 1)-th peak or sum is the
+    # one at delta.
     monkeypatch.setattr(cli, "_identity_checks", lambda cfg, checks: None)
     calls = {"peak": 0, "sum": 0}
     peak, theta_truncated = tensor.ProductClosedForm.peak, tensor.theta_truncated
@@ -537,6 +558,17 @@ def test_theta_basis_left_side_is_the_label_at_minus_theta(capsys):
         assert left[key] == mirror[key]
     assert main(["theta-basis", "--side", "left", "--nm", "1,2", "--theta", "0.5"]) == 2
     assert capsys.readouterr().err == "error: denominator vanishes for (1, 2) at theta = -0.5\n"
+
+
+def test_unwritable_output_is_usage_error(capsys, tmp_path):
+    # a report that cannot be written is an error of the call, not a failed check
+    target = tmp_path / "missing" / "x.json"
+    assert main(["theta-basis", "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [Errno 2] No such file or directory: ")
+    assert str(target) in captured.err
+    assert captured.out == ""
+    assert not target.parent.exists()
 
 
 def test_tensor_command_cross_checks(capsys):

@@ -363,8 +363,7 @@ def test_row_radius_certifies_every_entry(case, tau, label, seed):
         for beta in range(l):
             form = tensor_gaussian_closed(alpha, beta, sigma1, c1, sigma2, c2, p)
             for z in PROBE_ZS:
-                entries, radius, fault = form.row(z, range(p.M))
-                assert fault is None
+                entries, radius = form.row(z, range(p.M))
                 assert [d for d, *_ in entries] == [d for d in range(p.M)
                                                     if form.q0(d) is not None]
                 for _, _, _, t, k_exp, got in entries:

@@ -757,15 +757,34 @@ def test_structure_constants_overflow_is_typed():
     with pytest.raises(SeriesOverflow) as info:
         structure_constants(p, ComplexStructure(tau=-1j, c1=400j))
     assert isinstance(info.value.__cause__, OverflowError)
-    assert "structure_constants" in str(info.value)
-    assert "(alpha, beta, gamma) = (0, 0, 0)" in str(info.value)
+    assert str(info.value).startswith("ProductClosedForm.row:")
+    assert "(alpha, beta) = (0, 0), delta = 0, z = 0.0" in str(info.value)
     assert "(1, 2) x (1, 3)" in str(info.value)
+
+
+def test_table_and_single_value_raise_the_same_overflow():
+    # the table's first row and evaluate at its first entry are the same row
+    # of pair (0, 0) at z = 0: one failing entry, one error text
+    p = _canonical()
+    cs = ComplexStructure(-1j, c1=400j)
+    form = _closed_for(p, holomorphic_basis(p.right, cs), holomorphic_basis(p.left, cs), 0, 0)
+    errors = []
+    for call in (lambda: structure_constants(p, cs), lambda: form.evaluate(0.0, 0)):
+        with pytest.raises(SeriesOverflow) as info:
+            call()
+        assert isinstance(info.value.__cause__, OverflowError)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("ProductClosedForm.row: ")
+    assert errors[0].endswith(
+        " at (alpha, beta) = (0, 0), delta = 0, z = 0.0 of (1, 2) x (1, 3) at theta = 0.2")
 
 
 @pytest.mark.parametrize("sum_fails, gamma", [(True, 1), (False, 3)])
 def test_structure_constants_report_the_first_failing_entry(monkeypatch, sum_fails, gamma):
     # a row builds every peak before it sums any entry: a peak that fails at
-    # gamma = 3 is reported unless the sum of an earlier entry fails first
+    # gamma = 3 is reported unless the sum of an earlier entry fails first,
+    # and the row of pair (0, 0) at z = 0 reports it as delta = gamma
     calls = {"peak": 0, "sum": 0}
     peak, theta_truncated = tensor.ProductClosedForm.peak, tensor.theta_truncated
 
@@ -786,17 +805,19 @@ def test_structure_constants_report_the_first_failing_entry(monkeypatch, sum_fai
     with pytest.raises(SeriesOverflow) as info:
         structure_constants(_canonical(), ComplexStructure(tau=-1j))
     what = "sum fails" if sum_fails else "peak fails"
-    assert str(info.value).startswith(
-        f"structure_constants: {what} at entry (alpha, beta, gamma) = (0, 0, {gamma}) of ")
+    assert isinstance(info.value.__cause__, OverflowError)
+    assert str(info.value) == (f"ProductClosedForm.row: {what} at (alpha, beta) = (0, 0), "
+                               f"delta = {gamma}, z = 0.0 of (1, 2) x (1, 3) at theta = 0.2")
 
 
 def test_row_stops_at_the_first_failing_sum(monkeypatch):
     # every delta of (0, 0) in (1, 2) x (1, 3) is compatible: the sum at
-    # delta = 2 fails, so the row keeps deltas 0 and 1 and sums nothing after
+    # delta = 2 fails, so the row raises there after summing deltas 0 and 1,
+    # and sums nothing after
     p = _canonical()
     cs = ComplexStructure(tau=-1j)
     form = _closed_for(p, holomorphic_basis(p.right, cs), holomorphic_basis(p.left, cs), 0, 0)
-    want, _, _ = form.row(0.3, range(p.M))
+    want, _ = form.row(0.3, range(p.M))
     sums, theta_truncated = [], tensor.theta_truncated
 
     def failing_sum(s, t, radius, k):
@@ -806,9 +827,11 @@ def test_row_stops_at_the_first_failing_sum(monkeypatch):
         return theta_truncated(s, t, radius, k)
 
     monkeypatch.setattr(tensor, "theta_truncated", failing_sum)
-    entries, _, (delta, exc) = form.row(0.3, range(p.M))
-    assert entries == want[:2]
-    assert (delta, str(exc)) == (2, "sum fails")
+    with pytest.raises(SeriesOverflow) as info:
+        form.row(0.3, range(p.M))
+    assert str(info.value.__cause__) == "sum fails"
+    assert str(info.value).startswith("ProductClosedForm.row: sum fails at (alpha, beta) = "
+                                      "(0, 0), delta = 2, z = 0.3 of ")
     assert sums == [t for _, _, _, t, _, _ in want[:3]]
 
 

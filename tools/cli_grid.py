@@ -13,7 +13,9 @@ space limit of 2 GiB and a CPU limit of 120 s, set in the child alone, so a
 checkout that runs away on some call fails that call and not the machine.
 ``compare`` lists every argv whose record differs between two recordings
 and exits 1 if any does, so a refactor that must not change output can be
-checked against the parent checkout:
+checked against the parent checkout.  It names the fields that differ
+between two records, and compares two ``digest`` files entry by entry; a
+record file against a digest file is hashed first, as ``digest`` does:
 
     git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
     python3 tools/cli_grid.py record /tmp/parent /tmp/parent.json
@@ -262,13 +264,26 @@ def write(results: dict, out: Path) -> None:
     out.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
 
 
+def _is_digest(results: dict) -> bool:
+    return any(isinstance(entry, str) for entry in results.values())
+
+
 def compare(a: Path, b: Path) -> int:
+    """Print every argv whose entry differs between two files; 1 if any does.
+
+    Records name the fields that differ, digests differ whole.  A record
+    file against a digest file is hashed as ``digests`` does first.
+    """
     left = json.loads(a.read_text())
     right = json.loads(b.read_text())
+    if _is_digest(left) != _is_digest(right):
+        left, right = (side if _is_digest(side) else digests(side) for side in (left, right))
     differ = []
     for key in sorted(left.keys() | right.keys()):
         if key not in left or key not in right:
             differ.append(f"{key}: only in {a if key in left else b}")
+        elif isinstance(left[key], str) and left[key] != right[key]:
+            differ.append(f"{key}: digest differs")
         elif left[key] != right[key]:
             parts = [f for f in ("exit", "stdout", "stderr", "file")
                      if left[key].get(f) != right[key].get(f)]
