@@ -89,8 +89,9 @@ DEFAULT_QMAX = 16384
 _ROUNDOFF = 2.0**-53
 _TINY = sys.float_info.min
 # Largest table, in entries m*l*M, that structure_constants builds: the CLI
-# table costs about 1.7 KB of peak memory and 39 us per entry, so one at
+# table costs about 1.7 KB of peak memory and 38 us per entry, so one at
 # the limit needs about 0.9 GB, under half a 2 GiB address-space cap, and 20 s.
+# The JSON text sets that peak; the table itself holds about 240 B an entry.
 TABLE_LIMIT = 500_000
 
 
@@ -458,13 +459,14 @@ class ProductClosedForm:
         share s, and radius is the :func:`theta.truncation_radius` at their
         largest |Im t|, which certifies each of them and is at least each
         one's own radius, since every peak has |Im t| <= Im s.  Every peak
-        is built before any sum.  SeriesOverflow, from the OverflowError, of
-        the first entry whose peak or sum fails; no sum runs after it.
+        is built before any sum.  IndexOutOfRange, before any sum, at the
+        first delta outside range(M); SeriesOverflow, from the OverflowError,
+        of the first entry whose peak or sum fails; no sum runs after it.
         """
         p, coefs = self.params, self.n_coefficients(z)
         peaks, failed, worst = [], None, 0.0
         for delta in deltas:
-            q0 = self.q0_table[delta]
+            q0 = self.q0(delta)
             if q0 is None:
                 continue
             try:
@@ -569,18 +571,20 @@ def product_basis(p: ProductParams, cs: ComplexStructure) -> list[gs.PolyGaussVe
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Coefficients c^gamma_{alpha,beta} with their theta-series provenance.
+    """Coefficients c^gamma_{alpha,beta} with the theta series they were summed from.
 
-    values[alpha][beta][gamma] is the coefficient; provenance maps each
-    compatible (alpha, beta, gamma) to the (s, t, K, q, q0, radius) it was
-    built from, so every number is reproducible as theta_truncated(s, t,
-    radius, K).  The radius is the one of its (alpha, beta) row, at least the
-    :func:`theta.truncation_radius` of the entry's own t.
+    values[alpha][beta][gamma] is the coefficient.  rows[alpha, beta] is
+    the (radius, entries) of that row's :meth:`ProductClosedForm.row` at
+    z = 0 over range(M): entries lists (gamma, q0, u, t, K, value) of every
+    compatible gamma, so each value is theta_truncated(s, t, radius, K) with
+    s the theta modulus every entry shares, and q0 + u*L is the q of the
+    largest term.  An incompatible gamma has no entry and the value 0j.
     """
 
     shape: tuple[int, int, int]
     values: tuple[tuple[tuple[complex, ...], ...], ...]
-    provenance: Mapping[tuple[int, int, int], dict]
+    rows: Mapping[tuple[int, int], tuple[int, list[tuple]]]
+    s: complex
     params_doc: Mapping
 
     def value(self, alpha: int, beta: int, gamma: int) -> complex:
@@ -593,22 +597,19 @@ class StructureConstants:
 
     def to_json(self) -> dict:
         entries = []
-        m, l, big_m = self.shape
-        for alpha in range(m):
-            for beta in range(l):
-                for gamma in range(big_m):
-                    val = self.values[alpha][beta][gamma]
-                    prov = self.provenance.get((alpha, beta, gamma))
-                    entries.append(
-                        {
-                            "alpha": alpha,
-                            "beta": beta,
-                            "gamma": gamma,
-                            "re": val.real,
-                            "im": val.imag,
-                            "q0": None if prov is None else prov["q0"],
-                        }
-                    )
+        for (alpha, beta), (_, row) in self.rows.items():
+            q0s = {gamma: q0 for gamma, q0, *_ in row}
+            for gamma, val in enumerate(self.values[alpha][beta]):
+                entries.append(
+                    {
+                        "alpha": alpha,
+                        "beta": beta,
+                        "gamma": gamma,
+                        "re": val.real,
+                        "im": val.imag,
+                        "q0": q0s.get(gamma),
+                    }
+                )
         return {
             "shape": list(self.shape),
             "entries": entries,
@@ -622,10 +623,10 @@ def structure_constants(p: ProductParams, cs: ComplexStructure) -> StructureCons
     The (alpha, beta) product equals sum_gamma c^gamma_{alpha,beta} *
     phi_gamma with phi_gamma from :func:`product_basis`; the coefficient
     is the closed form at z = 0, where phi_gamma(0) = 1.  Each row
-    (alpha, beta) is one :meth:`ProductClosedForm.row` at z = 0, so an
-    overflow is the row's SeriesOverflow of the first failing entry in
-    (alpha, beta, gamma) order.  A table of more than TABLE_LIMIT
-    entries m*l*M raises TableTooLarge before any work.
+    (alpha, beta) is one :meth:`ProductClosedForm.row` at z = 0, kept in
+    ``rows``, so an overflow is the row's SeriesOverflow of the first
+    failing entry in (alpha, beta, gamma) order.  A table of more than
+    TABLE_LIMIT entries m*l*M raises TableTooLarge before any work.
     """
     if p.m * p.l * p.M > TABLE_LIMIT:
         raise TableTooLarge(
@@ -633,26 +634,18 @@ def structure_constants(p: ProductParams, cs: ComplexStructure) -> StructureCons
             f"{TABLE_LIMIT} for ({p.n}, {p.m}) x ({p.k}, {p.l})"
         )
     sigma1, sigma2, c, sigma_p, c_p = _common_holomorphic_data(p, cs)
-    values = []
-    provenance: dict[tuple[int, int, int], dict] = {}
+    values, rows = [], {}
     for alpha in range(p.m):
-        row = []
+        cols = []
         for beta in range(p.l):
             form = tensor_gaussian_closed(alpha, beta, sigma1, c, sigma2, c, p)
             entries, radius = form.row(0.0, range(p.M))
+            rows[alpha, beta] = radius, entries
             col = [0j] * p.M
-            for gamma, q0, u, t, k_exp, value in entries:
+            for gamma, *_, value in entries:
                 col[gamma] = value
-                provenance[(alpha, beta, gamma)] = {
-                    "s": form.s,
-                    "t": t,
-                    "K": k_exp,
-                    "q": q0 + u * p.L,
-                    "q0": q0,
-                    "radius": radius,
-                }
-            row.append(tuple(col))
-        values.append(tuple(row))
+            cols.append(tuple(col))
+        values.append(tuple(cols))
     params_doc = p.to_json()
     for key, z in (("tau", cs.tau), ("c1", cs.c1), ("c2", cs.c2),
                    ("sigma_prime", sigma_p), ("c_prime", c_p)):
@@ -660,7 +653,8 @@ def structure_constants(p: ProductParams, cs: ComplexStructure) -> StructureCons
     return StructureConstants(
         shape=(p.m, p.l, p.M),
         values=tuple(values),
-        provenance=provenance,
+        rows=rows,
+        s=form.s,
         params_doc=params_doc,
     )
 

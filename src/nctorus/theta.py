@@ -59,6 +59,8 @@ def truncation_radius(s: complex, t: complex, eps: float = DEFAULT_EPS) -> int:
 
 def theta_truncated(s: complex, t: complex, radius: int, k: complex = 0j) -> complex:
     """Sum over |u| <= radius of exp(pi*i*s*u**2 + 2*pi*i*t*u + k), one exponent a term."""
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
     quad, lin = 1j * math.pi * s, 2j * math.pi * t
     res, ims = [], []
     for u in range(-radius, radius + 1):

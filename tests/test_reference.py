@@ -153,15 +153,15 @@ def _check_table(n, m, k, l, th):
     for alpha in range(m):
         for beta in range(l):
             refs = _entry_refs(p, fb[alpha], gb[beta])
+            gammas = {gamma for gamma, *_ in sc.rows[alpha, beta][1]}
             for gamma, want in enumerate(refs):
                 got = sc.values[alpha][beta][gamma]
-                prov = sc.provenance.get((alpha, beta, gamma))
                 if want is None:
-                    assert got == 0j and prov is None
+                    assert got == 0j and gamma not in gammas
                     continue
-                assert prov is not None
+                assert gamma in gammas
                 worst = max(worst, _rel(got, want))
-    assert sc.provenance
+    assert any(entries for _, entries in sc.rows.values())
     assert worst <= REL_TOL
     return sc
 
@@ -173,11 +173,12 @@ def test_eight_valid_benchmark_points():
 @pytest.mark.parametrize("n, m, k, l, th", _valid_points())
 def test_structure_constants_against_referee(n, m, k, l, th):
     sc = _check_table(n, m, k, l, th)
-    for prov in sc.provenance.values():
-        ref = _theta_ref(prov["s"], prov["t"])
-        assert _rel(theta(prov["s"], prov["t"]), ref) <= REL_TOL
-        # Away from the jtheta defect below, the two references agree.
-        assert _rel(_jtheta(prov["s"], prov["t"]), ref) <= 1e-40
+    for _, entries in sc.rows.values():
+        for _, _, _, t, _, _ in entries:
+            ref = _theta_ref(sc.s, t)
+            assert _rel(theta(sc.s, t), ref) <= REL_TOL
+            # Away from the jtheta defect below, the two references agree.
+            assert _rel(_jtheta(sc.s, t), ref) <= 1e-40
 
 
 @pytest.mark.parametrize("n, m, k, l, th, zs", [
@@ -308,13 +309,13 @@ def test_closed_form_sweep(case):
     cs = ComplexStructure(-1j)
     sc = structure_constants(p, cs)
     f, g = holomorphic_basis(p.right, cs)[alpha], holomorphic_basis(p.left, cs)[beta]
+    qs = {gamma: q0 + u * p.L for gamma, q0, u, *_ in sc.rows[alpha, beta][1]}
     for gamma, want in enumerate(_entry_refs(p, f, g)):
         got = sc.values[alpha][beta][gamma]
-        prov = sc.provenance.get((alpha, beta, gamma))
         if want is None:
-            assert got == 0j and prov is None
+            assert got == 0j and gamma not in qs
             continue
-        e_max = _largest_piece(p, f, g, prov["q"], gamma, prov["s"])
+        e_max = _largest_piece(p, f, g, qs[gamma], gamma, sc.s)
         assert _rel(got, want) <= REL_TOL + ROUNDING_C * e_max * 2**-53
 
 
@@ -348,10 +349,9 @@ def test_row_radius_certifies_every_entry(case, tau, label, seed):
     n, m, k, l, th, _, _ = case
     p = product_params(n, m, k, l, th)
     sc = structure_constants(p, ComplexStructure(tau))
-    rows = {}
-    for (a, b, gamma), prov in sc.provenance.items():
-        assert rows.setdefault((a, b), prov["radius"]) == prov["radius"]
-        _assert_certified(prov["s"], prov["t"], prov["K"], prov["radius"], sc.values[a][b][gamma])
+    for (a, b), (radius, entries) in sc.rows.items():
+        for gamma, _, _, t, k_exp, _ in entries:
+            _assert_certified(sc.s, t, k_exp, radius, sc.values[a][b][gamma])
     n, m, k, l, th = label
     p = product_params(n, m, k, l, th, strict=False)
     rng = random.Random(seed)

@@ -566,6 +566,10 @@ def test_closed_form_validation():
     form = tensor_gaussian_closed(0, 0, 1.0, 0, 1.0, 0, p)
     with pytest.raises(IndexOutOfRange):
         form.q0(p.M)
+    # q0 is not M-periodic in delta, so delta = -1 must not read the q0 of delta = M - 1
+    for delta in (-1, p.M):
+        with pytest.raises(IndexOutOfRange, match=f"delta = {delta} outside range"):
+            form.row(0.3, [delta])
 
 
 # ---------------------------------------------------------- identification
@@ -692,12 +696,17 @@ def test_structure_constants_provenance_reproduces_values():
     p = _canonical()
     cs = ComplexStructure(tau=-1j)
     sc = structure_constants(p, cs)
-    for (alpha, beta, gamma), prov in sc.provenance.items():
-        s, t, k, radius = prov["s"], prov["t"], prov["K"], prov["radius"]
-        assert theta_truncated(s, t, radius, k) == sc.value(alpha, beta, gamma)
-        assert radius >= truncation_radius(s, t)
-        assert prov["q0"] == crt_q0(alpha, beta, gamma, p)
-        assert (prov["q"] - prov["q0"]) % p.L == 0
+    fb, gb = _factor_bases(p)
+    for (alpha, beta), (radius, entries) in sc.rows.items():
+        form = _closed_for(p, fb, gb, alpha, beta)
+        coefs = form.n_coefficients(0.0)
+        for gamma, q0, u, t, k, value in entries:
+            assert theta_truncated(sc.s, t, radius, k) == value == sc.value(alpha, beta, gamma)
+            assert radius >= truncation_radius(sc.s, t)
+            assert q0 == crt_q0(alpha, beta, gamma, p)
+            # (t, K) are those at q = q0 + u*L, a member of q0's class mod L
+            q = q0 + u * p.L
+            assert form.theta_args(coefs, p.M * q - p.l * gamma) == (t, k)
 
 
 def test_structure_constants_reconstruct_products():
@@ -748,6 +757,15 @@ def test_structure_constants_need_matching_tau_sign():
     p = _canonical()
     with pytest.raises(Exception):
         structure_constants(p, ComplexStructure(tau=1j))
+
+
+def test_table_path_needs_a_nonzero_left_denominator():
+    # strict=False admits k - l*theta = 0, where the holomorphic widths divide by zero
+    p = product_params(1, 2, 1, 2, 0.5, strict=False)
+    for build in (structure_constants, product_basis):
+        with pytest.raises(DegenerateDenominator) as info:
+            build(p, ComplexStructure(tau=-1j))
+        assert str(info.value) == "k - l*theta = 0 for (1, 2) at theta = 0.5"
 
 
 def test_structure_constants_overflow_is_typed():

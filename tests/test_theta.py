@@ -82,6 +82,8 @@ def test_validation():
         theta(0.5 - 0.1j, 0.0)
     with pytest.raises(InvalidS):
         truncation_radius(1.0 + 0j, 0.0)
+    with pytest.raises(ValueError, match="radius must be >= 0, got -1"):
+        theta_truncated(1j, 0, -1)
 
 
 def _log_bound(s, t, radius):

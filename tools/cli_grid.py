@@ -37,7 +37,7 @@ count of points by exit code, exit 1 by failing check and exit 2 by
 failing stage.  ``--json`` writes the points' records as ``record`` does.
 It runs the ``nctorus`` of this checkout's ``src`` and refuses any other.
 
-The grid of 127 calls covers every subcommand over the five benchmark
+The grid of 130 calls covers every subcommand over the five benchmark
 label pairs at two angles, ``verify-all`` at edge labels and at nonzero
 connection offsets, ``structure-constants`` at the M = 29 edge label and
 at a label whose every row sums to truncation radius 3, a left label
@@ -57,7 +57,9 @@ have a negative entry, an
 ``algebra-check`` label whose ``module_axiom`` fails from far-centre phase
 rounding, four ``--theta`` expressions (one a division by zero, a usage error),
 a table too large for the size gate of ``structure_constants``
-(``--kl 999999,1``, a typed ``TableTooLarge``), every ``--help`` text and
+(``--kl 999999,1``, a typed ``TableTooLarge``), three ``tensor`` calls
+whose ``--alpha``, ``--beta`` or ``--delta`` is out of range
+(``IndexOutOfRange``), every ``--help`` text and
 one JSON and one CSV ``--output`` file.  Pure stdlib apart from nctorus.
 """
 
@@ -193,6 +195,10 @@ def grid() -> list[list[str]]:
         ["algebra-check", "--nm", "1000003,1", "--seed", "5"],
         # m*l*M = 3,999,998 entries, past the size gate: a typed TableTooLarge.
         CAPPED_ONLY,
+        # Component and delta indices outside range(m), range(l), range(M).
+        ["tensor", "--alpha", "2"],
+        ["tensor", "--beta=-1"],
+        ["tensor", "--delta", "5"],
     ]
     calls += THETA_EXPRS
     calls += [["--help"]] + [[cmd, "--help"] for cmd in COMMANDS]
