@@ -14,9 +14,9 @@ an --output file that cannot be written.
 
 theta accepts a tiny expression grammar over integers, decimals and
 sqrt<N>: for example "0.2", "sqrt2-1", "(1+sqrt5)/2".  Complex flags are
-passed as "re,im" (a bare real is also accepted).  Reports serialize to
-JSON with schema version 1; the structure-constant table additionally to
-CSV.  Identical inputs produce byte-identical output.
+passed as "re,im" (a bare real is also accepted).  Reports, built here
+alone, serialize to JSON with schema version 1; the structure-constant
+table additionally to CSV.  Identical inputs produce byte-identical output.
 
 The --tol flag (default 1e-9) governs the algebraic identity residuals and
 tensor's closed form against direct summation, abs_diff <= tol*(1 + |direct|).
@@ -68,6 +68,8 @@ from .tensor import (
     DEFAULT_QMAX,
     DirectSeries,
     PROBE_ZS,
+    ProductParams,
+    StructureConstants,
     product_basis,
     product_params,
     structure_constants,
@@ -333,7 +335,9 @@ def _oracle_checks(args: argparse.Namespace, checks: CheckList) -> None:
     checks.add("closed_form_vs_direct", worst, ORACLE_TOL)
 
 
-def _structure_constant_checks(args: argparse.Namespace, checks: CheckList) -> dict:
+def _structure_constant_checks(
+    args: argparse.Namespace, checks: CheckList
+) -> tuple[StructureConstants, ProductParams, ComplexStructure, gs.PolyGaussTerm]:
     n, m = args.nm
     k, l = args.kl
     p = product_params(n, m, k, l, args.theta)
@@ -360,7 +364,50 @@ def _structure_constant_checks(args: argparse.Namespace, checks: CheckList) -> d
                     recon = max(recon, abs(dz - val * gs.evaluate(basis[gamma], z, gamma)))
     checks.add("structure_constants_vs_direct", oracle, ORACLE_TOL)
     checks.add("basis_reconstruction", recon / (1 + cmax), BASIS_TOL)
-    return sc.to_json()
+    return sc, p, cs, basis[0].terms[0]
+
+
+def _pair(z: complex) -> list[float]:
+    return [z.real, z.imag]
+
+
+def _vector_doc(v: gs.PolyGaussVector) -> dict:
+    """A vector's terms in canonical order, so equal vectors give equal JSON."""
+    return {"m": v.m, "terms": [
+        {"poly": [_pair(z) for z in t.poly], "sigma": _pair(t.sigma), "c": _pair(t.c),
+         "mu": t.mu, **({"x0": t.x0} if t.x0 else {})}
+        for t in v.terms
+    ]}
+
+
+def _params_doc(p: ProductParams, cs: ComplexStructure, phi: gs.PolyGaussTerm) -> dict:
+    """Labels, invariants and complex structure of a table; phi is a product basis term.
+
+    The profile presumes A > 0 and B > 0, which hold wherever
+    structure_constants returns.
+    """
+    return {
+        "n": p.n, "m": p.m, "k": p.k, "l": p.l, "theta": p.theta,
+        "a": p.right.a, "b": p.right.b, "c": p.left.a, "d": p.left.b,
+        "M": p.M, "r": p.r, "N_prime": p.N_prime, "theta_prime": p.theta_prime,
+        "profile": {"theta_prime": p.theta_prime, "theta_double_prime": p.theta_double_prime,
+                    "M": p.M, "N_prime": p.N_prime, "N_double_prime": p.N_double_prime},
+        "tau": _pair(cs.tau), "c1": _pair(cs.c1), "c2": _pair(cs.c2),
+        "sigma_prime": _pair(phi.sigma), "c_prime": _pair(phi.c),
+    }
+
+
+def _table_doc(
+    sc: StructureConstants, p: ProductParams, cs: ComplexStructure, phi: gs.PolyGaussTerm
+) -> dict:
+    """Shape, params and one entry per (alpha, beta, gamma), q0 None where incompatible."""
+    entries = []
+    for (alpha, beta), (_, row) in sc.rows.items():
+        q0s = {gamma: q0 for gamma, q0, *_ in row}
+        for gamma, val in enumerate(sc.values[alpha][beta]):
+            entries.append({"alpha": alpha, "beta": beta, "gamma": gamma,
+                            "re": val.real, "im": val.imag, "q0": q0s.get(gamma)})
+    return {"shape": list(sc.shape), "entries": entries, "params": _params_doc(p, cs, phi)}
 
 
 def _write(text: str, args: argparse.Namespace) -> None:
@@ -377,9 +424,9 @@ def _report(args: argparse.Namespace, command: str, ok: bool, **fields) -> int:
         "theta": args.theta,
         "nm": list(args.nm),
         "kl": list(args.kl),
-        "tau": gs._c2p(args.tau),
-        "c1": gs._c2p(args.c1),
-        "c2": gs._c2p(args.c2),
+        "tau": _pair(args.tau),
+        "c1": _pair(args.c1),
+        "c2": _pair(args.c2),
         "tol": args.tol,
         "qmax": args.qmax,
         "seed": args.seed,
@@ -415,9 +462,9 @@ def cmd_theta_basis(args: argparse.Namespace) -> int:
     first = basis[0].terms[0]
     return _report(
         args, "theta-basis", worst <= BASIS_TOL,
-        side=args.side, sigma=gs._c2p(first.sigma), c=gs._c2p(first.c), count=len(basis),
-        curvature=gs._c2p(curvature_constant(tag)), dbar_residual=worst, tol=BASIS_TOL,
-        vectors=[gs.to_json(v) for v in basis],
+        side=args.side, sigma=_pair(first.sigma), c=_pair(first.c), count=len(basis),
+        curvature=_pair(curvature_constant(tag)), dbar_residual=worst, tol=BASIS_TOL,
+        vectors=[_vector_doc(v) for v in basis],
     )
 
 
@@ -439,13 +486,14 @@ def cmd_tensor(args: argparse.Namespace) -> int:
     return _report(
         args, "tensor", diff <= args.tol * (1 + abs(direct)),
         alpha=args.alpha, beta=args.beta, z=args.z, delta=args.delta, q0=form.q0(args.delta),
-        direct=gs._c2p(direct), closed_form=gs._c2p(closed), abs_diff=diff,
+        direct=_pair(direct), closed_form=_pair(closed), abs_diff=diff,
     )
 
 
 def cmd_structure_constants(args: argparse.Namespace) -> int:
     checks = CheckList()
-    sc_doc = _structure_constant_checks(args, checks)
+    # the table is freed once its document is built, before the report's text
+    sc_doc = _table_doc(*_structure_constant_checks(args, checks))
     if args.fmt == "csv":
         _write(_csv_table(sc_doc["entries"]), args)
         return 0 if checks.ok else 1

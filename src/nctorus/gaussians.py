@@ -18,7 +18,7 @@ Because a translation never touches P, coefficients stay at the scale of
 the term's own centre.  Canonicalization merges terms sharing
 (sigma, c, mu, x0), drops polynomial coefficients of magnitude
 <= PRUNE_TOL, and orders terms deterministically, so equal construction
-paths yield structurally equal vectors and JSON output is reproducible.
+paths yield structurally equal vectors.
 """
 
 from __future__ import annotations
@@ -244,25 +244,4 @@ def grid_abs_max(v: PolyGaussVector) -> float:
                 else "an exponent of v(x, mu) is not finite")
         raise SeriesOverflow(f"gaussians.grid_abs_max: {what} at (x, mu) = ({x}, {mu})") from None
     return best
-
-
-def _c2p(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
-def to_json(v: PolyGaussVector) -> dict:
-    """JSON-ready dict; deterministic given canonical term order."""
-    return {
-        "m": v.m,
-        "terms": [
-            {
-                "poly": [_c2p(z) for z in t.poly],
-                "sigma": _c2p(t.sigma),
-                "c": _c2p(t.c),
-                "mu": t.mu,
-                **({"x0": t.x0} if t.x0 else {}),
-            }
-            for t in v.terms
-        ],
-    }
 

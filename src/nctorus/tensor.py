@@ -107,9 +107,9 @@ class ProductParams:
     -(c*n + d*m) are the induced endomorphism labels, with
     gcd(N_prime, M) = 1; theta_prime = right.theta_prime and
     theta_double_prime = -left.theta_prime are the rotation parameters
-    of the two endomorphism tori.  :meth:`to_json` carries these five as
-    the ``"profile"`` sub-dict only when both denominators are positive;
-    the q-sum itself needs neither sign.
+    of the two endomorphism tori.  These five are the bimodule profile,
+    which presumes both denominators positive; the q-sum itself needs
+    neither sign.
     """
 
     n: int
@@ -144,32 +144,6 @@ class ProductParams:
     def __str__(self) -> str:
         return f"({self.n}, {self.m}) x ({self.k}, {self.l}) at theta = {self.theta}"
 
-    def to_json(self) -> dict:
-        doc = {
-            "n": self.n,
-            "m": self.m,
-            "k": self.k,
-            "l": self.l,
-            "theta": self.theta,
-            "a": self.right.a,
-            "b": self.right.b,
-            "c": self.left.a,
-            "d": self.left.b,
-            "M": self.M,
-            "r": self.r,
-            "N_prime": self.N_prime,
-            "theta_prime": self.theta_prime,
-        }
-        if self.A > 0 and self.B > 0:
-            doc["profile"] = {
-                "theta_prime": self.theta_prime,
-                "theta_double_prime": self.theta_double_prime,
-                "M": self.M,
-                "N_prime": self.N_prime,
-                "N_double_prime": self.N_double_prime,
-            }
-        return doc
-
 
 def product_params(
     n: int,
@@ -186,10 +160,9 @@ def product_params(
     denominators.  ``modules.module_tag`` validates the right tag; a label
     that is not coprime raises NotCoprime before any sign check.  With
     strict=True (the default) both n + m*theta > 0 and k - l*theta > 0 are
-    required, which is the regime where ``to_json`` carries the bimodule
-    profile.  strict=False admits any k - l*theta; the bilinear map and
-    its verification identities remain well defined there, and ``to_json``
-    omits the profile when the sign assumptions fail.
+    required, the regime of the bimodule profile.  strict=False admits any
+    k - l*theta; the bilinear map and its verification identities remain
+    well defined there.
     """
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
@@ -585,7 +558,6 @@ class StructureConstants:
     values: tuple[tuple[tuple[complex, ...], ...], ...]
     rows: Mapping[tuple[int, int], tuple[int, list[tuple]]]
     s: complex
-    params_doc: Mapping
 
     def value(self, alpha: int, beta: int, gamma: int) -> complex:
         m, l, big_m = self.shape
@@ -594,27 +566,6 @@ class StructureConstants:
                 f"({alpha}, {beta}, {gamma}) outside shape {self.shape}"
             )
         return self.values[alpha][beta][gamma]
-
-    def to_json(self) -> dict:
-        entries = []
-        for (alpha, beta), (_, row) in self.rows.items():
-            q0s = {gamma: q0 for gamma, q0, *_ in row}
-            for gamma, val in enumerate(self.values[alpha][beta]):
-                entries.append(
-                    {
-                        "alpha": alpha,
-                        "beta": beta,
-                        "gamma": gamma,
-                        "re": val.real,
-                        "im": val.imag,
-                        "q0": q0s.get(gamma),
-                    }
-                )
-        return {
-            "shape": list(self.shape),
-            "entries": entries,
-            "params": dict(self.params_doc),
-        }
 
 
 def structure_constants(p: ProductParams, cs: ComplexStructure) -> StructureConstants:
@@ -627,13 +578,16 @@ def structure_constants(p: ProductParams, cs: ComplexStructure) -> StructureCons
     ``rows``, so an overflow is the row's SeriesOverflow of the first
     failing entry in (alpha, beta, gamma) order.  A table of more than
     TABLE_LIMIT entries m*l*M raises TableTooLarge before any work.
+    It returns only when A > 0 and B > 0: B = 0 raises DegenerateDenominator,
+    A*B < 0 gives widths i*tau*m/A and i*tau*l/B of opposite real sign
+    (NoHolomorphicVectors), and A, B < 0 contradict l*A + m*B = M >= 1.
     """
     if p.m * p.l * p.M > TABLE_LIMIT:
         raise TableTooLarge(
             f"structure_constants: m*l*M = {p.m * p.l * p.M} entries exceed the limit "
             f"{TABLE_LIMIT} for ({p.n}, {p.m}) x ({p.k}, {p.l})"
         )
-    sigma1, sigma2, c, sigma_p, c_p = _common_holomorphic_data(p, cs)
+    sigma1, sigma2, c, *_ = _common_holomorphic_data(p, cs)
     values, rows = [], {}
     for alpha in range(p.m):
         cols = []
@@ -646,17 +600,7 @@ def structure_constants(p: ProductParams, cs: ComplexStructure) -> StructureCons
                 col[gamma] = value
             cols.append(tuple(col))
         values.append(tuple(cols))
-    params_doc = p.to_json()
-    for key, z in (("tau", cs.tau), ("c1", cs.c1), ("c2", cs.c2),
-                   ("sigma_prime", sigma_p), ("c_prime", c_p)):
-        params_doc[key] = gs._c2p(z)
-    return StructureConstants(
-        shape=(p.m, p.l, p.M),
-        values=tuple(values),
-        rows=rows,
-        s=form.s,
-        params_doc=params_doc,
-    )
+    return StructureConstants(shape=(p.m, p.l, p.M), values=tuple(values), rows=rows, s=form.s)
 
 
 def verify_identities(

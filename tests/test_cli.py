@@ -560,6 +560,21 @@ def test_theta_basis_left_side_is_the_label_at_minus_theta(capsys):
     assert capsys.readouterr().err == "error: denominator vanishes for (1, 2) at theta = -0.5\n"
 
 
+def test_theta_basis_json_layout(capsys):
+    # one vector document per basis vector: its canonical terms, centred, so no x0
+    assert main(["theta-basis", "--nm", "1,2", "--theta", "0.3", "--tau", "0.4,-1",
+                 "--c2", "0.5,0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for mu, vec in enumerate(doc["vectors"]):
+        assert vec["m"] == 2
+        [term] = vec["terms"]
+        assert set(term) == {"poly", "sigma", "c", "mu"}
+        assert term["sigma"] == [1.25, 0.5]
+        assert term["c"] == doc["c"] == [0.5 / (2 * math.pi), 0.0]
+        assert term["mu"] == mu
+        assert term["poly"] == [[1.0, 0.0]]
+
+
 def test_unwritable_output_is_usage_error(capsys, tmp_path):
     # a report that cannot be written is an error of the call, not a failed check
     target = tmp_path / "missing" / "x.json"
@@ -608,6 +623,46 @@ def test_structure_constants_json(capsys):
     assert len(table["entries"]) == 30
     assert doc["pass"]
     assert all(c["pass"] for c in doc["checks"])
+
+
+def _table_params(capsys, *argv):
+    assert main(["structure-constants", *argv]) == 0
+    return json.loads(capsys.readouterr().out)["structure_constants"]["params"]
+
+
+def test_product_params_json_pinned(capsys):
+    # the CLI builds only strict products, so every params document has a profile
+    assert _table_params(capsys) == {
+        "n": 1, "m": 2, "k": 1, "l": 3, "theta": 0.2,
+        "a": 1, "b": 0, "c": 1, "d": 0, "M": 5, "r": 1,
+        "N_prime": 1, "theta_prime": 0.14285714285714288,
+        "profile": {
+            "theta_prime": 0.14285714285714288,
+            "theta_double_prime": 0.5000000000000001,
+            "M": 5, "N_prime": 1, "N_double_prime": -1,
+        },
+        "tau": [-0.0, -1.0], "c1": [0.0, 0.0], "c2": [0.0, 0.0],
+        "sigma_prime": [17.5, 0.0], "c_prime": [0.0, 0.0],
+    }
+
+
+def test_product_params_profile_json_shape(capsys):
+    doc = _table_params(capsys, "--theta", "0.2")["profile"]
+    assert set(doc) == {"theta_prime", "theta_double_prime", "M",
+                        "N_prime", "N_double_prime"}
+    assert doc["M"] == 5
+
+
+def test_structure_constants_json_deterministic(capsys):
+    outs = []
+    for _ in range(2):
+        assert main(["structure-constants", "--theta", "0.2"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    table = json.loads(outs[0])["structure_constants"]
+    assert table["shape"] == [2, 3, 5]
+    assert len(table["entries"]) == 2 * 3 * 5
+    assert not [e for e in table["entries"] if e["q0"] is None]  # r = 1: all compatible
 
 
 def test_verify_all_green(capsys):

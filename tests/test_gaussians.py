@@ -26,7 +26,6 @@ from nctorus.gaussians import (
     mul_x,
     scale,
     sub,
-    to_json,
     translate,
     vector,
     zero,
@@ -331,18 +330,6 @@ def test_vector_rejects_bad_component_index():
     t = PolyGaussTerm(poly=(1 + 0j,), sigma=1.0 + 0j, c=0j, mu=2)
     with pytest.raises(IndexOutOfRange):
         vector(2, [t])
-
-
-# ---------------------------------------------------------- serialization
-
-def test_json_layout():
-    doc = to_json(gaussian(2, 1.0 + 0.5j, c=0.25, mu=1))
-    assert doc["m"] == 2
-    term = doc["terms"][0]
-    assert term["sigma"] == [1.0, 0.5]
-    assert term["c"] == [0.25, 0.0]
-    assert term["mu"] == 1
-    assert term["poly"] == [[1.0, 0.0]]
 
 
 def test_grid_abs_max_and_approx_eq():

@@ -16,6 +16,7 @@ from nctorus.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidSigma,
+    NoHolomorphicVectors,
     NonConvergent,
     NotCoprime,
     SeriesOverflow,
@@ -59,7 +60,6 @@ def test_product_params_constants():
     assert p.L == 6
     assert p.N_prime == 1
     assert abs(p.theta_prime - 1 / 7) < 1e-15
-    assert "profile" in p.to_json()
 
 
 def test_product_params_validation():
@@ -83,7 +83,6 @@ def test_product_params_hold_factor_modules():
 def test_relaxed_signs_allow_negative_B():
     p = product_params(1, 2, 1, 3, math.sqrt(2) - 1, strict=False)
     assert p.B < 0
-    assert "profile" not in p.to_json()
 
 
 def test_key_linear_identity():
@@ -127,13 +126,6 @@ def test_product_params_profile_requires_positive_denominators():
         product_params(1, 2, -1, 3, 0.1)
 
 
-def test_product_params_profile_json_shape():
-    doc = product_params(1, 2, 1, 3, 0.2).to_json()["profile"]
-    assert set(doc) == {"theta_prime", "theta_double_prime", "M",
-                        "N_prime", "N_double_prime"}
-    assert doc["M"] == 5
-
-
 def test_product_params_coprimality_invariant():
     rng = random.Random(14)
     for _ in range(30):
@@ -146,10 +138,8 @@ def test_product_params_coprimality_invariant():
         assert math.gcd(p.N_prime, p.M) == 1
 
 
-def test_product_params_coprimality_off_the_cone():
-    # (N', M) is (k, l) under a unimodular matrix, so gcd(N', M) = 1 needs no
-    # sign; product_params asserts it for strict=False labels too
-    seen = set()
+def _relaxed_params():
+    """product_params(strict=False) over a label grid, labels it rejects left out."""
     grid = itertools.product(
         (0.2, 0.5, math.sqrt(2) - 1), range(-3, 4), range(1, 4), range(-3, 4), range(1, 4)
     )
@@ -160,35 +150,41 @@ def test_product_params_coprimality_off_the_cone():
             p = product_params(n, m, k, l, theta, strict=False)
         except (DegenerateDenominator, SignAssumptionViolated):
             continue
+        yield p
+
+
+def _cone_side(p):
+    return "A<0" if p.A < 0 else "B<0" if p.B < 0 else "B=0" if p.B == 0 else "cone"
+
+
+def test_product_params_coprimality_off_the_cone():
+    # (N', M) is (k, l) under a unimodular matrix, so gcd(N', M) = 1 needs no
+    # sign; product_params asserts it for strict=False labels too
+    seen = set()
+    for p in _relaxed_params():
         assert math.gcd(p.N_prime, p.M) == 1
-        assert ("profile" in p.to_json()) == (p.A > 0 and p.B > 0)
-        seen.add("A<0" if p.A < 0 else "B<0" if p.B < 0 else "B=0" if p.B == 0 else "cone")
+        seen.add(_cone_side(p))
     assert seen == {"A<0", "B<0", "B=0", "cone"}
     # the B = 0 labels of test_identification_with_vanishing_B
     p = product_params(1, 2, 1, 2, 0.5, strict=False)
     assert p.B == 0
     assert math.gcd(p.N_prime, p.M) == 1
-    assert "profile" not in p.to_json()
 
 
-def test_product_params_json_pinned():
-    # library-level documents the CLI never serialises: the CLI builds only
-    # strict products, so the B < 0 document is reachable only from here
-    assert product_params(1, 2, 1, 3, 0.2).to_json() == {
-        "n": 1, "m": 2, "k": 1, "l": 3, "theta": 0.2,
-        "a": 1, "b": 0, "c": 1, "d": 0, "M": 5, "r": 1,
-        "N_prime": 1, "theta_prime": 0.14285714285714288,
-        "profile": {
-            "theta_prime": 0.14285714285714288,
-            "theta_double_prime": 0.5000000000000001,
-            "M": 5, "N_prime": 1, "N_double_prime": -1,
-        },
-    }
-    assert product_params(1, 2, 1, 3, math.sqrt(2) - 1, strict=False).to_json() == {
-        "n": 1, "m": 2, "k": 1, "l": 3, "theta": 0.41421356237309515,
-        "a": 1, "b": 0, "c": 1, "d": 0, "M": 5, "r": 1,
-        "N_prime": 1, "theta_prime": 0.22654091966098644,
-    }
+def test_structure_constants_only_on_the_cone():
+    # the table, and so the profile of its report, exists only for A > 0 and
+    # B > 0: off the cone the widths i*tau*m/A, i*tau*l/B are never both
+    # holomorphic, at either sign of Im(tau)
+    seen = set()
+    for p in _relaxed_params():
+        side = _cone_side(p)
+        if side == "cone":
+            continue
+        seen.add(side)
+        for tau in (-1j, 1j):
+            with pytest.raises((NoHolomorphicVectors, DegenerateDenominator)):
+                structure_constants(p, ComplexStructure(tau=tau))
+    assert seen == {"A<0", "B<0", "B=0"}
 
 
 # ------------------------------------------------------------ congruences
@@ -740,22 +736,9 @@ def test_structure_constants_ratio_is_z_independent():
         assert abs(r - ratios[0]) <= 1e-9 * (1 + abs(ratios[0]))
 
 
-def test_structure_constants_json_deterministic():
-    p = _canonical()
-    cs = ComplexStructure(tau=-1j)
-    sc = structure_constants(p, cs)
-    doc1 = sc.to_json()
-    doc2 = structure_constants(p, cs).to_json()
-    assert doc1 == doc2
-    assert doc1["shape"] == [2, 3, 5]
-    assert len(doc1["entries"]) == 2 * 3 * 5
-    nulls = [e for e in doc1["entries"] if e["q0"] is None]
-    assert not nulls  # r = 1 here, every pair is compatible
-
-
 def test_structure_constants_need_matching_tau_sign():
     p = _canonical()
-    with pytest.raises(Exception):
+    with pytest.raises(NoHolomorphicVectors, match="must both have positive real part"):
         structure_constants(p, ComplexStructure(tau=1j))
 
 

@@ -37,10 +37,11 @@ count of points by exit code, exit 1 by failing check and exit 2 by
 failing stage.  ``--json`` writes the points' records as ``record`` does.
 It runs the ``nctorus`` of this checkout's ``src`` and refuses any other.
 
-The grid of 130 calls covers every subcommand over the five benchmark
+The grid of 131 calls covers every subcommand over the five benchmark
 label pairs at two angles, ``verify-all`` at edge labels and at nonzero
 connection offsets, ``structure-constants`` at the M = 29 edge label and
-at a label whose every row sums to truncation radius 3, a left label
+at a label whose every row sums to truncation radius 3 (in JSON and in
+CSV, where its r = 2 leaves empty ``q0`` cells), a left label
 degenerate at theta = 0.5 through
 ``theta-basis --side left`` and ``algebra-check``, two ``algebra-check``
 seeds that shift Gaussians far from their centres, an exact-zero component
@@ -155,6 +156,8 @@ def grid() -> list[list[str]]:
         # label, 3 on every row of (3, 2) x (1, 2), where Im(s) is small.
         ["structure-constants", "--nm", "1,2", "--kl", "14,1"],
         ["structure-constants", "--nm", "3,2", "--kl", "1,2"],
+        # The same table as CSV, whose r = 2 leaves 16 rows with an empty q0 cell.
+        ["structure-constants", "--format", "csv", "--nm", "3,2", "--kl", "1,2"],
         # Products whose true value exceeds double range: typed overflows.
         ["structure-constants", "--c1=0,400"],
         ["tensor", "--c1=0,280", "--z=-7", "--delta", "1"],
