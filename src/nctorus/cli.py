@@ -15,11 +15,11 @@ an --output file that cannot be written.
 theta accepts a tiny expression grammar over integers, decimals and
 sqrt<N>: for example "0.2", "sqrt2-1", "(1+sqrt5)/2".  Complex flags are
 passed as "re,im" (a bare real is also accepted).  Reports, built here
-alone, serialize to JSON with schema version 1; the structure-constant
-table additionally to CSV.  Identical inputs produce byte-identical output.
+alone, stream to their handle as JSON with schema version 1; the table
+also as CSV (--format).  Identical inputs produce byte-identical output.
 
-The --tol flag (default 1e-9) governs the algebraic identity residuals and
-tensor's closed form against direct summation, abs_diff <= tol*(1 + |direct|).
+The --tol flag (finite, >= 0, default 1e-9) governs the algebraic identity
+residuals and tensor's closed form against direct summation, abs_diff <= tol*(1 + |direct|).
 Other checks pin theirs: 1e-10 for the series oracles of verify-all and
 structure-constants, 1e-8 for holomorphic closure and basis reconstruction.
 """
@@ -29,9 +29,10 @@ from __future__ import annotations
 import argparse
 import ast
 import cmath
+import contextlib
 import csv
 import functools
-import io
+import itertools
 import json
 import math
 import operator
@@ -121,6 +122,13 @@ def parse_finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def parse_tolerance(text: str) -> float:
+    value = parse_finite(text)
+    if value < 0:
+        raise ValueError(f"{text!r} is negative")
     return value
 
 
@@ -397,55 +405,35 @@ def _params_doc(p: ProductParams, cs: ComplexStructure, phi: gs.PolyGaussTerm) -
     }
 
 
-def _table_doc(
-    sc: StructureConstants, p: ProductParams, cs: ComplexStructure, phi: gs.PolyGaussTerm
-) -> dict:
-    """Shape, params and one entry per (alpha, beta, gamma), q0 None where incompatible."""
-    entries = []
+def _table_rows(sc: StructureConstants):
+    """(alpha, beta, gamma, value, q0) per table entry, q0 None where incompatible."""
     for (alpha, beta), (_, row) in sc.rows.items():
         q0s = {gamma: q0 for gamma, q0, *_ in row}
         for gamma, val in enumerate(sc.values[alpha][beta]):
-            entries.append({"alpha": alpha, "beta": beta, "gamma": gamma,
-                            "re": val.real, "im": val.imag, "q0": q0s.get(gamma)})
-    return {"shape": list(sc.shape), "entries": entries, "params": _params_doc(p, cs, phi)}
+            yield alpha, beta, gamma, val, q0s.get(gamma)
 
 
-def _write(text: str, args: argparse.Namespace) -> None:
+def _open_output(args: argparse.Namespace):
+    """The --output file, else stdout; open it once every number is computed."""
     if args.output:
-        with open(args.output, "w", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(args.output, "w", newline="")
+    return contextlib.nullcontext(sys.stdout)
 
 
 def _report(args: argparse.Namespace, command: str, ok: bool, **fields) -> int:
     """Write the schema-1 JSON report of command; the exit code is 0 iff ok."""
-    config = {
-        "theta": args.theta,
-        "nm": list(args.nm),
-        "kl": list(args.kl),
-        "tau": _pair(args.tau),
-        "c1": _pair(args.c1),
-        "c2": _pair(args.c2),
-        "tol": args.tol,
-        "qmax": args.qmax,
-        "seed": args.seed,
-    }
+    config = {"theta": args.theta, "nm": list(args.nm), "kl": list(args.kl),
+              "tau": _pair(args.tau), "c1": _pair(args.c1), "c2": _pair(args.c2),
+              "tol": args.tol, "qmax": args.qmax, "seed": args.seed}
     doc = {"schema": 1, "command": command, "config": config, **fields, "pass": ok}
-    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args)
+    # the indented, key-sorted text, written a block of chunks at a time: on a
+    # piped stdout one write per chunk costs about as much as encoding it
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+    with _open_output(args) as handle:
+        while block := "".join(itertools.islice(chunks, 4096)):
+            handle.write(block)
+        handle.write("\n")
     return 0 if ok else 1
-
-
-def _csv_table(entries: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["alpha", "beta", "gamma", "re", "im", "q0"])
-    for e in entries:
-        writer.writerow(
-            [e["alpha"], e["beta"], e["gamma"], repr(e["re"]), repr(e["im"]),
-             "" if e["q0"] is None else e["q0"]]
-        )
-    return buf.getvalue()
 
 
 def cmd_algebra_check(args: argparse.Namespace) -> int:
@@ -492,15 +480,22 @@ def cmd_tensor(args: argparse.Namespace) -> int:
 
 def cmd_structure_constants(args: argparse.Namespace) -> int:
     checks = CheckList()
-    # the table is freed once its document is built, before the report's text
-    sc_doc = _table_doc(*_structure_constant_checks(args, checks))
+    sc, p, cs, phi = _structure_constant_checks(args, checks)
     if args.fmt == "csv":
-        _write(_csv_table(sc_doc["entries"]), args)
+        with _open_output(args) as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["alpha", "beta", "gamma", "re", "im", "q0"])
+            # csv writes a float as its repr and None as an empty cell
+            writer.writerows((alpha, beta, gamma, val.real, val.imag, q0)
+                             for alpha, beta, gamma, val, q0 in _table_rows(sc))
         return 0 if checks.ok else 1
-    return _report(
-        args, "structure-constants", checks.ok,
-        structure_constants=sc_doc, checks=checks.entries,
-    )
+    table = {"shape": list(sc.shape), "params": _params_doc(p, cs, phi), "entries": [
+        {"alpha": alpha, "beta": beta, "gamma": gamma, "re": val.real, "im": val.imag, "q0": q0}
+        for alpha, beta, gamma, val, q0 in _table_rows(sc)
+    ]}
+    del sc  # the table is freed before the report's text is encoded
+    return _report(args, "structure-constants", checks.ok,
+                   structure_constants=table, checks=checks.entries)
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
@@ -548,15 +543,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="first connection offset")
     common.add_argument("--c2", type=parse_complex, default=0j, metavar="RE,IM",
                         help="second connection offset")
-    common.add_argument("--tol", type=parse_finite, default=1e-9,
+    common.add_argument("--tol", type=parse_tolerance, default=1e-9,
                         help="tolerance for identity residuals (default 1e-9)")
     common.add_argument("--qmax", type=parse_positive_int, default=DEFAULT_QMAX,
                         help="series truncation cap (default %(default)s)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized instances (default 0)")
     common.add_argument("--output", default=None, help="write the report here instead of stdout")
-    common.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
-                        help="output format; csv applies to structure-constants")
 
     parser = argparse.ArgumentParser(
         prog="nctorus",
@@ -575,8 +568,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tensor.add_argument("--beta", type=int, default=0)
     p_tensor.add_argument("--z", type=parse_finite, default=0.0)
     p_tensor.add_argument("--delta", type=int, default=0)
-    sub.add_parser("structure-constants", parents=[common],
-                   help="compute the coefficient table with cross-checks")
+    p_table = sub.add_parser("structure-constants", parents=[common],
+                             help="compute the coefficient table with cross-checks")
+    p_table.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
+                         help="output format; csv applies to structure-constants")
     sub.add_parser("verify-all", parents=[common],
                    help="run every identity suite at the given parameters")
     return parser

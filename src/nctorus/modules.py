@@ -73,7 +73,7 @@ class ModuleTag:
 def module_tag(n: int, m: int, theta: float) -> ModuleTag:
     """Validated tag of the module (n, m) at theta, with its normal-form Bezout pair."""
     if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+        raise ValueError(f"module label ({n}, {m}) needs at least one component")
     if math.gcd(n, m) != 1:
         raise NotCoprime(f"gcd({n}, {m}) != 1")
     tag = ModuleTag(n, m, theta, *bezout(n, m))

@@ -89,9 +89,10 @@ DEFAULT_QMAX = 16384
 _ROUNDOFF = 2.0**-53
 _TINY = sys.float_info.min
 # Largest table, in entries m*l*M, that structure_constants builds: the CLI
-# table costs about 1.7 KB of peak memory and 38 us per entry, so one at
-# the limit needs about 0.9 GB, under half a 2 GiB address-space cap, and 20 s.
-# The JSON text sets that peak; the table itself holds about 240 B an entry.
+# table costs about 40 us and, in its JSON report, 0.65 KB of peak memory per
+# entry (CSV 0.45 KB), so one at the limit needs about 20 s and 0.35 GB.  Time,
+# not memory, sets the limit.  The table holds about 240 B an entry; the JSON
+# report's entry dicts hold most of the rest, as the text streams to its handle.
 TABLE_LIMIT = 500_000
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -509,11 +510,31 @@ def test_lost_phase_fails_the_oracle(capsys):
     # a --qmax cap below 1 would sum no q at all
     ["tensor", "--qmax", "-5"],
     ["tensor", "--qmax", "0"],
+    # a negative tolerance would fail every check without checking anything
+    ["tensor", "--tol=-1"],
 ])
 def test_non_finite_numbers_are_usage_errors(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "invalid parse_" in captured.err and "usage:" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["algebra-check", "theta-basis", "tensor", "verify-all"])
+def test_format_is_a_table_option(capsys, command):
+    # only the table has a CSV form; elsewhere the flag is refused, not ignored
+    assert main([command, "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --format csv" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--nm", "--kl"])
+def test_label_without_components_is_named(capsys, flag):
+    # the left label reaches module_tag as the mirror's (n, m): name the label, not m
+    assert main(["verify-all", flag, "1,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: module label (1, 0) needs at least one component\n"
     assert captured.out == ""
 
 
@@ -699,6 +720,31 @@ def test_csv_layout(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "alpha,beta,gamma,re,im,q0"
     assert len(lines) == 1 + 30
+
+
+def test_failed_table_leaves_no_output_file(capsys, tmp_path):
+    # the handle opens only once every number is computed
+    out = tmp_path / "table.json"
+    assert main(["structure-constants", "--c1=0,400", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ProductClosedForm.row:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt,bound", [("json", 1100), ("csv", 450)])
+def test_table_report_memory_per_entry(tmp_path, fmt, bound):
+    # The report streams to its file, and CSV rows come straight from the
+    # table.  Traced peak per entry at (1, 2) x (299, 1), 1,198 entries:
+    # about 520-670 B (JSON) and 310 B (CSV); writing one whole-document string,
+    # with CSV read back from the JSON entries, took 1.6-1.7 KB and 580 B.
+    argv = ["structure-constants", "--nm", "1,2", "--kl", "299,1", "--format", fmt,
+            "--output", str(tmp_path / "table")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (2 * 1 * 599) < bound
 
 
 def test_verify_all_writes_report(tmp_path, capsys):
