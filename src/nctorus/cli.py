@@ -16,7 +16,8 @@ theta accepts a tiny expression grammar over integers, decimals and
 sqrt<N>: for example "0.2", "sqrt2-1", "(1+sqrt5)/2".  Complex flags are
 passed as "re,im" (a bare real is also accepted).  Reports, built here
 alone, stream to their handle as JSON with schema version 1; the table
-also as CSV (--format).  Identical inputs produce byte-identical output.
+also as CSV (--format), which names each failing check on stderr.
+Identical inputs produce byte-identical output.
 
 The --tol flag (finite, >= 0, default 1e-9) governs the algebraic identity
 residuals and tensor's closed form against direct summation, abs_diff <= tol*(1 + |direct|).
@@ -327,15 +328,15 @@ def _oracle_checks(args: argparse.Namespace, checks: CheckList) -> None:
         sigma2 = complex(rng.uniform(0.6, 1.6), rng.uniform(-0.4, 0.4))
         c1 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
         c2 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        form = tensor_gaussian_closed(sigma1, c1, sigma2, c2, p)
         for alpha in range(m):
             for beta in range(l):
-                form = tensor_gaussian_closed(alpha, beta, sigma1, c1, sigma2, c2, p)
                 series = DirectSeries(gs.gaussian(m, sigma1, c1, alpha),
                                       gs.gaussian(l, sigma2, c2, beta), p, args.qmax)
                 for z in PROBE_ZS:
                     # the row's closed values at one radius, summed before its direct sums
                     closed = [0j] * p.M
-                    for delta, _, _, _, _, value in form.row(z, range(p.M))[0]:
+                    for delta, _, _, _, _, value in form.row(alpha, beta, z, range(p.M))[0]:
                         closed[delta] = value
                     for delta in range(p.M):
                         direct = series.evaluate(z, delta)
@@ -462,18 +463,17 @@ def cmd_tensor(args: argparse.Namespace) -> int:
     p = product_params(n, m, k, l, args.theta)
     cs = ComplexStructure(args.tau, args.c1, args.c2)
     basis_f, basis_g = holomorphic_basis(p.right, cs), holomorphic_basis(p.left, cs)
-    # every basis vector shares sigma and c; the form checks alpha and beta
+    # every basis vector shares sigma and c; q0 checks alpha, beta, delta before any sum
     sig_f, sig_g = basis_f[0].terms[0], basis_g[0].terms[0]
-    form = tensor_gaussian_closed(
-        args.alpha, args.beta, sig_f.sigma, sig_f.c, sig_g.sigma, sig_g.c, p
-    )
+    form = tensor_gaussian_closed(sig_f.sigma, sig_f.c, sig_g.sigma, sig_g.c, p)
+    q0 = form.q0(args.alpha, args.beta, args.delta)
     direct = tensor_direct(basis_f[args.alpha], basis_g[args.beta], p, args.z, args.delta,
                            args.qmax)
-    closed = form.evaluate(args.z, args.delta)
+    closed = form.evaluate(args.alpha, args.beta, args.z, args.delta)
     diff = abs(closed - direct)
     return _report(
         args, "tensor", diff <= args.tol * (1 + abs(direct)),
-        alpha=args.alpha, beta=args.beta, z=args.z, delta=args.delta, q0=form.q0(args.delta),
+        alpha=args.alpha, beta=args.beta, z=args.z, delta=args.delta, q0=q0,
         direct=_pair(direct), closed_form=_pair(closed), abs_diff=diff,
     )
 
@@ -488,6 +488,11 @@ def cmd_structure_constants(args: argparse.Namespace) -> int:
             # csv writes a float as its repr and None as an empty cell
             writer.writerows((alpha, beta, gamma, val.real, val.imag, q0)
                              for alpha, beta, gamma, val, q0 in _table_rows(sc))
+        # the table has no room for the checks: name each failing one on stderr
+        for check in checks.entries:
+            if not check["pass"]:
+                print(f"failed: {check['name']}: residual {check['residual']} > "
+                      f"tol {check['tol']}", file=sys.stderr)
         return 0 if checks.ok else 1
     table = {"shape": list(sc.shape), "params": _params_doc(p, cs, phi), "entries": [
         {"alpha": alpha, "beta": beta, "gamma": gamma, "re": val.real, "im": val.imag, "q0": q0}

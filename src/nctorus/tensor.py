@@ -34,12 +34,12 @@ affine and quadratic in the integer N: at z = 0,
     kappa = sigma1*x_n**2 + sigma2*y_n**2,    lam = c1*x_n + c2*y_n,
 
 and at z != 0, lam and a constant k0 subtracted from K take the z terms.
-The closed form builds t and K from these coefficients, once per component
-pair, at the representative of the largest term, where |Im t| <= Im s/2,
-and sums each term as one exponent, so none overflows where the value is
-representable.  Every entry of a pair (alpha, beta) shares s, and the
-certified tail bound grows with |Im t|, so the entries at one z are summed
-together at one truncation radius, at their largest |Im t|, by
+The closed form builds t and K from these coefficients at the
+representative of the largest term, where |Im t| <= Im s/2, and sums each
+term as one exponent, so none overflows where the value is representable.
+One form serves a product: s depends on neither the pair nor Delta.  The
+certified tail bound grows with |Im t|, so the entries of a pair at one z
+are summed together at one truncation radius, at their largest |Im t|, by
 :meth:`ProductClosedForm.row`, the one closed-form summer: the structure
 constants one row per pair, the oracle of verify-all one per pair and
 probe point z, and a single value its own.
@@ -166,7 +166,7 @@ def product_params(
     well defined there.
     """
     if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
+        raise ValueError(f"module label ({k}, {l}) needs at least one component")
     right = module_tag(n, m, theta)
     # The constructor, not module_tag: strict=False admits k - l*theta = 0.
     left = ModuleTag(k, l, -theta, *bezout(k, l))
@@ -185,6 +185,11 @@ def product_params(
     # (N', M) is (k, l) under ((a, b), (m, n)), of determinant a*n - b*m = 1.
     assert math.gcd(p.N_prime, p.M) == 1
     return p
+
+
+def _check_index(name: str, value: int, bound: int) -> None:
+    if not 0 <= value < bound:
+        raise IndexOutOfRange(f"{name} = {value} outside range(0, {bound})")
 
 
 def crt_q0(alpha: int, beta: int, delta: int, p: ProductParams) -> int | None:
@@ -348,26 +353,22 @@ def tensor_direct(
     at many (z, delta) builds the series once and calls its ``evaluate``.
     """
     series = DirectSeries(f, g, p, qmax)
-    if not 0 <= delta < p.M:
-        raise IndexOutOfRange(f"delta = {delta} outside range(0, {p.M})")
+    _check_index("delta", delta, p.M)
     return series.evaluate(z, delta)
 
 
 @dataclass(frozen=True)
 class ProductClosedForm:
-    """Theta-series form of one component pair (alpha, beta) of a product.
+    """Theta-series form of a product of factor Gaussians, every component pair at once.
 
     sigma1, c1, sigma2, c2 are the factor Gaussians; ``x_n`` and ``y_n``
     are the coefficients of N = M*q - l*delta in the f- and g-arguments
-    X = A*z + x_n*N and Y = A*z + y_n*N; ``s`` is the theta modulus and
-    ``q0_table[delta]`` the congruence representative (None where the
-    component pair is incompatible, in which case that component of the
-    product vanishes identically).
+    X = A*z + x_n*N and Y = A*z + y_n*N; ``s`` is the theta modulus of every
+    pair and delta.  The methods take the pair (alpha, beta), whose q0 is
+    None at a delta where it is incompatible and the product vanishes.
     """
 
     params: ProductParams
-    alpha: int
-    beta: int
     sigma1: complex
     c1: complex
     sigma2: complex
@@ -375,12 +376,14 @@ class ProductClosedForm:
     x_n: float
     y_n: float
     s: complex
-    q0_table: tuple[int | None, ...]
 
-    def q0(self, delta: int) -> int | None:
-        if not 0 <= delta < self.params.M:
-            raise IndexOutOfRange(f"delta = {delta} outside range(0, {self.params.M})")
-        return self.q0_table[delta]
+    def q0(self, alpha: int, beta: int, delta: int) -> int | None:
+        """The :func:`crt_q0` of (alpha, beta) at delta, each index checked in that order."""
+        p = self.params
+        _check_index("alpha", alpha, p.m)
+        _check_index("beta", beta, p.l)
+        _check_index("delta", delta, p.M)
+        return crt_q0(alpha, beta, delta, p)
 
     def n_coefficients(self, z: complex) -> tuple[complex, complex, complex]:
         """(kappa, lam, k0), the coefficients of t and K at z in N = M*q - l*delta.
@@ -423,9 +426,9 @@ class ProductClosedForm:
             raise OverflowError(f"peak t = {t}, K = {k} is not reduced")
         return u, t, k
 
-    def row(self, z: complex, deltas: Iterable[int]
+    def row(self, alpha: int, beta: int, z: complex, deltas: Iterable[int]
             ) -> tuple[list[tuple[int, int, int, complex, complex, complex]], int]:
-        """(entries, radius) of the values at z over deltas, each in range(M).
+        """(entries, radius) of (alpha, beta)'s values at z over deltas, each in range(M).
 
         entries lists (delta, q0, u, t, K, value) of every compatible delta
         in order, with (u, t, K) from :meth:`peak` at q0 and value =
@@ -433,14 +436,21 @@ class ProductClosedForm:
         share s, and radius is the :func:`theta.truncation_radius` at their
         largest |Im t|, which certifies each of them and is at least each
         one's own radius, since every peak has |Im t| <= Im s.  Every peak
-        is built before any sum.  IndexOutOfRange, before any sum, at the
-        first delta outside range(M); SeriesOverflow, from the OverflowError,
-        of the first entry whose peak or sum fails; no sum runs after it.
+        is built before any sum.  IndexOutOfRange for alpha, then beta, then,
+        before any sum, the first delta outside range(M); SeriesOverflow, from
+        the OverflowError, of the first entry whose peak or sum fails; no sum
+        runs after it.
         """
-        p, coefs = self.params, self.n_coefficients(z)
+        p = self.params
+        _check_index("alpha", alpha, p.m)
+        _check_index("beta", beta, p.l)
+        coefs = self.n_coefficients(z)
+        # q0 depends on delta only through a*delta mod m
+        q0s = [crt_q0(alpha, beta, rho, p) for rho in range(min(p.m, p.M))]
         peaks, failed, worst = [], None, 0.0
         for delta in deltas:
-            q0 = self.q0(delta)
+            _check_index("delta", delta, p.M)
+            q0 = q0s[delta % p.m]
             if q0 is None:
                 continue
             try:
@@ -459,27 +469,22 @@ class ProductClosedForm:
                 raise failed
         except OverflowError as exc:
             raise SeriesOverflow(
-                f"ProductClosedForm.row: {exc} at (alpha, beta) = ({self.alpha}, "
-                f"{self.beta}), delta = {at}, z = {z} of {p}"
+                f"ProductClosedForm.row: {exc} at (alpha, beta) = ({alpha}, {beta}), "
+                f"delta = {at}, z = {z} of {p}"
             ) from exc
         return entries, radius
 
-    def evaluate(self, z: complex, delta: int) -> complex:
-        """exp(K)*Theta(s, t) at (z, delta), within DEFAULT_EPS*|exp(K)|: a one-entry :meth:`row`.
+    def evaluate(self, alpha: int, beta: int, z: complex, delta: int) -> complex:
+        """exp(K)*Theta(s, t) of (alpha, beta) at (z, delta), within DEFAULT_EPS*|exp(K)|.
 
-        0j where the component pair is incompatible at delta; IndexOutOfRange
-        unless 0 <= delta < M; SeriesOverflow where the peak or the sum
-        overflows.  The radius of one entry is its own, as :func:`theta.theta`
-        takes it.
+        A one-entry :meth:`row`, 0j where the pair is incompatible at delta,
+        with its errors; one entry's radius is its own, as :func:`theta.theta` takes it.
         """
-        if self.q0(delta) is None:
-            return 0j
-        return self.row(z, (delta,))[0][0][-1]
+        entries, _ = self.row(alpha, beta, z, (delta,))
+        return entries[0][-1] if entries else 0j
 
 
 def tensor_gaussian_closed(
-    alpha: int,
-    beta: int,
     sigma1: complex,
     c1: complex,
     sigma2: complex,
@@ -491,21 +496,12 @@ def tensor_gaussian_closed(
         raise InvalidSigma(f"Re(sigma1) must be positive, got {sigma1}")
     if sigma2.real <= 0:
         raise InvalidSigma(f"Re(sigma2) must be positive, got {sigma2}")
-    if not 0 <= alpha < p.m:
-        raise IndexOutOfRange(f"alpha = {alpha} outside range(0, {p.m})")
-    if not 0 <= beta < p.l:
-        raise IndexOutOfRange(f"beta = {beta} outside range(0, {p.l})")
     s = -(sigma1 * (p.l * p.A) ** 2 + sigma2 * (p.m * p.B) ** 2) / (TWO_PI_I * p.r * p.r)
     if not cmath.isfinite(s):
         raise SeriesOverflow(f"tensor_gaussian_closed: theta modulus s = {s} is not finite "
-                             f"at (alpha, beta) = ({alpha}, {beta}) of {p}")
+                             f"for {p}")
     assert s.imag > 0
-    # q0 depends on delta only through a*delta mod m
-    first = [crt_q0(alpha, beta, delta, p) for delta in range(min(p.m, p.M))]
-    return ProductClosedForm(
-        p, alpha, beta, sigma1, c1, sigma2, c2, -p.A / (p.m * p.M), p.B / (p.l * p.M), s,
-        q0_table=tuple(first[delta % p.m] for delta in range(p.M)),
-    )
+    return ProductClosedForm(p, sigma1, c1, sigma2, c2, -p.A / (p.m * p.M), p.B / (p.l * p.M), s)
 
 
 def _common_holomorphic_data(
@@ -589,12 +585,12 @@ def structure_constants(p: ProductParams, cs: ComplexStructure) -> StructureCons
             f"{TABLE_LIMIT} for ({p.n}, {p.m}) x ({p.k}, {p.l})"
         )
     sigma1, sigma2, c, *_ = _common_holomorphic_data(p, cs)
+    form = tensor_gaussian_closed(sigma1, c, sigma2, c, p)
     values, rows = [], {}
     for alpha in range(p.m):
         cols = []
         for beta in range(p.l):
-            form = tensor_gaussian_closed(alpha, beta, sigma1, c, sigma2, c, p)
-            entries, radius = form.row(0.0, range(p.M))
+            entries, radius = form.row(alpha, beta, 0.0, range(p.M))
             rows[alpha, beta] = radius, entries
             col = [0j] * p.M
             for gamma, *_, value in entries:

@@ -229,13 +229,13 @@ def test_criterion_6_oracle_equivalence():
         c1 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
         c2 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
         alpha, beta = rng.randrange(p.m), rng.randrange(p.l)
-        form = tensor_gaussian_closed(alpha, beta, sigma1, c1, sigma2, c2, p)
+        form = tensor_gaussian_closed(sigma1, c1, sigma2, c2, p)
         f = gaussian(p.m, sigma1, c=c1, mu=alpha)
         g = gaussian(p.l, sigma2, c=c2, mu=beta)
         for z in PROBE_ZS:
             for delta in range(p.M):
                 want = tensor_direct(f, g, p, z, delta)
-                got = form.evaluate(z, delta)
+                got = form.evaluate(alpha, beta, z, delta)
                 worst = max(worst, abs(got - want) / (1 + abs(want)))
     _verdict("criterion 6 (closed form vs direct sum, 10 sets)",
              worst <= 1e-10, f"max relative deviation {worst:.3e} <= 1e-10")

@@ -482,8 +482,8 @@ def test_overflowing_theta_modulus_is_typed(capsys, argv, s):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == (
-        f"error: tensor_gaussian_closed: theta modulus s = {s} is not finite at "
-        "(alpha, beta) = (0, 0) of (1, 2) x (1, 3) at theta = 0.2\n"
+        f"error: tensor_gaussian_closed: theta modulus s = {s} is not finite for "
+        "(1, 2) x (1, 3) at theta = 0.2\n"
     )
     assert captured.out == ""
 
@@ -529,10 +529,13 @@ def test_format_is_a_table_option(capsys, command):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("flag", ["--nm", "--kl"])
-def test_label_without_components_is_named(capsys, flag):
-    # the left label reaches module_tag as the mirror's (n, m): name the label, not m
-    assert main(["verify-all", flag, "1,0"]) == 2
+@pytest.mark.parametrize("argv", [["verify-all", "--nm"], ["verify-all", "--kl"],
+                                  ["structure-constants", "--kl"], ["tensor", "--kl"]],
+                         ids=["--nm", "--kl", "structure-constants", "tensor"])
+def test_label_without_components_is_named(capsys, argv):
+    # the left label reaches module_tag as the mirror's (n, m), and
+    # product_params before any tag: each names the label, not m or l
+    assert main([*argv, "1,0"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: module label (1, 0) needs at least one component\n"
     assert captured.out == ""
@@ -691,6 +694,24 @@ def test_verify_all_green(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["pass"]
     assert [c["name"] for c in doc["checks"] if not c.get("pass", True)] == []
+
+
+def test_csv_names_each_failing_check(capsys):
+    # the CSV table has no room for its checks, so each failing one is a
+    # stderr line with its name, residual and tolerance, as the JSON report has them
+    argv = ["structure-constants", "--tau=-1e306,-1"]
+    assert main(argv) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert main([*argv, "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("alpha,beta,gamma,re,im,q0\n")
+    lines = captured.err.splitlines()
+    assert [line.split(": ")[1] for line in lines] == [
+        "structure_constants_vs_direct", "basis_reconstruction"]
+    assert lines == [f"failed: {c['name']}: residual {c['residual']} > tol {c['tol']}"
+                     for c in checks]
+    assert main(["structure-constants", "--format", "csv"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_all_skips_degenerate_left_label(capsys):

@@ -212,8 +212,8 @@ def test_referee_keeps_the_term_jtheta_drops():
     cs = ComplexStructure(-1j)
     f = holomorphic_basis(p.right, cs)[2].terms[0]
     g = holomorphic_basis(p.left, cs)[3].terms[0]
-    form = tensor_gaussian_closed(2, 3, f.sigma, f.c, g.sigma, g.c, p)
-    assert form.q0(27) == 24
+    form = tensor_gaussian_closed(f.sigma, f.c, g.sigma, g.c, p)
+    assert form.q0(2, 3, 27) == 24
     t, k = form.theta_args(form.n_coefficients(0.0), p.M * 24 - p.l * 27)
     assert abs(t.imag / form.s.imag - 0.5) < 0.01
     scale = mpmath.exp(mpmath.mpc(k))
@@ -359,13 +359,13 @@ def test_row_radius_certifies_every_entry(case, tau, label, seed):
     sigma2 = complex(rng.uniform(0.6, 1.6), rng.uniform(-0.4, 0.4))
     c1 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
     c2 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+    form = tensor_gaussian_closed(sigma1, c1, sigma2, c2, p)
     for alpha in range(m):
         for beta in range(l):
-            form = tensor_gaussian_closed(alpha, beta, sigma1, c1, sigma2, c2, p)
             for z in PROBE_ZS:
-                entries, radius = form.row(z, range(p.M))
+                entries, radius = form.row(alpha, beta, z, range(p.M))
                 assert [d for d, *_ in entries] == [d for d in range(p.M)
-                                                    if form.q0(d) is not None]
+                                                    if form.q0(alpha, beta, d) is not None]
                 for _, _, _, t, k_exp, got in entries:
                     assert got == theta_truncated(form.s, t, radius, k_exp)
                     _assert_certified(form.s, t, k_exp, radius, got)
@@ -429,6 +429,6 @@ def test_oracle_closed_form_at_small_right_label():
         sigma2 = complex(rng.uniform(0.6, 1.6), rng.uniform(-0.4, 0.4))
         c1 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
         c2 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-    form = tensor_gaussian_closed(1, 0, sigma1, c1, sigma2, c2, p)
+    form = tensor_gaussian_closed(sigma1, c1, sigma2, c2, p)
     direct = tensor_direct(gaussian(4, sigma1, c1, 1), gaussian(1, sigma2, c2, 0), p, 1.0, 0)
-    assert abs(form.evaluate(1.0, 0) - direct) <= 1e-10 * (1 + abs(direct))
+    assert abs(form.evaluate(1, 0, 1.0, 0) - direct) <= 1e-10 * (1 + abs(direct))

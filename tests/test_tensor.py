@@ -467,9 +467,10 @@ def test_direct_sum_rejects_delta_outside_fundamental_range():
 
 # ------------------------------------------------------------- closed form
 
-def _closed_for(p, fb, gb, alpha, beta):
-    tf, tg = fb[alpha].terms[0], gb[beta].terms[0]
-    return tensor_gaussian_closed(alpha, beta, tf.sigma, tf.c, tg.sigma, tg.c, p)
+def _closed_for(p, fb, gb):
+    # every vector of a holomorphic basis shares sigma and c
+    tf, tg = fb[0].terms[0], gb[0].terms[0]
+    return tensor_gaussian_closed(tf.sigma, tf.c, tg.sigma, tg.c, p)
 
 
 def test_closed_form_matches_direct_sum():
@@ -481,14 +482,14 @@ def test_closed_form_matches_direct_sum():
         c1 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
         c2 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
         alpha, beta = rng.randrange(2), rng.randrange(3)
-        form = tensor_gaussian_closed(alpha, beta, sigma1, c1, sigma2, c2, p)
+        form = tensor_gaussian_closed(sigma1, c1, sigma2, c2, p)
         from nctorus.gaussians import gaussian
         f = gaussian(2, sigma1, c=c1, mu=alpha)
         g = gaussian(3, sigma2, c=c2, mu=beta)
         for z in (-0.8, 0.0, 0.45):
             for delta in range(p.M):
                 want = tensor_direct(f, g, p, z, delta)
-                got = form.evaluate(z, delta)
+                got = form.evaluate(alpha, beta, z, delta)
                 assert abs(got - want) <= 1e-11 * (1 + abs(want))
 
 
@@ -499,10 +500,10 @@ def test_closed_form_with_negative_B():
     from nctorus.gaussians import gaussian
     f = gaussian(2, 1.1, c=0.2, mu=0)
     g = gaussian(3, 0.9, c=-0.1j, mu=1)
-    form = tensor_gaussian_closed(0, 1, 1.1, 0.2, 0.9, -0.1j, p)
+    form = tensor_gaussian_closed(1.1, 0.2, 0.9, -0.1j, p)
     for z in (0.0, 0.6):
         want = tensor_direct(f, g, p, z, 2)
-        got = form.evaluate(z, 2)
+        got = form.evaluate(0, 1, z, 2)
         assert abs(got - want) <= 1e-11 * (1 + abs(want))
 
 
@@ -512,7 +513,7 @@ def test_closed_form_modulus_always_upper_half():
         p = product_params(1, 2, 1, 3, theta, strict=False)
         sigma1 = complex(rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5))
         sigma2 = complex(rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5))
-        form = tensor_gaussian_closed(0, 0, sigma1, 0, sigma2, 0, p)
+        form = tensor_gaussian_closed(sigma1, 0, sigma2, 0, p)
         assert form.s.imag > 0
 
 
@@ -521,8 +522,8 @@ def test_closed_form_q0_shift_consistency():
     # relabels the terms, so exp(K)*Theta(s, t) does not change
     from nctorus.theta import theta
     p = _canonical()
-    form = tensor_gaussian_closed(0, 0, 1.2, 0.1, 0.8, -0.2, p)
-    q0 = form.q0(1)
+    form = tensor_gaussian_closed(1.2, 0.1, 0.8, -0.2, p)
+    q0 = form.q0(0, 0, 1)
     coefs = form.n_coefficients(0.3)
     t, k = form.theta_args(coefs, p.M * q0 - p.l)
     t_next, k_next = form.theta_args(coefs, p.M * (q0 + p.L) - p.l)
@@ -535,14 +536,14 @@ def test_closed_form_q0_shift_consistency():
     assert form.peak(coefs, p.M * (q0 + 3 * p.L) - p.l) == (u - 3, t_peak, k_peak)
     assert abs(theta(form.s, t_peak, k=k_peak) - value) <= 1e-13 * abs(value)
     # a one-entry row takes the entry's own radius, as theta() does
-    assert form.evaluate(0.3, 1) == theta(form.s, t_peak, k=k_peak)
+    assert form.evaluate(0, 0, 0.3, 1) == theta(form.s, t_peak, k=k_peak)
 
 
 def test_closed_form_unsolvable_is_exact_zero():
     p = product_params(1, 2, 1, 2, 0.2)
-    form = tensor_gaussian_closed(0, 1, 1.0, 0.0, 1.0, 0.0, p)
-    assert form.q0(0) is None
-    assert form.evaluate(0.3, 0) == 0j
+    form = tensor_gaussian_closed(1.0, 0.0, 1.0, 0.0, p)
+    assert form.q0(0, 1, 0) is None
+    assert form.evaluate(0, 1, 0.3, 0) == 0j
     # the q-series vanishes exactly too: every summand has a factor on an
     # empty component, so it is an exact zero
     from nctorus.gaussians import gaussian
@@ -554,18 +555,52 @@ def test_closed_form_unsolvable_is_exact_zero():
 def test_closed_form_validation():
     p = _canonical()
     with pytest.raises(InvalidSigma):
-        tensor_gaussian_closed(0, 0, -1.0, 0, 1.0, 0, p)
-    with pytest.raises(IndexOutOfRange):
-        tensor_gaussian_closed(2, 0, 1.0, 0, 1.0, 0, p)
-    with pytest.raises(IndexOutOfRange):
-        tensor_gaussian_closed(0, 3, 1.0, 0, 1.0, 0, p)
-    form = tensor_gaussian_closed(0, 0, 1.0, 0, 1.0, 0, p)
-    with pytest.raises(IndexOutOfRange):
-        form.q0(p.M)
-    # q0 is not M-periodic in delta, so delta = -1 must not read the q0 of delta = M - 1
-    for delta in (-1, p.M):
-        with pytest.raises(IndexOutOfRange, match=f"delta = {delta} outside range"):
-            form.row(0.3, [delta])
+        tensor_gaussian_closed(-1.0, 0, 1.0, 0, p)
+    with pytest.raises(InvalidSigma):
+        tensor_gaussian_closed(1.0, 0, -1.0, 0, p)
+    form = tensor_gaussian_closed(1.0, 0, 1.0, 0, p)
+    calls = (form.q0, lambda a, b, d: form.evaluate(a, b, 0.3, d),
+             lambda a, b, d: form.row(a, b, 0.3, [d]))
+    # alpha is checked before beta and beta before delta, whatever the later
+    # indices are; q0 is not M-periodic in delta, so delta = -1 must not
+    # read the q0 of delta = M - 1
+    cases = [((2, 3, p.M), "alpha = 2 outside range(0, 2)"),
+             ((-1, 0, 0), "alpha = -1 outside range(0, 2)"),
+             ((1, 3, -1), "beta = 3 outside range(0, 3)"),
+             ((0, -1, 0), "beta = -1 outside range(0, 3)"),
+             ((1, 2, p.M), "delta = 5 outside range(0, 5)"),
+             ((0, 0, -1), "delta = -1 outside range(0, 5)")]
+    for (alpha, beta, delta), text in cases:
+        for call in calls:
+            with pytest.raises(IndexOutOfRange) as info:
+                call(alpha, beta, delta)
+            assert str(info.value) == text
+    # a row checks its pair before its deltas, even when it has none
+    with pytest.raises(IndexOutOfRange, match="^beta = 3 "):
+        form.row(0, 3, 0.3, [])
+
+
+@pytest.mark.parametrize("labels", [(1, 2, 14, 1), (3, 2, 1, 2)])
+def test_one_form_gives_every_row(labels):
+    # one form per product: its row of each pair at z = 0 is the table's row,
+    # bit for bit, and its q0 the congruence representative at every index;
+    # r = 2 at (3, 2) x (1, 2) leaves incompatible (empty) q0 cells
+    p = product_params(*labels, 0.2)
+    cs = ComplexStructure(tau=-1j)
+    sc = structure_constants(p, cs)
+    sigma1, sigma2, c, *_ = tensor._common_holomorphic_data(p, cs)
+    form = tensor_gaussian_closed(sigma1, c, sigma2, c, p)
+    assert form.s == sc.s
+    empty = 0
+    for alpha in range(p.m):
+        for beta in range(p.l):
+            entries, radius = form.row(alpha, beta, 0.0, range(p.M))
+            assert (radius, entries) == sc.rows[alpha, beta]
+            for delta in range(p.M):
+                q0 = form.q0(alpha, beta, delta)
+                assert q0 == crt_q0(alpha, beta, delta, p)
+                empty += q0 is None
+    assert (empty > 0) == (p.r == 2)
 
 
 # ---------------------------------------------------------- identification
@@ -693,9 +728,9 @@ def test_structure_constants_provenance_reproduces_values():
     cs = ComplexStructure(tau=-1j)
     sc = structure_constants(p, cs)
     fb, gb = _factor_bases(p)
+    form = _closed_for(p, fb, gb)
+    coefs = form.n_coefficients(0.0)
     for (alpha, beta), (radius, entries) in sc.rows.items():
-        form = _closed_for(p, fb, gb, alpha, beta)
-        coefs = form.n_coefficients(0.0)
         for gamma, q0, u, t, k, value in entries:
             assert theta_truncated(sc.s, t, radius, k) == value == sc.value(alpha, beta, gamma)
             assert radius >= truncation_radius(sc.s, t)
@@ -727,10 +762,10 @@ def test_structure_constants_ratio_is_z_independent():
     cs = ComplexStructure(tau=-1j)
     fb, gb = _factor_bases(p)
     phis = product_basis(p, cs)
-    form = _closed_for(p, fb, gb, 1, 2)
+    form = _closed_for(p, fb, gb)
     from nctorus.gaussians import evaluate
     gamma = 3
-    ratios = [form.evaluate(z, gamma) / evaluate(phis[gamma], z, gamma)
+    ratios = [form.evaluate(1, 2, z, gamma) / evaluate(phis[gamma], z, gamma)
               for z in (-0.4, 0.0, 0.55)]
     for r in ratios[1:]:
         assert abs(r - ratios[0]) <= 1e-9 * (1 + abs(ratios[0]))
@@ -768,9 +803,9 @@ def test_table_and_single_value_raise_the_same_overflow():
     # of pair (0, 0) at z = 0: one failing entry, one error text
     p = _canonical()
     cs = ComplexStructure(-1j, c1=400j)
-    form = _closed_for(p, holomorphic_basis(p.right, cs), holomorphic_basis(p.left, cs), 0, 0)
+    form = _closed_for(p, holomorphic_basis(p.right, cs), holomorphic_basis(p.left, cs))
     errors = []
-    for call in (lambda: structure_constants(p, cs), lambda: form.evaluate(0.0, 0)):
+    for call in (lambda: structure_constants(p, cs), lambda: form.evaluate(0, 0, 0.0, 0)):
         with pytest.raises(SeriesOverflow) as info:
             call()
         assert isinstance(info.value.__cause__, OverflowError)
@@ -817,8 +852,8 @@ def test_row_stops_at_the_first_failing_sum(monkeypatch):
     # and sums nothing after
     p = _canonical()
     cs = ComplexStructure(tau=-1j)
-    form = _closed_for(p, holomorphic_basis(p.right, cs), holomorphic_basis(p.left, cs), 0, 0)
-    want, _ = form.row(0.3, range(p.M))
+    form = _closed_for(p, holomorphic_basis(p.right, cs), holomorphic_basis(p.left, cs))
+    want, _ = form.row(0, 0, 0.3, range(p.M))
     sums, theta_truncated = [], tensor.theta_truncated
 
     def failing_sum(s, t, radius, k):
@@ -829,7 +864,7 @@ def test_row_stops_at_the_first_failing_sum(monkeypatch):
 
     monkeypatch.setattr(tensor, "theta_truncated", failing_sum)
     with pytest.raises(SeriesOverflow) as info:
-        form.row(0.3, range(p.M))
+        form.row(0, 0, 0.3, range(p.M))
     assert str(info.value.__cause__) == "sum fails"
     assert str(info.value).startswith("ProductClosedForm.row: sum fails at (alpha, beta) = "
                                       "(0, 0), delta = 2, z = 0.3 of ")
@@ -841,9 +876,9 @@ def test_closed_form_evaluate_overflow_is_typed():
     p = _canonical()
     cs = ComplexStructure(tau=-1j, c1=400j)
     fb, gb = holomorphic_basis(p.right, cs), holomorphic_basis(p.left, cs)
-    form = _closed_for(p, fb, gb, 0, 0)
+    form = _closed_for(p, fb, gb)
     with pytest.raises(SeriesOverflow) as info:
-        form.evaluate(0.0, 1)
+        form.evaluate(0, 0, 0.0, 1)
     assert isinstance(info.value.__cause__, OverflowError)
     text = str(info.value)
     assert text.startswith("ProductClosedForm.row:")
@@ -874,8 +909,8 @@ def test_closed_form_at_large_modulus():
     # overflow, the terms exp(pi*i*s*u**2 + 2*pi*i*t*u + K) do not
     p = product_params(2, 5, 3, 7, math.sqrt(2) - 1)
     fb, gb = _factor_bases(p)
-    form = _closed_for(p, fb, gb, 0, 0)
+    form = _closed_for(p, fb, gb)
     assert form.s.imag > 150
     for delta in (0, 1, p.M - 1):
         want = tensor_direct(fb[0], gb[0], p, 0.0, delta)
-        assert abs(form.evaluate(0.0, delta) - want) <= 1e-10 * (1 + abs(want))
+        assert abs(form.evaluate(0, 0, 0.0, delta) - want) <= 1e-10 * (1 + abs(want))

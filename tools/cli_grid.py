@@ -37,7 +37,7 @@ count of points by exit code, exit 1 by failing check and exit 2 by
 failing stage.  ``--json`` writes the points' records as ``record`` does.
 It runs the ``nctorus`` of this checkout's ``src`` and refuses any other.
 
-The grid of 131 calls covers every subcommand over the five benchmark
+The grid of 133 calls covers every subcommand over the five benchmark
 label pairs at two angles, ``verify-all`` at edge labels and at nonzero
 connection offsets, ``structure-constants`` at the M = 29 edge label and
 at a label whose every row sums to truncation radius 3 (in JSON and in
@@ -52,13 +52,15 @@ closed form, two in the direct q-sum), four connection offsets whose peak
 representative is not reduced (``SeriesOverflow``), two non-finite
 holomorphic widths (``NoHolomorphicVectors``), four theta moduli that
 overflow (``SeriesOverflow``) and one huge tau whose phases fail the
-oracle check, three basis vectors that overflow at a probe point
+oracle check (in JSON and in CSV, which names the failing checks on
+stderr), three basis vectors that overflow at a probe point
 (``SeriesOverflow``), two labels with n < 0 or l = 1 whose Bezout pairs
 have a negative entry, an
 ``algebra-check`` label whose ``module_axiom`` fails from far-centre phase
 rounding, four ``--theta`` expressions (one a division by zero, a usage error),
 a table too large for the size gate of ``structure_constants``
-(``--kl 999999,1``, a typed ``TableTooLarge``), three ``tensor`` calls
+(``--kl 999999,1``, a typed ``TableTooLarge``), a left label without
+components (``--kl 1,0``), three ``tensor`` calls
 whose ``--alpha``, ``--beta`` or ``--delta`` is out of range
 (``IndexOutOfRange``), every ``--help`` text and
 one JSON and one CSV ``--output`` file.  Pure stdlib apart from nctorus.
@@ -183,8 +185,10 @@ def grid() -> list[list[str]]:
         ["tensor", "--tau=-1e307,-1"],
         ["structure-constants", "--tau=-1,-1e307"],
         ["verify-all", "--tau=-1,-1e307"],
-        # Factor phases with no digit left: the oracle check fails.
+        # Factor phases with no digit left: the oracle check fails, and the CSV
+        # call names each failing check on stderr.
         ["structure-constants", "--tau=-1e306,-1"],
+        ["structure-constants", "--format", "csv", "--tau=-1e306,-1"],
         # A basis vector whose value at a probe point overflows: a typed SeriesOverflow.
         ["theta-basis", "--c1=1e308,1e308"],
         # A basis vector whose exponent at a probe point is not finite: the same.
@@ -198,6 +202,8 @@ def grid() -> list[list[str]]:
         ["algebra-check", "--nm", "1000003,1", "--seed", "5"],
         # m*l*M = 3,999,998 entries, past the size gate: a typed TableTooLarge.
         CAPPED_ONLY,
+        # A left label without components, named as verify-all names it.
+        ["structure-constants", "--kl", "1,0"],
         # Component and delta indices outside range(m), range(l), range(M).
         ["tensor", "--alpha", "2"],
         ["tensor", "--beta=-1"],
