@@ -70,6 +70,7 @@ from .tensor import (
     ProductParams,
     StructureConstants,
     crt_q0,
+    holomorphic_factors,
     product_basis,
     product_params,
     structure_constants,
@@ -117,6 +118,7 @@ __all__ = [
     "evaluate",
     "gaussian",
     "holomorphic_basis",
+    "holomorphic_factors",
     "involution",
     "leibniz_defect",
     "module_tag",

@@ -72,6 +72,7 @@ from .tensor import (
     PROBE_ZS,
     ProductParams,
     StructureConstants,
+    holomorphic_factors,
     product_basis,
     product_params,
     structure_constants,
@@ -310,7 +311,7 @@ def _identity_checks(args: argparse.Namespace, checks: CheckList) -> None:
     rng = random.Random(args.seed + 2)
     n, m = args.nm
     k, l = args.kl
-    p = product_params(n, m, k, l, args.theta, strict=False)
+    p = product_params(n, m, k, l, args.theta)
     f = _random_gaussian(rng, m)
     g = _random_gaussian(rng, l)
     for name, residual in verify_identities(f, g, p, args.qmax).items():
@@ -321,7 +322,7 @@ def _oracle_checks(args: argparse.Namespace, checks: CheckList) -> None:
     rng = random.Random(args.seed + 3)
     n, m = args.nm
     k, l = args.kl
-    p = product_params(n, m, k, l, args.theta, strict=False)
+    p = product_params(n, m, k, l, args.theta)
     worst = 0.0
     for _ in range(2):
         sigma1 = complex(rng.uniform(0.6, 1.6), rng.uniform(-0.4, 0.4))
@@ -461,14 +462,12 @@ def cmd_tensor(args: argparse.Namespace) -> int:
     n, m = args.nm
     k, l = args.kl
     p = product_params(n, m, k, l, args.theta)
-    cs = ComplexStructure(args.tau, args.c1, args.c2)
-    basis_f, basis_g = holomorphic_basis(p.right, cs), holomorphic_basis(p.left, cs)
-    # every basis vector shares sigma and c; q0 checks alpha, beta, delta before any sum
-    sig_f, sig_g = basis_f[0].terms[0], basis_g[0].terms[0]
-    form = tensor_gaussian_closed(sig_f.sigma, sig_f.c, sig_g.sigma, sig_g.c, p)
+    sigma1, sigma2, c = holomorphic_factors(p, ComplexStructure(args.tau, args.c1, args.c2))
+    # q0 checks alpha, beta, delta before any sum
+    form = tensor_gaussian_closed(sigma1, c, sigma2, c, p)
     q0 = form.q0(args.alpha, args.beta, args.delta)
-    direct = tensor_direct(basis_f[args.alpha], basis_g[args.beta], p, args.z, args.delta,
-                           args.qmax)
+    f, g = gs.gaussian(m, sigma1, c, args.alpha), gs.gaussian(l, sigma2, c, args.beta)
+    direct = tensor_direct(f, g, p, args.z, args.delta, args.qmax)
     closed = form.evaluate(args.alpha, args.beta, args.z, args.delta)
     diff = abs(closed - direct)
     return _report(

@@ -53,7 +53,7 @@ class ComplexStructure:
 
 def nabla1(v: g.PolyGaussVector, tag: ModuleTag, c1: complex = 0j) -> g.PolyGaussVector:
     """2*pi*i*(m/D)*x*v + c1*v."""
-    coef = 2j * math.pi * tag.m / tag.denominator
+    coef = tag.over_denominator(2j * math.pi * tag.m)
     return g.axpy(coef, g.mul_x(v), g.scale(c1, v))
 
 
@@ -64,7 +64,7 @@ def nabla2(v: g.PolyGaussVector, tag: ModuleTag, c2: complex = 0j) -> g.PolyGaus
 
 def curvature_constant(tag: ModuleTag) -> complex:
     """The constant [nabla_1, nabla_2] = -4*pi**2*i*m/D."""
-    return -4j * math.pi**2 * tag.m / tag.denominator
+    return tag.over_denominator(-4j * math.pi**2 * tag.m)
 
 
 def curvature_defect(v: g.PolyGaussVector, tag: ModuleTag) -> float:
@@ -98,15 +98,15 @@ def leibniz_defect(
 
 def holomorphic_sigma(tag: ModuleTag, cs: ComplexStructure) -> complex:
     """Gaussian width i*tau*m/D annihilated by the antiholomorphic operator."""
-    return 1j * cs.tau * tag.m / tag.denominator
+    return tag.over_denominator(1j * cs.tau * tag.m)
 
 
 def holomorphic_basis(tag: ModuleTag, cs: ComplexStructure) -> list[g.PolyGaussVector]:
     """The m Gaussian vectors killed by nabla-bar, one per component.
 
-    Raises NoHolomorphicVectors when Re(i*tau*m/D) <= 0, in which case no
-    normalizable Gaussian solution exists, and when the width or the
-    offset overflows the floating range.
+    Raises DegenerateDenominator when D = 0, NoHolomorphicVectors when
+    Re(i*tau*m/D) <= 0, in which case no normalizable Gaussian solution
+    exists, and when the width or the offset overflows the floating range.
     """
     sigma = holomorphic_sigma(tag, cs)
     if not (cmath.isfinite(sigma) and cmath.isfinite(cs.offset)):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from . import gaussians as g
 from .algebra import TWO_PI_I, TorusElement, bezout
-from .errors import DegenerateDenominator, DimensionMismatch, NotCoprime
+from .errors import DegenerateDenominator, DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,9 @@ class ModuleTag:
     ModuleTag(k, l, -theta, c, d).  Build through :func:`module_tag`, which
     validates coprimality, m >= 1, and a nonvanishing denominator
     n + m*theta, and takes the normal-form pair of ``algebra.bezout``.
-    ``tensor.product_params`` calls the constructor on purpose: with
-    strict=False it admits a left factor with k - l*theta = 0.
+    ``tensor.product_params`` calls the constructor on purpose: a product
+    admits a left factor with k - l*theta = 0, where every division by the
+    denominator, :meth:`over_denominator`, raises DegenerateDenominator.
     """
 
     n: int
@@ -61,21 +62,23 @@ class ModuleTag:
     def denominator(self) -> float:
         return self.n + self.m * self.theta
 
-    @property
-    def theta_prime(self) -> float:
-        """Rotation parameter (b + a*theta)/(n + m*theta) of the endomorphism torus."""
+    def over_denominator(self, numerator: complex) -> complex:
+        """numerator/(n + m*theta); DegenerateDenominator where that vanishes."""
         den = self.denominator
         if den == 0:
             raise DegenerateDenominator(f"n + m*theta = 0 for (n, m) = ({self.n}, {self.m})")
-        return (self.b + self.a * self.theta) / den
+        return numerator / den
+
+    @property
+    def theta_prime(self) -> float:
+        """Rotation parameter (b + a*theta)/(n + m*theta) of the endomorphism torus."""
+        return self.over_denominator(self.b + self.a * self.theta)
 
 
 def module_tag(n: int, m: int, theta: float) -> ModuleTag:
     """Validated tag of the module (n, m) at theta, with its normal-form Bezout pair."""
     if m < 1:
         raise ValueError(f"module label ({n}, {m}) needs at least one component")
-    if math.gcd(n, m) != 1:
-        raise NotCoprime(f"gcd({n}, {m}) != 1")
     tag = ModuleTag(n, m, theta, *bezout(n, m))
     if tag.denominator == 0:
         raise DegenerateDenominator(
@@ -114,7 +117,7 @@ def act_Z2(v: g.PolyGaussVector, tag: ModuleTag, power: int = 1) -> g.PolyGaussV
     """Endomorphism Z2**power: one modulation by exp(2*pi*i*power*(x/D - mu/m))."""
     _check_dim(v, tag)
     factors = [cmath.exp(-TWO_PI_I * power * mu / tag.m) for mu in range(tag.m)]
-    return g.modulate(v, TWO_PI_I * power / tag.denominator, factors)
+    return g.modulate(v, tag.over_denominator(TWO_PI_I * power), factors)
 
 
 def act_element(

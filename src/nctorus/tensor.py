@@ -67,7 +67,6 @@ from . import gaussians as gs
 from .algebra import TWO_PI_I, bezout
 from .connections import ComplexStructure
 from .errors import (
-    DegenerateDenominator,
     DimensionMismatch,
     IndexOutOfRange,
     InvalidSigma,
@@ -109,8 +108,8 @@ class ProductParams:
     gcd(N_prime, M) = 1; theta_prime = right.theta_prime and
     theta_double_prime = -left.theta_prime are the rotation parameters
     of the two endomorphism tori.  These five are the bimodule profile,
-    which presumes both denominators positive; the q-sum itself needs
-    neither sign.
+    which presumes the cone A > 0, B > 0 that :func:`holomorphic_factors`
+    checks; the q-sum itself needs neither sign.
     """
 
     n: int
@@ -152,35 +151,27 @@ def product_params(
     k: int,
     l: int,
     theta: float,
-    strict: bool = True,
 ) -> ProductParams:
     """Validated parameters for the product of labels (n, m) and (k, l).
 
     The factor tags carry the normal-form Bezout pairs (a, b) of (n, m)
     and (c, d) of (k, l) from ``algebra.bezout``, and A and B are their
-    denominators.  ``modules.module_tag`` validates the right tag; a label
-    that is not coprime raises NotCoprime before any sign check.  With
-    strict=True (the default) both n + m*theta > 0 and k - l*theta > 0 are
-    required, the regime of the bimodule profile.  strict=False admits any
-    k - l*theta; the bilinear map and its verification identities remain
-    well defined there.
+    denominators.  The bilinear map and its verification identities need
+    only l >= 1, coprime labels (NotCoprime), A != 0 (``modules.module_tag``)
+    and M >= 1, so B may have either sign or be 0; the theta vectors of
+    :func:`holomorphic_factors` alone need A > 0 and B > 0.
     """
     if l < 1:
         raise ValueError(f"module label ({k}, {l}) needs at least one component")
     right = module_tag(n, m, theta)
-    # The constructor, not module_tag: strict=False admits k - l*theta = 0.
+    # The constructor, not module_tag: the product admits k - l*theta = 0.
     left = ModuleTag(k, l, -theta, *bezout(k, l))
-    a_val, b_val = right.denominator, left.denominator
-    if strict and (a_val <= 0 or b_val <= 0):
-        raise SignAssumptionViolated(
-            f"need n + m*theta > 0 and k - l*theta > 0, got {a_val:.6g} and {b_val:.6g}"
-        )
     if n * l + m * k < 1:
         raise SignAssumptionViolated(f"n*l + m*k = {n * l + m * k} must be positive")
     r = math.gcd(m, l)
     p = ProductParams(
         n, m, k, l, theta, right, left,
-        A=a_val, B=b_val, M=n * l + m * k, r=r, L=m * l // r,
+        A=right.denominator, B=left.denominator, M=n * l + m * k, r=r, L=m * l // r,
     )
     # (N', M) is (k, l) under ((a, b), (m, n)), of determinant a*n - b*m = 1.
     assert math.gcd(p.N_prime, p.M) == 1
@@ -504,17 +495,19 @@ def tensor_gaussian_closed(
     return ProductClosedForm(p, sigma1, c1, sigma2, c2, -p.A / (p.m * p.M), p.B / (p.l * p.M), s)
 
 
-def _common_holomorphic_data(
-    p: ProductParams, cs: ComplexStructure
-) -> tuple[complex, complex, complex, complex, complex]:
-    """Holomorphic Gaussian data of the two factors and of the product.
+def holomorphic_factors(p: ProductParams, cs: ComplexStructure
+                        ) -> tuple[complex, complex, complex]:
+    """(sigma1, sigma2, c) of the factor Gaussians holomorphic for cs.
 
-    Returns (sigma1, sigma2, c) of the factor Gaussians holomorphic for cs,
-    then the width sigma' and linear coefficient c' of the product basis.
+    sigma1 = i*tau*m/A and sigma2 = i*tau*l/B are the widths, and c =
+    cs.offset the linear coefficient, of the bases of p.right and p.left.
+    Theta vectors of both factors exist only on the cone A > 0, B > 0:
+    SignAssumptionViolated off it, then NoHolomorphicVectors when a width
+    or c is not finite or a width has Re <= 0.
     """
-    if p.B == 0:
-        raise DegenerateDenominator(
-            f"k - l*theta = 0 for ({p.k}, {p.l}) at theta = {p.theta}"
+    if p.A <= 0 or p.B <= 0:
+        raise SignAssumptionViolated(
+            f"need n + m*theta > 0 and k - l*theta > 0, got {p.A:.6g} and {p.B:.6g}"
         )
     sigma1 = 1j * cs.tau * p.m / p.A
     sigma2 = 1j * cs.tau * p.l / p.B
@@ -529,13 +522,14 @@ def _common_holomorphic_data(
             f"factor widths i*tau*m/A = {sigma1:.6g}, i*tau*l/B = {sigma2:.6g} "
             "must both have positive real part"
         )
-    # sigma' = i*tau*(m/A + l/B)*A**2 = i*tau*M*A/B via l*A + m*B = M.
-    return sigma1, sigma2, c, (sigma1 + sigma2) * p.A * p.A, 2 * c * p.A
+    return sigma1, sigma2, c
 
 
 def product_basis(p: ProductParams, cs: ComplexStructure) -> list[gs.PolyGaussVector]:
     """The M Gaussian vectors phi_gamma spanning products of holomorphic pairs."""
-    *_, sigma_p, c_p = _common_holomorphic_data(p, cs)
+    sigma1, sigma2, c = holomorphic_factors(p, cs)
+    # sigma' = (sigma1 + sigma2)*A**2 = i*tau*M*A/B via l*A + m*B = M, and c' = 2*c*A
+    sigma_p, c_p = (sigma1 + sigma2) * p.A * p.A, 2 * c * p.A
     return [gs.gaussian(p.M, sigma_p, c_p, gamma) for gamma in range(p.M)]
 
 
@@ -574,17 +568,16 @@ def structure_constants(p: ProductParams, cs: ComplexStructure) -> StructureCons
     (alpha, beta) is one :meth:`ProductClosedForm.row` at z = 0, kept in
     ``rows``, so an overflow is the row's SeriesOverflow of the first
     failing entry in (alpha, beta, gamma) order.  A table of more than
-    TABLE_LIMIT entries m*l*M raises TableTooLarge before any work.
-    It returns only when A > 0 and B > 0: B = 0 raises DegenerateDenominator,
-    A*B < 0 gives widths i*tau*m/A and i*tau*l/B of opposite real sign
-    (NoHolomorphicVectors), and A, B < 0 contradict l*A + m*B = M >= 1.
+    TABLE_LIMIT entries m*l*M raises TableTooLarge before any work; then
+    the factors are :func:`holomorphic_factors`, so it returns only on the
+    cone A > 0, B > 0.
     """
     if p.m * p.l * p.M > TABLE_LIMIT:
         raise TableTooLarge(
             f"structure_constants: m*l*M = {p.m * p.l * p.M} entries exceed the limit "
             f"{TABLE_LIMIT} for ({p.n}, {p.m}) x ({p.k}, {p.l})"
         )
-    sigma1, sigma2, c, *_ = _common_holomorphic_data(p, cs)
+    sigma1, sigma2, c = holomorphic_factors(p, cs)
     form = tensor_gaussian_closed(sigma1, c, sigma2, c, p)
     values, rows = [], {}
     for alpha in range(p.m):

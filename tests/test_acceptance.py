@@ -211,7 +211,7 @@ def test_criterion_5_appendix_identities():
     worst = 0.0
     for n, m, k, l in LABELS:
         for theta in THETAS:
-            p = product_params(n, m, k, l, theta, strict=False)
+            p = product_params(n, m, k, l, theta)
             f = random_gaussian(rng, m)
             g = random_gaussian(rng, l)
             worst = max(worst, *verify_identities(f, g, p).values())

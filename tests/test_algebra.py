@@ -257,8 +257,8 @@ def test_degenerate_denominator():
     # the left label (1, 3) at theta = 1/3
     with pytest.raises(DegenerateDenominator):
         ModuleTag(1, 3, -1 / 3, *bezout(1, 3)).theta_prime
-    # a strict=False product admits B = 0, and only theta'' then fails
-    p = product_params(1, 2, 1, 2, 0.5, strict=False)
+    # a product admits B = 0, and only theta'' then fails
+    p = product_params(1, 2, 1, 2, 0.5)
     with pytest.raises(DegenerateDenominator):
         p.theta_double_prime
 

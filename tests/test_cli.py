@@ -206,7 +206,7 @@ def test_sweep_counts_points_by_exit(monkeypatch, capsys, tmp_path):
     # the sweep puts the checkout's src first on sys.path
     monkeypatch.setattr(sys, "path", list(sys.path))
     out = tmp_path / "sweep.json"
-    # (1, 2) x (1, 3) fails the strict sign check at sqrt2-1, so it is swept at 0.2 only
+    # (1, 2) x (1, 3) has B < 0 at sqrt2-1, off the cone, so it is swept at 0.2 only
     assert cli_grid.main(["sweep", "--label", "1,2,1,3", "--label", "1,2,1,2",
                           "--json", str(out)]) == 0
     records = json.loads(out.read_text())
@@ -655,7 +655,7 @@ def _table_params(capsys, *argv):
 
 
 def test_product_params_json_pinned(capsys):
-    # the CLI builds only strict products, so every params document has a profile
+    # the CLI writes a table only on the cone, so every params document has a profile
     assert _table_params(capsys) == {
         "n": 1, "m": 2, "k": 1, "l": 3, "theta": 0.2,
         "a": 1, "b": 0, "c": 1, "d": 0, "M": 5, "r": 1,

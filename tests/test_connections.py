@@ -17,7 +17,7 @@ from nctorus.connections import (
     nabla1,
     nabla2,
 )
-from nctorus.errors import NoHolomorphicVectors
+from nctorus.errors import DegenerateDenominator, NoHolomorphicVectors
 from nctorus.gaussians import (
     axpy,
     evaluate,
@@ -26,7 +26,8 @@ from nctorus.gaussians import (
     scale,
     sub,
 )
-from nctorus.modules import act_element, module_tag
+from nctorus.modules import act_Z2, act_element, module_tag
+from nctorus.tensor import product_params
 
 from conftest import coprime_pair, random_element, random_gaussian, random_theta, random_vector
 
@@ -202,6 +203,22 @@ def test_no_holomorphic_vectors_when_width_overflows():
     for cs in (ComplexStructure(tau=-1e308 - 1j), ComplexStructure(2 - 1j, c1=1e308 + 1e308j)):
         with pytest.raises(NoHolomorphicVectors, match="not finite for tau"):
             holomorphic_basis(tag, cs)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v, tag, cs: holomorphic_basis(tag, cs),
+    lambda v, tag, cs: curvature_constant(tag),
+    lambda v, tag, cs: nabla1(v, tag),
+    lambda v, tag, cs: dbar_residual(v, tag, cs),
+    lambda v, tag, cs: act_Z2(v, tag),
+], ids=["holomorphic_basis", "curvature_constant", "nabla1", "dbar_residual", "act_Z2"])
+def test_vanishing_denominator_is_typed(call):
+    # the left tag of (1, 2) x (1, 2) at theta = 0.5 has k - l*theta = 0, which
+    # product_params admits; every division by it is a DegenerateDenominator
+    tag = product_params(1, 2, 1, 2, 0.5).left
+    with pytest.raises(DegenerateDenominator) as info:
+        call(gaussian(2, 1.0, mu=1), tag, ComplexStructure(tau=-1j))
+    assert str(info.value) == "n + m*theta = 0 for (n, m) = (1, 2)"
 
 
 def test_dbar_detects_perturbation():

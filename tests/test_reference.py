@@ -233,7 +233,7 @@ def test_overflow_reproducers_against_referee(n, m, k, l, th):
 
 @st.composite
 def _sweep_cases(draw, thetas=st.floats(0.05, 0.95)):
-    """(n, m, k, l, theta, alpha, beta): a strict label pair with M <= SWEEP_MAX_M."""
+    """(n, m, k, l, theta, alpha, beta): a label pair on the cone with M <= SWEEP_MAX_M."""
     th = draw(thetas)
     m, l = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     n_min, k_min = math.floor(-m * th) + 1, math.floor(l * th) + 1
@@ -353,7 +353,7 @@ def test_row_radius_certifies_every_entry(case, tau, label, seed):
         for gamma, _, _, t, k_exp, _ in entries:
             _assert_certified(sc.s, t, k_exp, radius, sc.values[a][b][gamma])
     n, m, k, l, th = label
-    p = product_params(n, m, k, l, th, strict=False)
+    p = product_params(n, m, k, l, th)
     rng = random.Random(seed)
     sigma1 = complex(rng.uniform(0.6, 1.6), rng.uniform(-0.4, 0.4))
     sigma2 = complex(rng.uniform(0.6, 1.6), rng.uniform(-0.4, 0.4))
@@ -412,7 +412,7 @@ def test_shift_round_trip(seed, s):
 def test_identification_at_small_left_denominator():
     # The smallest failing label of verify-all's grid B: (0,1)x(8,1) at 0.2,
     # with the instance the CLI draws at --seed 0.
-    p = product_params(0, 1, 8, 1, 0.2, strict=False)
+    p = product_params(0, 1, 8, 1, 0.2)
     rng = random.Random(2)
     f, g = random_gaussian(rng, 1), random_gaussian(rng, 1)
     assert verify_identities(f, g, p)["identification_u1"] <= 1e-9
@@ -422,7 +422,7 @@ def test_oracle_closed_form_at_small_right_label():
     # The smallest label of verify-all's grid A that overflowed before the
     # theta terms became one exponent: (3,4)x(4,1) at 0.2, with the second
     # sigma/c draw of the CLI's oracle stage at --seed 0.
-    p = product_params(3, 4, 4, 1, 0.2, strict=False)
+    p = product_params(3, 4, 4, 1, 0.2)
     rng = random.Random(3)
     for _ in range(2):
         sigma1 = complex(rng.uniform(0.6, 1.6), rng.uniform(-0.4, 0.4))

@@ -81,14 +81,14 @@ def test_product_params_hold_factor_modules():
 
 
 def test_relaxed_signs_allow_negative_B():
-    p = product_params(1, 2, 1, 3, math.sqrt(2) - 1, strict=False)
+    p = product_params(1, 2, 1, 3, math.sqrt(2) - 1)
     assert p.B < 0
 
 
 def test_key_linear_identity():
     # M = l A + m B ties the integer invariant to the two denominators
     for theta in (0.2, 0.41, 0.77):
-        p = product_params(3, 2, 2, 3, theta, strict=False)
+        p = product_params(3, 2, 2, 3, theta)
         assert abs(p.l * p.A + p.m * p.B - p.M) < 1e-12
 
 
@@ -112,7 +112,7 @@ def test_theta_double_prime_is_the_left_formula():
             for l in range(1, 10):
                 if math.gcd(k, l) != 1 or k - l * theta == 0:
                     continue
-                p = product_params(6, 1, k, l, theta, strict=False)  # M = 6*l + k >= 1
+                p = product_params(6, 1, k, l, theta)  # M = 6*l + k >= 1
                 c, d = p.left.a, p.left.b
                 assert p.theta_double_prime == -(d - c * theta) / (k - l * theta)
                 count += 1
@@ -120,10 +120,13 @@ def test_theta_double_prime_is_the_left_formula():
 
 
 def test_product_params_profile_requires_positive_denominators():
-    with pytest.raises(SignAssumptionViolated):
-        product_params(-1, 2, 1, 3, 0.2)
-    with pytest.raises(SignAssumptionViolated):
-        product_params(1, 2, -1, 3, 0.1)
+    # product_params admits either sign; the holomorphic data, which the
+    # profile's table needs, reject A < 0 and B < 0 with the cone's text
+    for label, a_b in (((-1, 2, 2, 3, 0.2), "-0.6 and 1.4"), ((1, 2, -1, 3, 0.1), "1.2 and -1.3")):
+        p = product_params(*label)
+        with pytest.raises(SignAssumptionViolated) as info:
+            tensor.holomorphic_factors(p, ComplexStructure(tau=-1j))
+        assert str(info.value) == f"need n + m*theta > 0 and k - l*theta > 0, got {a_b}"
 
 
 def test_product_params_coprimality_invariant():
@@ -139,7 +142,7 @@ def test_product_params_coprimality_invariant():
 
 
 def _relaxed_params():
-    """product_params(strict=False) over a label grid, labels it rejects left out."""
+    """product_params over a label grid, labels it rejects left out."""
     grid = itertools.product(
         (0.2, 0.5, math.sqrt(2) - 1), range(-3, 4), range(1, 4), range(-3, 4), range(1, 4)
     )
@@ -147,7 +150,7 @@ def _relaxed_params():
         if math.gcd(n, m) != 1 or math.gcd(k, l) != 1:
             continue
         try:
-            p = product_params(n, m, k, l, theta, strict=False)
+            p = product_params(n, m, k, l, theta)
         except (DegenerateDenominator, SignAssumptionViolated):
             continue
         yield p
@@ -159,22 +162,22 @@ def _cone_side(p):
 
 def test_product_params_coprimality_off_the_cone():
     # (N', M) is (k, l) under a unimodular matrix, so gcd(N', M) = 1 needs no
-    # sign; product_params asserts it for strict=False labels too
+    # sign; product_params asserts it for labels off the cone too
     seen = set()
     for p in _relaxed_params():
         assert math.gcd(p.N_prime, p.M) == 1
         seen.add(_cone_side(p))
     assert seen == {"A<0", "B<0", "B=0", "cone"}
     # the B = 0 labels of test_identification_with_vanishing_B
-    p = product_params(1, 2, 1, 2, 0.5, strict=False)
+    p = product_params(1, 2, 1, 2, 0.5)
     assert p.B == 0
     assert math.gcd(p.N_prime, p.M) == 1
 
 
 def test_structure_constants_only_on_the_cone():
     # the table, and so the profile of its report, exists only for A > 0 and
-    # B > 0: off the cone the widths i*tau*m/A, i*tau*l/B are never both
-    # holomorphic, at either sign of Im(tau)
+    # B > 0: off the cone its holomorphic data raise the cone's error, at
+    # either sign of Im(tau)
     seen = set()
     for p in _relaxed_params():
         side = _cone_side(p)
@@ -182,7 +185,7 @@ def test_structure_constants_only_on_the_cone():
             continue
         seen.add(side)
         for tau in (-1j, 1j):
-            with pytest.raises((NoHolomorphicVectors, DegenerateDenominator)):
+            with pytest.raises(SignAssumptionViolated, match="^need n \\+ m\\*theta > 0"):
                 structure_constants(p, ComplexStructure(tau=tau))
     assert seen == {"A<0", "B<0", "B=0"}
 
@@ -199,7 +202,7 @@ def test_crt_matches_brute_force():
     rng = random.Random(51)
     labels = [(1, 2, 1, 3), (1, 2, 1, 2), (3, 2, 2, 3), (1, 4, 1, 2)]
     for n, m, k, l in labels:
-        p = product_params(n, m, k, l, 0.2, strict=False)
+        p = product_params(n, m, k, l, 0.2)
         for _ in range(30):
             alpha = rng.randrange(m)
             beta = rng.randrange(l)
@@ -260,7 +263,7 @@ def test_q_sum_against_every_q():
     rng = random.Random(57)
     capped = set()
     for n, m, k, l in ((1, 2, 1, 4), (1, 4, 1, 6)):
-        p = product_params(n, m, k, l, 0.2, strict=False)
+        p = product_params(n, m, k, l, 0.2)
         assert p.r == 2
         # random multi-term polynomial pairs, then a Gaussian pair and a pair
         # of degree-8 monomials, whose growth the tail bound must absorb; the
@@ -407,7 +410,7 @@ def test_direct_series_is_bit_exact(label, kind, qmax, seed):
     # one series reused over shuffled (z, delta) gives every bit, and every
     # error text, of the former per-call q-sum
     rng = random.Random(seed)
-    p = product_params(*label, 0.2, strict=False)
+    p = product_params(*label, 0.2)
     if kind == "random":
         f, g = (random_vector(rng, p.m, nterms=3), random_vector(rng, p.l, nterms=3))
     elif kind == "zero":  # incompatible wherever a*delta is even when r = 2
@@ -495,7 +498,7 @@ def test_closed_form_matches_direct_sum():
 
 def test_closed_form_with_negative_B():
     # the q-series and the theta form agree even off the positive cone
-    p = product_params(1, 2, 1, 3, math.sqrt(2) - 1, strict=False)
+    p = product_params(1, 2, 1, 3, math.sqrt(2) - 1)
     assert p.B < 0
     from nctorus.gaussians import gaussian
     f = gaussian(2, 1.1, c=0.2, mu=0)
@@ -510,7 +513,7 @@ def test_closed_form_with_negative_B():
 def test_closed_form_modulus_always_upper_half():
     rng = random.Random(55)
     for theta in (0.2, math.sqrt(2) - 1, 0.7):
-        p = product_params(1, 2, 1, 3, theta, strict=False)
+        p = product_params(1, 2, 1, 3, theta)
         sigma1 = complex(rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5))
         sigma2 = complex(rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5))
         form = tensor_gaussian_closed(sigma1, 0, sigma2, 0, p)
@@ -588,7 +591,7 @@ def test_one_form_gives_every_row(labels):
     p = product_params(*labels, 0.2)
     cs = ComplexStructure(tau=-1j)
     sc = structure_constants(p, cs)
-    sigma1, sigma2, c, *_ = tensor._common_holomorphic_data(p, cs)
+    sigma1, sigma2, c = tensor.holomorphic_factors(p, cs)
     form = tensor_gaussian_closed(sigma1, c, sigma2, c, p)
     assert form.s == sc.s
     empty = 0
@@ -613,9 +616,9 @@ def test_generator_identification():
 
 
 def test_identification_with_vanishing_B():
-    # k - l*theta = 0 is admitted by strict=False, though module_tag rejects it
+    # k - l*theta = 0 is admitted by product_params, though module_tag rejects it
     from nctorus.gaussians import gaussian
-    p = product_params(1, 2, 1, 2, 0.5, strict=False)
+    p = product_params(1, 2, 1, 2, 0.5)
     assert p.B == 0
     f = gaussian(2, 1.1, c=0.2, mu=0)
     g = gaussian(2, 0.9, c=-0.1j, mu=1)
@@ -677,8 +680,8 @@ def test_verify_identities_is_bit_exact():
     # k - l*theta = 0 at (1,2)x(1,2), and the small left denominator of (0,1)x(8,1)
     cases += [(1, 2, 1, 2, 0.5), (0, 1, 8, 1, 0.2)]
     for n, m, k, l, theta in cases:
-        # strict=False as the CLI's identity stage: some pairs have B < 0 at sqrt2-1
-        p = product_params(n, m, k, l, theta, strict=False)
+        # some pairs have B < 0 at sqrt2-1, as in the CLI's identity stage
+        p = product_params(n, m, k, l, theta)
         f, g = random_gaussian(rng, m), random_gaussian(rng, l)
         got = verify_identities(f, g, p)
         want = _reference_identities(f, g, p)
@@ -695,6 +698,33 @@ def test_product_sigma_oracle():
     p = _canonical()
     cs = ComplexStructure(tau=-1j)
     assert abs(product_basis(p, cs)[0].terms[0].sigma - 17.5) < 1e-12
+
+
+@pytest.mark.parametrize("cs", [ComplexStructure(tau=-1j),
+                                ComplexStructure(0.3 - 1.2j, 0.1 + 0.2j, -0.3 + 0.1j)],
+                         ids=["tau=-i", "offsets"])
+def test_holomorphic_factors_are_the_basis_data(cs):
+    # on the cone, (sigma1, sigma2, c) are, bit for bit, the width and offset
+    # of every holomorphic basis vector of either factor, so the CLI's tensor
+    # may build its two Gaussians from them; off it both reject the label
+    on_cone = 0
+    for label in ((1, 2, 1, 3), (3, 2, 2, 3), (1, 4, 2, 3), (1, 3, 2, 5), (2, 3, 3, 5)):
+        for theta in (0.2, math.sqrt(2) - 1):
+            p = product_params(*label, theta)
+            if p.B < 0:
+                with pytest.raises(SignAssumptionViolated):
+                    tensor.holomorphic_factors(p, cs)
+                with pytest.raises(NoHolomorphicVectors):
+                    holomorphic_basis(p.left, cs)
+                continue
+            f = holomorphic_basis(p.right, cs)[0].terms[0]
+            g = holomorphic_basis(p.left, cs)[0].terms[0]
+            # repr tells -0.0 from 0.0
+            want = repr((f.sigma, g.sigma, cs.offset))
+            assert repr(tensor.holomorphic_factors(p, cs)) == want
+            assert repr(f.c) == repr(g.c) == repr(cs.offset)
+            on_cone += 1
+    assert on_cone == 8
 
 
 def test_product_basis_layout():
@@ -778,12 +808,13 @@ def test_structure_constants_need_matching_tau_sign():
 
 
 def test_table_path_needs_a_nonzero_left_denominator():
-    # strict=False admits k - l*theta = 0, where the holomorphic widths divide by zero
-    p = product_params(1, 2, 1, 2, 0.5, strict=False)
+    # product_params admits k - l*theta = 0, where the holomorphic widths would
+    # divide by zero; the holomorphic data reject it as off the cone
+    p = product_params(1, 2, 1, 2, 0.5)
     for build in (structure_constants, product_basis):
-        with pytest.raises(DegenerateDenominator) as info:
+        with pytest.raises(SignAssumptionViolated) as info:
             build(p, ComplexStructure(tau=-1j))
-        assert str(info.value) == "k - l*theta = 0 for (1, 2) at theta = 0.5"
+        assert str(info.value) == "need n + m*theta > 0 and k - l*theta > 0, got 2 and 0"
 
 
 def test_structure_constants_overflow_is_typed():

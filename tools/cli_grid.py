@@ -30,14 +30,15 @@ so Tier-1 names every call whose output moved.
 ``sweep`` runs ``verify-all --theta TH --nm=N,M --kl=K,L --seed S`` in
 process at theta = 0.2 and sqrt2-1, for every label of grids A (n -2..4,
 m 1..4, k 1..7, l 1..4, M <= 30: 472 points) and B (n -1..3, m 1..3,
-k 8..16, l 1..2: 221 points) that ``product_params`` accepts with its
-default strict sign checks, or of the ``--label`` values alone.  ``--seed``
+k 8..16, l 1..2: 221 points) that ``product_params`` accepts and whose
+denominators A = n + m*theta and B = k - l*theta are both positive, or of
+the ``--label`` values alone.  ``--seed``
 takes a comma list or an inclusive range such as ``0-199``.  It prints the
 count of points by exit code, exit 1 by failing check and exit 2 by
 failing stage.  ``--json`` writes the points' records as ``record`` does.
 It runs the ``nctorus`` of this checkout's ``src`` and refuses any other.
 
-The grid of 133 calls covers every subcommand over the five benchmark
+The grid of 140 calls covers every subcommand over the five benchmark
 label pairs at two angles, ``verify-all`` at edge labels and at nonzero
 connection offsets, ``structure-constants`` at the M = 29 edge label and
 at a label whose every row sums to truncation radius 3 (in JSON and in
@@ -62,7 +63,12 @@ a table too large for the size gate of ``structure_constants``
 (``--kl 999999,1``, a typed ``TableTooLarge``), a left label without
 components (``--kl 1,0``), three ``tensor`` calls
 whose ``--alpha``, ``--beta`` or ``--delta`` is out of range
-(``IndexOutOfRange``), every ``--help`` text and
+(``IndexOutOfRange``), products off the cone A > 0, B > 0 (``tensor`` at
+B < 0 and, with ``structure-constants``, at B = 0, whose holomorphic data
+raise ``SignAssumptionViolated``; ``verify-all`` at B < 0, whose q-sum stages
+run), a label that is not coprime (``NotCoprime``), a ``tensor`` call at
+``--tol 0`` (exit 1), one at ``--tau 0,1`` (``NoHolomorphicVectors``),
+every ``--help`` text and
 one JSON and one CSV ``--output`` file.  Pure stdlib apart from nctorus.
 """
 
@@ -208,6 +214,18 @@ def grid() -> list[list[str]]:
         ["tensor", "--alpha", "2"],
         ["tensor", "--beta=-1"],
         ["tensor", "--delta", "5"],
+        # Products off the cone A > 0, B > 0: B < 0, then B = 0 at theta = 0.5.
+        ["tensor", "--kl", "0,1"],
+        ["tensor", "--theta", "0.5", "--kl", "1,2"],
+        ["structure-constants", "--theta", "0.5", "--kl", "1,2"],
+        # The q-sum stages run at B < 0; the table stage is skipped.
+        ["verify-all", "--kl", "0,1"],
+        # A right label that is not coprime.
+        ["verify-all", "--nm", "2,4"],
+        # A zero tolerance that the closed form misses by rounding: exit 1.
+        ["tensor", "--tol", "0"],
+        # Widths i*tau*m/A and i*tau*l/B with negative real part.
+        ["tensor", "--tau", "0,1"],
     ]
     calls += THETA_EXPRS
     calls += [["--help"]] + [[cmd, "--help"] for cmd in COMMANDS]
@@ -328,13 +346,15 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def sweep_calls(nct, labels: list, seeds: list[int]):
-    """verify-all argv of every strict-valid label, angle by angle, seed by seed."""
+    """verify-all argv of every label on the cone, angle by angle, seed by seed."""
     for th in THETAS:
         value = nct.cli.parse_theta(th)
         for n, m, k, l in labels:
             try:
-                nct.product_params(n, m, k, l, value)
+                p = nct.product_params(n, m, k, l, value)
             except (nct.NCTorusError, ValueError):
+                continue
+            if not (p.A > 0 and p.B > 0):
                 continue
             for seed in seeds:
                 yield ["verify-all", "--theta", th, f"--nm={n},{m}", f"--kl={k},{l}",
