@@ -64,7 +64,7 @@ from .connections import (
     holomorphic_basis,
     leibniz_defect,
 )
-from .errors import DegenerateDenominator, NCTorusError, SeriesOverflow
+from .errors import NCTorusError, SeriesOverflow
 from .modules import ModuleTag, act_element, act_U1, act_U2, act_Z1, act_Z2, module_tag
 from .tensor import (
     DEFAULT_QMAX,
@@ -261,11 +261,7 @@ def _algebra_checks(args: argparse.Namespace, checks: CheckList) -> None:
         args.tol,
     )
     k, l = args.kl
-    try:
-        mirror = module_tag(k, l, -th)
-    except DegenerateDenominator as exc:
-        checks.skip("left_equals_mirrored_right", str(exc))
-        return
+    mirror = module_tag(k, l, -th)
     w = _random_gaussian(rng, l)
     # The left module (k, l) is the module at -theta: U1 (U2 w) = exp(2*pi*i*theta) U2 (U1 w).
     u1u2 = act_U1(act_U2(w, mirror), mirror)

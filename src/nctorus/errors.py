@@ -48,8 +48,9 @@ class NonConvergent(NCTorusError):
 class SeriesOverflow(NCTorusError):
     """A computed value overflowed double precision.
 
-    Raised for a theta-series or direct q-series sum, a theta modulus, and
-    a Gaussian vector's value at a probe point of its residual norm.
+    Raised for a theta-series or direct q-series sum, a theta modulus, a
+    Gaussian vector's value at a probe point of its residual norm, and the
+    modulus of a polynomial coefficient.
     """
 
 

@@ -38,7 +38,10 @@ Poly = tuple[complex, ...]
 
 
 def _poly_trim(p: Sequence[complex]) -> Poly:
-    out = [0j if abs(v) <= PRUNE_TOL else complex(v) for v in p]
+    try:
+        out = [0j if abs(v) <= PRUNE_TOL else complex(v) for v in p]
+    except OverflowError:
+        raise SeriesOverflow(f"gaussians: coefficient modulus exceeds double range: {p}") from None
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -77,7 +80,7 @@ class PolyGaussTerm:
     x0: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.sigma.real <= 0:
+        if not self.sigma.real > 0:
             raise InvalidSigma(f"Re(sigma) must be positive, got sigma = {self.sigma}")
 
 

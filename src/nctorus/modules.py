@@ -43,13 +43,10 @@ class ModuleTag:
     """Label (n, m), angle theta and Bezout pair (a, b) of a basic module.
 
     a*n - b*m = 1 fixes the identification of End(E) with the torus at
-    theta_prime.  A left module with label (k, l) at angle theta is
-    ModuleTag(k, l, -theta, c, d).  Build through :func:`module_tag`, which
-    validates coprimality, m >= 1, and a nonvanishing denominator
-    n + m*theta, and takes the normal-form pair of ``algebra.bezout``.
-    ``tensor.product_params`` calls the constructor on purpose: a product
-    admits a left factor with k - l*theta = 0, where every division by the
-    denominator, :meth:`over_denominator`, raises DegenerateDenominator.
+    theta_prime.  A left module with label (k, l) at angle theta is the
+    tag of (k, l) at -theta.  Build through :func:`module_tag`.  The
+    denominator n + m*theta may vanish; every division by it,
+    :meth:`over_denominator`, then raises DegenerateDenominator.
     """
 
     n: int
@@ -66,7 +63,8 @@ class ModuleTag:
         """numerator/(n + m*theta); DegenerateDenominator where that vanishes."""
         den = self.denominator
         if den == 0:
-            raise DegenerateDenominator(f"n + m*theta = 0 for (n, m) = ({self.n}, {self.m})")
+            raise DegenerateDenominator(f"denominator vanishes for ({self.n}, {self.m}) "
+                                        f"at theta = {self.theta}")
         return numerator / den
 
     @property
@@ -76,15 +74,10 @@ class ModuleTag:
 
 
 def module_tag(n: int, m: int, theta: float) -> ModuleTag:
-    """Validated tag of the module (n, m) at theta, with its normal-form Bezout pair."""
+    """Tag of the module (n, m) at theta, with its normal-form Bezout pair; D may be 0."""
     if m < 1:
         raise ValueError(f"module label ({n}, {m}) needs at least one component")
-    tag = ModuleTag(n, m, theta, *bezout(n, m))
-    if tag.denominator == 0:
-        raise DegenerateDenominator(
-            f"denominator vanishes for ({n}, {m}) at theta = {theta}"
-        )
-    return tag
+    return ModuleTag(n, m, theta, *bezout(n, m))
 
 
 def _check_dim(v: g.PolyGaussVector, tag: ModuleTag) -> None:

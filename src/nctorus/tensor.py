@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import gaussians as gs
-from .algebra import TWO_PI_I, bezout
+from .algebra import TWO_PI_I
 from .connections import ComplexStructure
 from .errors import (
     DimensionMismatch,
@@ -109,7 +109,8 @@ class ProductParams:
     theta_double_prime = -left.theta_prime are the rotation parameters
     of the two endomorphism tori.  These five are the bimodule profile,
     which presumes the cone A > 0, B > 0 that :func:`holomorphic_factors`
-    checks; the q-sum itself needs neither sign.
+    checks; the q-sum itself needs neither sign, and at A = 0 or B = 0 the
+    rotation parameter that divides by it raises DegenerateDenominator.
     """
 
     n: int
@@ -154,18 +155,15 @@ def product_params(
 ) -> ProductParams:
     """Validated parameters for the product of labels (n, m) and (k, l).
 
-    The factor tags carry the normal-form Bezout pairs (a, b) of (n, m)
-    and (c, d) of (k, l) from ``algebra.bezout``, and A and B are their
-    denominators.  The bilinear map and its verification identities need
-    only l >= 1, coprime labels (NotCoprime), A != 0 (``modules.module_tag``)
-    and M >= 1, so B may have either sign or be 0; the theta vectors of
-    :func:`holomorphic_factors` alone need A > 0 and B > 0.
+    The factor tags, ``modules.module_tag`` of (n, m) at theta and of
+    (k, l) at -theta, carry the normal-form Bezout pairs (a, b) and (c, d),
+    and A and B are their denominators.  The bilinear map and its
+    verification identities need only m, l >= 1, coprime labels (NotCoprime)
+    and M >= 1, so A and B may each be negative or 0; the theta vectors of
+    :func:`holomorphic_factors` need A > 0 and B > 0, and the endomorphism
+    quantities a nonzero denominator.
     """
-    if l < 1:
-        raise ValueError(f"module label ({k}, {l}) needs at least one component")
-    right = module_tag(n, m, theta)
-    # The constructor, not module_tag: the product admits k - l*theta = 0.
-    left = ModuleTag(k, l, -theta, *bezout(k, l))
+    right, left = module_tag(n, m, theta), module_tag(k, l, -theta)
     if n * l + m * k < 1:
         raise SignAssumptionViolated(f"n*l + m*k = {n * l + m * k} must be positive")
     r = math.gcd(m, l)
@@ -483,9 +481,9 @@ def tensor_gaussian_closed(
     p: ProductParams,
 ) -> ProductClosedForm:
     """Closed form of gaussian(m, sigma1, c1, alpha) (x) gaussian(l, sigma2, c2, beta)."""
-    if sigma1.real <= 0:
+    if not sigma1.real > 0:
         raise InvalidSigma(f"Re(sigma1) must be positive, got {sigma1}")
-    if sigma2.real <= 0:
+    if not sigma2.real > 0:
         raise InvalidSigma(f"Re(sigma2) must be positive, got {sigma2}")
     s = -(sigma1 * (p.l * p.A) ** 2 + sigma2 * (p.m * p.B) ** 2) / (TWO_PI_I * p.r * p.r)
     if not cmath.isfinite(s):

@@ -715,7 +715,8 @@ def test_csv_names_each_failing_check(capsys):
 
 
 def test_verify_all_skips_degenerate_left_label(capsys):
-    # k - l*theta = 0 disables the mirrored checks but must not fail the run
+    # k - l*theta = 0 skips the left theta vectors and the table, whose
+    # widths divide by it, but must not fail the run
     assert main(["verify-all", "--theta", "1/2", "--nm", "1,1",
                  "--kl", "1,2"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -215,10 +215,11 @@ def test_no_holomorphic_vectors_when_width_overflows():
 def test_vanishing_denominator_is_typed(call):
     # the left tag of (1, 2) x (1, 2) at theta = 0.5 has k - l*theta = 0, which
     # product_params admits; every division by it is a DegenerateDenominator
+    # naming the tag's own label and angle, (1, 2) at -theta
     tag = product_params(1, 2, 1, 2, 0.5).left
     with pytest.raises(DegenerateDenominator) as info:
         call(gaussian(2, 1.0, mu=1), tag, ComplexStructure(tau=-1j))
-    assert str(info.value) == "n + m*theta = 0 for (n, m) = (1, 2)"
+    assert str(info.value) == "denominator vanishes for (1, 2) at theta = -0.5"
 
 
 def test_dbar_detects_perturbation():

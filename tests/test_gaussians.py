@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nctorus.errors import DimensionMismatch, IndexOutOfRange, InvalidSigma
+from nctorus.errors import DimensionMismatch, IndexOutOfRange, InvalidSigma, SeriesOverflow
 from nctorus.gaussians import (
     PRUNE_TOL,
     PolyGaussTerm,
@@ -56,6 +56,17 @@ def test_sigma_must_decay():
         gaussian(1, -0.5)
     with pytest.raises(InvalidSigma):
         gaussian(1, 2j)
+    # a nan width evaluates to nan, which grid_abs_max skips, so a difference
+    # with such a vector would read as 0.0
+    for sigma in (float("nan"), complex(float("nan"), 1.0)):
+        with pytest.raises(InvalidSigma):
+            gaussian(1, sigma)
+
+
+def test_overflowing_coefficient_modulus_is_typed():
+    # finite parts whose modulus exceeds double range: abs() raises OverflowError
+    with pytest.raises(SeriesOverflow, match="coefficient modulus exceeds double range"):
+        gaussian(1, 1.0, poly=(1.5e308 + 1.5e308j,))
 
 
 # ---------------------------------------------------------- pointwise laws

@@ -37,10 +37,13 @@ def test_module_tag_validation():
         module_tag(2, 4, 0.3)
     with pytest.raises(ValueError):
         module_tag(1, 0, 0.3)
-    with pytest.raises(DegenerateDenominator):
-        module_tag(-1, 2, 0.5)
-    with pytest.raises(DegenerateDenominator):
-        module_tag(1, 2, -0.5)  # the left label (1, 2) at theta = 0.5
+    # a vanishing denominator is a valid tag; its division raises
+    for n, theta in ((-1, 0.5), (1, -0.5)):  # (1, 2) at -0.5: the left label at 0.5
+        tag = module_tag(n, 2, theta)
+        assert tag.denominator == 0
+        with pytest.raises(DegenerateDenominator) as info:
+            tag.theta_prime
+        assert str(info.value) == f"denominator vanishes for ({n}, 2) at theta = {theta}"
 
 
 def test_denominator_by_side():

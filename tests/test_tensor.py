@@ -69,12 +69,16 @@ def test_product_params_validation():
         product_params(1, 0, 1, 3, 0.2)
     with pytest.raises(SignAssumptionViolated):
         product_params(-1, 2, 1, 3, 0.2)
-    with pytest.raises(DegenerateDenominator):
-        product_params(-1, 2, 1, 3, 0.5)
+    # A = 0 is admitted; the endomorphism quantities divide by it
+    p = product_params(-1, 2, 1, 1, 0.5)
+    assert p.A == 0
+    with pytest.raises(DegenerateDenominator, match=r"vanishes for \(-1, 2\) at theta = 0.5"):
+        p.theta_prime
 
 
 def test_product_params_hold_factor_modules():
-    for n, m, k, l, theta in ((1, 2, 1, 3, 0.2), (3, 2, 2, 3, math.sqrt(2) - 1)):
+    for n, m, k, l, theta in ((1, 2, 1, 3, 0.2), (3, 2, 2, 3, math.sqrt(2) - 1),
+                              (1, 2, 1, 2, 0.5), (-1, 2, 1, 1, 0.5)):  # B = 0, A = 0
         p = product_params(n, m, k, l, theta)
         assert p.right == module_tag(n, m, theta)
         assert p.left == module_tag(k, l, -theta)
@@ -151,13 +155,14 @@ def _relaxed_params():
             continue
         try:
             p = product_params(n, m, k, l, theta)
-        except (DegenerateDenominator, SignAssumptionViolated):
+        except SignAssumptionViolated:
             continue
         yield p
 
 
 def _cone_side(p):
-    return "A<0" if p.A < 0 else "B<0" if p.B < 0 else "B=0" if p.B == 0 else "cone"
+    return ("A<0" if p.A < 0 else "A=0" if p.A == 0 else "B<0" if p.B < 0
+            else "B=0" if p.B == 0 else "cone")
 
 
 def test_product_params_coprimality_off_the_cone():
@@ -167,7 +172,7 @@ def test_product_params_coprimality_off_the_cone():
     for p in _relaxed_params():
         assert math.gcd(p.N_prime, p.M) == 1
         seen.add(_cone_side(p))
-    assert seen == {"A<0", "B<0", "B=0", "cone"}
+    assert seen == {"A<0", "A=0", "B<0", "B=0", "cone"}
     # the B = 0 labels of test_identification_with_vanishing_B
     p = product_params(1, 2, 1, 2, 0.5)
     assert p.B == 0
@@ -187,7 +192,7 @@ def test_structure_constants_only_on_the_cone():
         for tau in (-1j, 1j):
             with pytest.raises(SignAssumptionViolated, match="^need n \\+ m\\*theta > 0"):
                 structure_constants(p, ComplexStructure(tau=tau))
-    assert seen == {"A<0", "B<0", "B=0"}
+    assert seen == {"A<0", "A=0", "B<0", "B=0"}
 
 
 # ------------------------------------------------------------ congruences
@@ -561,6 +566,8 @@ def test_closed_form_validation():
         tensor_gaussian_closed(-1.0, 0, 1.0, 0, p)
     with pytest.raises(InvalidSigma):
         tensor_gaussian_closed(1.0, 0, -1.0, 0, p)
+    with pytest.raises(InvalidSigma):
+        tensor_gaussian_closed(float("nan"), 0, 1.0, 0, p)
     form = tensor_gaussian_closed(1.0, 0, 1.0, 0, p)
     calls = (form.q0, lambda a, b, d: form.evaluate(a, b, 0.3, d),
              lambda a, b, d: form.row(a, b, 0.3, [d]))

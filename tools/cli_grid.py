@@ -38,13 +38,15 @@ count of points by exit code, exit 1 by failing check and exit 2 by
 failing stage.  ``--json`` writes the points' records as ``record`` does.
 It runs the ``nctorus`` of this checkout's ``src`` and refuses any other.
 
-The grid of 140 calls covers every subcommand over the five benchmark
+The grid of 142 calls covers every subcommand over the five benchmark
 label pairs at two angles, ``verify-all`` at edge labels and at nonzero
 connection offsets, ``structure-constants`` at the M = 29 edge label and
 at a label whose every row sums to truncation radius 3 (in JSON and in
 CSV, where its r = 2 leaves empty ``q0`` cells), a left label
 degenerate at theta = 0.5 through
-``theta-basis --side left`` and ``algebra-check``, two ``algebra-check``
+``theta-basis --side left`` (``DegenerateDenominator``) and ``algebra-check``
+(whose mirrored check holds exactly), a right label degenerate at
+theta = 0.5 through ``theta-basis``, two ``algebra-check``
 seeds that shift Gaussians far from their centres, an exact-zero component
 pair, two ``--qmax`` caps above the certified window of the direct q-sum,
 two below it (``NonConvergent``) and one below 1 (a usage error), three
@@ -64,9 +66,9 @@ a table too large for the size gate of ``structure_constants``
 components (``--kl 1,0``), three ``tensor`` calls
 whose ``--alpha``, ``--beta`` or ``--delta`` is out of range
 (``IndexOutOfRange``), products off the cone A > 0, B > 0 (``tensor`` at
-B < 0 and, with ``structure-constants``, at B = 0, whose holomorphic data
-raise ``SignAssumptionViolated``; ``verify-all`` at B < 0, whose q-sum stages
-run), a label that is not coprime (``NotCoprime``), a ``tensor`` call at
+B < 0, at A = 0 and, with ``structure-constants``, at B = 0, whose
+holomorphic data raise ``SignAssumptionViolated``; ``verify-all`` at B < 0,
+whose q-sum stages run), a label that is not coprime (``NotCoprime``), a ``tensor`` call at
 ``--tol 0`` (exit 1), one at ``--tau 0,1`` (``NoHolomorphicVectors``),
 every ``--help`` text and
 one JSON and one CSV ``--output`` file.  Pure stdlib apart from nctorus.
@@ -218,6 +220,9 @@ def grid() -> list[list[str]]:
         ["tensor", "--kl", "0,1"],
         ["tensor", "--theta", "0.5", "--kl", "1,2"],
         ["structure-constants", "--theta", "0.5", "--kl", "1,2"],
+        # A = 0 at theta = 0.5: the cone error; the right label's theta' divides by it.
+        ["tensor", "--nm=-1,2", "--kl", "1,1", "--theta", "0.5"],
+        ["theta-basis", "--nm=-1,2", "--theta", "0.5"],
         # The q-sum stages run at B < 0; the table stage is skipped.
         ["verify-all", "--kl", "0,1"],
         # A right label that is not coprime.
