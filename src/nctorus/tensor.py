@@ -34,9 +34,10 @@ affine and quadratic in the integer N: at z = 0,
     kappa = sigma1*x_n**2 + sigma2*y_n**2,    lam = c1*x_n + c2*y_n,
 
 and at z != 0, lam and a constant k0 subtracted from K take the z terms.
-The closed form builds t and K from these coefficients at the
-representative of the largest term, where |Im t| <= Im s/2, and sums each
-term as one exponent, so none overflows where the value is representable.
+The closed form builds t and K from these coefficients in one pass per
+entry, at the representative of the largest term, where |Im t| <= Im s/2,
+and sums each term as one exponent, so none overflows where the value is
+representable.
 One form serves a product: s depends on neither the pair nor Delta.  The
 certified tail bound grows with |Im t|, so the entries of a pair at one z
 are summed together at one truncation radius, at their largest |Im t|, by
@@ -386,75 +387,64 @@ class ProductClosedForm:
         lam = (self.sigma1 * az + self.c1) * xn + (self.sigma2 * az + self.c2) * yn
         return kappa, lam, ((self.sigma1 + self.sigma2) * az / 2 + self.c1 + self.c2) * az
 
-    def theta_args(self, coefs: tuple[complex, ...], n: int) -> tuple[complex, complex]:
-        """(t, K) of the series exp(pi*i*s*u**2 + 2*pi*i*t*u + K) over q + u*L.
-
-        coefs are the :meth:`n_coefficients` at z and n = M*q - l*delta;
-        t = -(kappa*n + lam)*M*L/(2*pi*i) and K = -(kappa*n/2 + lam)*n - k0
-        is the log of the summand at q, -sigma1*X**2/2 - c1*X -
-        sigma2*Y**2/2 - c2*Y with X, Y read off the affine maps at q.
-        """
-        kappa, lam, k0 = coefs
-        p = self.params
-        return -(kappa * n + lam) * (p.M * p.L) / TWO_PI_I, -(kappa * n / 2 + lam) * n - k0
-
-    def peak(self, coefs: tuple[complex, ...], n: int) -> tuple[int, complex, complex]:
-        """(u, t, K) at n + u*M*L, the N of the largest term.
-
-        coefs are the :meth:`n_coefficients` at z and n = M*q - l*delta at
-        any representative q.  u = nint(-Im t/Im s) from t at n, so that
-        |Im t| <= Im s/2 and the u = 0 term is the largest; t and K are
-        built again only if u != 0.  OverflowError unless K is finite and
-        |Im t| <= Im s after that move.
-        """
-        t, k = self.theta_args(coefs, n)
-        u = round(-t.imag / self.s.imag)
-        if u:
-            t, k = self.theta_args(coefs, n + u * self.params.M * self.params.L)
-        if not (cmath.isfinite(k) and abs(t.imag) <= self.s.imag):
-            raise OverflowError(f"peak t = {t}, K = {k} is not reduced")
-        return u, t, k
-
     def row(self, alpha: int, beta: int, z: complex, deltas: Iterable[int]
             ) -> tuple[list[tuple[int, int, int, complex, complex, complex]], int]:
         """(entries, radius) of (alpha, beta)'s values at z over deltas, each in range(M).
 
         entries lists (delta, q0, u, t, K, value) of every compatible delta
-        in order, with (u, t, K) from :meth:`peak` at q0 and value =
-        exp(K)*Theta(s, t) = theta_truncated(s, t, radius, K).  The entries
-        share s, and radius is the :func:`theta.truncation_radius` at their
-        largest |Im t|, which certifies each of them and is at least each
-        one's own radius, since every peak has |Im t| <= Im s.  Every peak
-        is built before any sum.  IndexOutOfRange for alpha, then beta, then,
-        before any sum, the first delta outside range(M); SeriesOverflow, from
-        the OverflowError, of the first entry whose peak or sum fails; no sum
-        runs after it.
+        in order.  Each entry is reduced inline to the N = M*q - l*delta of
+        its largest term: with (kappa, lam, k0) the :meth:`n_coefficients`
+        at z, t = -(kappa*N + lam)*M*L/(2*pi*i) at N = M*q0 - l*delta gives
+        u = nint(-Im t/Im s); t is built again at N + u*M*L only if u != 0,
+        and K = -(kappa*N/2 + lam)*N - k0, the log of the summand at
+        q0 + u*L, once, at the final N.  value = exp(K)*Theta(s, t) =
+        theta_truncated(s, t, radius, K).  The entries share s, and radius
+        is the :func:`theta.truncation_radius` at their largest |Im t|,
+        which certifies each of them and is at least each one's own radius,
+        since every reduced entry has |Im t| <= Im s.  Every entry is
+        reduced before any sum.  IndexOutOfRange for alpha, then beta, then,
+        before any sum, the first delta outside range(M); SeriesOverflow,
+        from the OverflowError, of the first entry whose reduction or sum
+        fails, a reduction also unless K is finite and |Im t| <= Im s; no
+        sum runs after it.
         """
         p = self.params
         _check_index("alpha", alpha, p.m)
         _check_index("beta", beta, p.l)
-        coefs = self.n_coefficients(z)
+        kappa, lam, k0 = self.n_coefficients(z)
+        s, big_m, l, m, ml = self.s, p.M, p.l, p.m, p.M * p.L
+        s_im = s.imag
         # q0 depends on delta only through a*delta mod m
-        q0s = [crt_q0(alpha, beta, rho, p) for rho in range(min(p.m, p.M))]
-        peaks, failed, worst = [], None, 0.0
+        q0s = [crt_q0(alpha, beta, rho, p) for rho in range(min(m, big_m))]
+        reduced, failed, worst = [], None, 0.0
         for delta in deltas:
-            _check_index("delta", delta, p.M)
-            q0 = q0s[delta % p.m]
+            if not 0 <= delta < big_m:
+                _check_index("delta", delta, big_m)
+            q0 = q0s[delta % m]
             if q0 is None:
                 continue
+            n = big_m * q0 - l * delta
             try:
-                u, t, k = self.peak(coefs, p.M * q0 - p.l * delta)
+                t = -(kappa * n + lam) * ml / TWO_PI_I
+                u = round(-t.imag / s_im)
+                if u:
+                    n += u * ml
+                    t = -(kappa * n + lam) * ml / TWO_PI_I
+                k = -(kappa * n / 2 + lam) * n - k0
+                if not (cmath.isfinite(k) and abs(t.imag) <= s_im):
+                    raise OverflowError(f"peak t = {t}, K = {k} is not reduced")
             except OverflowError as exc:
                 failed = exc
                 break
-            peaks.append((delta, q0, u, t, k))
-            worst = max(worst, abs(t.imag))
-        radius, entries = truncation_radius(self.s, 1j * worst), []
+            reduced.append((delta, q0, u, t, k))
+            if abs(t.imag) > worst:
+                worst = abs(t.imag)
+        radius, entries = truncation_radius(s, 1j * worst), []
         try:
-            for at, q0, u, t, k in peaks:
-                entries.append((at, q0, u, t, k, theta_truncated(self.s, t, radius, k)))
+            for at, q0, u, t, k in reduced:
+                entries.append((at, q0, u, t, k, theta_truncated(s, t, radius, k)))
             if failed is not None:
-                at = delta  # the failing peak, once every entry before it is summed
+                at = delta  # the failing reduction, once every entry before it is summed
                 raise failed
         except OverflowError as exc:
             raise SeriesOverflow(
@@ -538,9 +528,10 @@ class StructureConstants:
     values[alpha][beta][gamma] is the coefficient.  rows[alpha, beta] is
     the (radius, entries) of that row's :meth:`ProductClosedForm.row` at
     z = 0 over range(M): entries lists (gamma, q0, u, t, K, value) of every
-    compatible gamma, so each value is theta_truncated(s, t, radius, K) with
-    s the theta modulus every entry shares, and q0 + u*L is the q of the
-    largest term.  An incompatible gamma has no entry and the value 0j.
+    compatible gamma, with (t, K) reduced by the row to q0 + u*L, the q of
+    the largest term, so each value is theta_truncated(s, t, radius, K)
+    with s the theta modulus every entry shares.  An incompatible gamma
+    has no entry and the value 0j.
     """
 
     shape: tuple[int, int, int]
@@ -584,8 +575,8 @@ def structure_constants(p: ProductParams, cs: ComplexStructure) -> StructureCons
             entries, radius = form.row(alpha, beta, 0.0, range(p.M))
             rows[alpha, beta] = radius, entries
             col = [0j] * p.M
-            for gamma, *_, value in entries:
-                col[gamma] = value
+            for entry in entries:
+                col[entry[0]] = entry[-1]
             cols.append(tuple(col))
         values.append(tuple(cols))
     return StructureConstants(shape=(p.m, p.l, p.M), values=tuple(values), rows=rows, s=form.s)

@@ -42,7 +42,7 @@ def truncation_radius(s: complex, t: complex, eps: float = DEFAULT_EPS) -> int:
     the radius is nondecreasing in |Im t|.  Above Im s it is not monotone
     (at s = 0.5i: 15 at |Im t| = 2.5, 13 at 2.501), so a radius shared by
     a row of t is taken only at peaks, whose |Im t| <= Im s
-    (``tensor.ProductClosedForm.peak`` checks it).
+    (``tensor.ProductClosedForm.row`` checks it).
     """
     if s.imag <= 0:
         raise InvalidS(f"Im(s) must be positive, got s = {s}")

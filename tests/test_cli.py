@@ -214,7 +214,43 @@ def test_sweep_counts_points_by_exit(monkeypatch, capsys, tmp_path):
         f"verify-all --theta {th} --nm=1,2 --kl={kl} --seed 0"
         for th, kl in (("0.2", "1,3"), ("0.2", "1,2"), ("sqrt2-1", "1,2")))
     assert {r["exit"] for r in records.values()} == {0}
-    assert capsys.readouterr().out == "labels: 3 points\n  exit 0: 3\n"
+    out = capsys.readouterr().out
+    assert out.startswith("labels: 3 points\n  exit 0: 3\nmargins, worst residual/tol per check:\n")
+    # every check of the three reports has its margin line
+    names = {c["name"] for r in records.values() for c in json.loads(r["stdout"])["checks"]
+             if "residual" in c}
+    assert len(out.splitlines()) == 3 + len(names)
+
+
+def test_sweep_margins_name_the_worst_point_per_check(capsys):
+    # two hand-built records: the worst residual/tol of each check and its
+    # argv; a skipped check, an exit 2 and a nan residual, which is the worst
+    def report(*checks):
+        return {"exit": 0, "stdout": json.dumps({"checks": list(checks)}), "stderr": ""}
+
+    records = {
+        "verify-all --seed 0": report(
+            {"name": "a", "pass": True, "residual": 2e-12, "tol": 1e-9},
+            {"name": "b", "pass": True, "residual": 1e-12, "tol": 1e-10},
+            {"name": "c", "pass": False, "residual": float("nan"), "tol": 1e-9},
+            {"name": "d", "skipped": True, "reason": "off the cone"}),
+        "verify-all --seed 1": report(
+            {"name": "a", "pass": True, "residual": 5e-12, "tol": 1e-9},
+            {"name": "b", "pass": True, "residual": 1e-13, "tol": 1e-10},
+            {"name": "c", "pass": True, "residual": 1e-9, "tol": 1e-9}),
+        "verify-all --seed 2": {"exit": 2, "stdout": "", "stderr": "error: x: y\n"},
+    }
+    margins = cli_grid.margins(records)
+    assert margins["a"] == (pytest.approx(5e-3), "verify-all --seed 1")
+    assert margins["b"] == (pytest.approx(1e-2), "verify-all --seed 0")
+    assert math.isnan(margins["c"][0]) and margins["c"][1] == "verify-all --seed 0"
+    assert sorted(margins) == ["a", "b", "c"]
+    cli_grid.print_margins(records)
+    assert capsys.readouterr().out == (
+        "margins, worst residual/tol per check:\n"
+        "  a: 5.0e-03 at verify-all --seed 1\n"
+        "  b: 1.0e-02 at verify-all --seed 0\n"
+        "  c: nan at verify-all --seed 0\n")
 
 
 def test_sweep_grids_hold_their_strict_valid_points():
@@ -373,13 +409,13 @@ def test_verify_all_does_not_skip_an_overflow(capsys, monkeypatch):
 
 
 _ORACLE_FAILURES = [
-    # (closed sum fails at, closed peak fails at, direct fails at, reported)
+    # (closed sum fails at, closed reduction fails at, direct fails at, reported)
     (None, 3, 4, "ProductClosedForm.row: peak fails at (alpha, beta) = (0, 0), delta = 3, "),
     (1, 3, 4, "ProductClosedForm.row: sum fails at (alpha, beta) = (0, 0), delta = 1, "),
     (None, 3, 3, "ProductClosedForm.row: peak fails at (alpha, beta) = (0, 0), delta = 3, "),
     (1, None, 1, "ProductClosedForm.row: sum fails at (alpha, beta) = (0, 0), delta = 1, "),
     (None, 3, 2, "ProductClosedForm.row: peak fails at (alpha, beta) = (0, 0), delta = 3, "),
-    # the 6th peak is in the second row, z = -0.5: the first row's direct sum fails first
+    # the 6th reduction is in the second row, z = -0.5: the first row's direct sum fails first
     (None, 5, 4, "tensor.DirectSeries.evaluate: direct fails at z = -1.0, delta = 4 of "),
 ]
 
@@ -387,21 +423,22 @@ _ORACLE_FAILURES = [
 @pytest.mark.parametrize("sum_at, peak_at, direct_at, reported", _ORACLE_FAILURES)
 def test_oracle_reports_the_first_failing_point(capsys, monkeypatch, sum_at, peak_at,
                                                 direct_at, reported):
-    # a row builds its peaks and sums before its direct q-sums, so a failing
-    # closed form is reported before any failing direct sum of its row.  The
-    # first row is z = -1.0 at (alpha, beta) = (0, 0), where every delta of
-    # (1, 2) x (1, 3) is compatible, so the (delta + 1)-th peak or sum is the
-    # one at delta.
+    # a row reduces each entry to its peak and sums them before its direct
+    # q-sums, so a failing closed form is reported before any failing direct
+    # sum of its row.  The first row is z = -1.0 at (alpha, beta) = (0, 0),
+    # where every delta of (1, 2) x (1, 3) is compatible, so the (delta + 1)-th
+    # reduction or sum is the one at delta.  A reduction rounds -Im t/Im s
+    # once; the direct q-sum rounds too, so it runs with the true round.
     monkeypatch.setattr(cli, "_identity_checks", lambda cfg, checks: None)
     calls = {"peak": 0, "sum": 0}
-    peak, theta_truncated = tensor.ProductClosedForm.peak, tensor.theta_truncated
+    theta_truncated = tensor.theta_truncated
     direct = tensor.DirectSeries.evaluate
 
-    def failing_peak(self, coefs, n):
+    def failing_round(x):
         calls["peak"] += 1
         if calls["peak"] - 1 == peak_at:
             raise OverflowError("peak fails")
-        return peak(self, coefs, n)
+        return round(x)
 
     def failing_sum(*args):
         calls["sum"] += 1
@@ -413,13 +450,13 @@ def test_oracle_reports_the_first_failing_point(capsys, monkeypatch, sum_at, pea
         raise OverflowError("direct fails")
 
     def failing_direct(self, z, delta):
-        if (z, delta) != (-1.0, direct_at):
-            return direct(self, z, delta)
         with monkeypatch.context() as patch:
-            patch.setattr(gs, "evaluate", fails)  # inside the q-sum's own error wrapper
+            patch.setattr(tensor, "round", round)
+            if (z, delta) == (-1.0, direct_at):
+                patch.setattr(gs, "evaluate", fails)  # inside the q-sum's own error wrapper
             return direct(self, z, delta)
 
-    monkeypatch.setattr(tensor.ProductClosedForm, "peak", failing_peak)
+    monkeypatch.setattr(tensor, "round", failing_round, raising=False)
     monkeypatch.setattr(tensor, "theta_truncated", failing_sum)
     monkeypatch.setattr(tensor.DirectSeries, "evaluate", failing_direct)
     assert main(["verify-all"]) == 2

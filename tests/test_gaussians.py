@@ -343,6 +343,17 @@ def test_vector_rejects_bad_component_index():
         vector(2, [t])
 
 
+def test_vector_needs_a_component():
+    for m in (0, -1):
+        with pytest.raises(ValueError, match=f"^component count must be >= 1, got {m}$"):
+            vector(m, [])
+
+
+def test_axpy_rejects_different_component_counts():
+    with pytest.raises(DimensionMismatch, match="^component counts differ: 2 vs 3$"):
+        axpy(1.0, gaussian(2, 1.0), gaussian(3, 1.0))
+
+
 def test_grid_abs_max_and_approx_eq():
     g = gaussian(1, 1.0)
     assert grid_abs_max(g) == 1.0

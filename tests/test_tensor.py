@@ -7,9 +7,10 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nctorus.algebra import TWO_PI_I
 from nctorus.connections import ComplexStructure, holomorphic_basis
 from nctorus.errors import (
     DegenerateDenominator,
@@ -397,10 +398,10 @@ def _old_q_sum(f, g, p, z, delta, qmax):
 
 
 def _outcome(fn, *args):
-    """repr of the value, or the type and text of the NCTorusError it raised."""
+    """repr of the value, or the type and text of the error it raised."""
     try:
         return repr(fn(*args))
-    except (NonConvergent, SeriesOverflow) as exc:
+    except (ArithmeticError, ValueError, NonConvergent, SeriesOverflow) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -481,6 +482,107 @@ def _closed_for(p, fb, gb):
     return tensor_gaussian_closed(tf.sigma, tf.c, tg.sigma, tg.c, p)
 
 
+# ---------------------------------------- one pass per row, bit-exact
+
+def _theta_args_ref(self, coefs, n):
+    # the former ProductClosedForm.theta_args, kept as a reference
+    kappa, lam, k0 = coefs
+    p = self.params
+    return -(kappa * n + lam) * (p.M * p.L) / TWO_PI_I, -(kappa * n / 2 + lam) * n - k0
+
+
+def _peak_ref(self, coefs, n):
+    # the former ProductClosedForm.peak, kept as a reference
+    t, k = _theta_args_ref(self, coefs, n)
+    u = round(-t.imag / self.s.imag)
+    if u:
+        t, k = _theta_args_ref(self, coefs, n + u * self.params.M * self.params.L)
+    if not (cmath.isfinite(k) and abs(t.imag) <= self.s.imag):
+        raise OverflowError(f"peak t = {t}, K = {k} is not reduced")
+    return u, t, k
+
+
+def _row_ref(self, alpha, beta, z, deltas):
+    # the former ProductClosedForm.row, which called peak per entry
+    from nctorus.tensor import _check_index
+    from nctorus.theta import theta_truncated, truncation_radius
+    p = self.params
+    _check_index("alpha", alpha, p.m)
+    _check_index("beta", beta, p.l)
+    coefs = self.n_coefficients(z)
+    q0s = [crt_q0(alpha, beta, rho, p) for rho in range(min(p.m, p.M))]
+    peaks, failed, worst = [], None, 0.0
+    for delta in deltas:
+        _check_index("delta", delta, p.M)
+        q0 = q0s[delta % p.m]
+        if q0 is None:
+            continue
+        try:
+            u, t, k = _peak_ref(self, coefs, p.M * q0 - p.l * delta)
+        except OverflowError as exc:
+            failed = exc
+            break
+        peaks.append((delta, q0, u, t, k))
+        worst = max(worst, abs(t.imag))
+    radius, entries = truncation_radius(self.s, 1j * worst), []
+    try:
+        for at, q0, u, t, k in peaks:
+            entries.append((at, q0, u, t, k, theta_truncated(self.s, t, radius, k)))
+        if failed is not None:
+            at = delta
+            raise failed
+    except OverflowError as exc:
+        raise SeriesOverflow(
+            f"ProductClosedForm.row: {exc} at (alpha, beta) = ({alpha}, {beta}), "
+            f"delta = {at}, z = {z} of {p}"
+        ) from exc
+    return entries, radius
+
+
+def _check_row_against_reference(labels, theta, sigmas, cs, z):
+    """Every row of the product against _row_ref; returns the rows' entries."""
+    p = product_params(*labels, theta)
+    form = tensor_gaussian_closed(sigmas[0], cs[0], sigmas[1], cs[1], p)
+    rows = []
+    for alpha in range(p.m):
+        for beta in range(p.l):
+            row = _outcome(form.row, alpha, beta, z, range(p.M))
+            assert row == _outcome(_row_ref, form, alpha, beta, z, range(p.M))
+            if isinstance(row, str):
+                rows.append(form.row(alpha, beta, z, range(p.M))[0])
+    return rows
+
+
+_LABELS = st.sampled_from([(1, 2, 1, 3), (1, 2, 1, 4), (3, 2, 1, 2), (1, 4, 1, 6), (1, 3, 2, 3),
+                           (-1, 2, 2, 1), (1, 3, 2, 5)])
+_WIDTHS = st.builds(complex, st.floats(0.3, 2.0), st.floats(-0.5, 0.5))
+# offsets up to ones whose reduction keeps no digit (K = nan) or overflows
+_OFFSETS = st.builds(lambda x, y, scale: complex(x, y) * scale, st.floats(-1, 1),
+                     st.floats(-1, 1), st.sampled_from((1.0, 30.0, 400.0, 1e200, 1e308)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_LABELS, st.sampled_from((0.2, math.sqrt(2) - 1, 0.05)), st.tuples(_WIDTHS, _WIDTHS),
+       st.tuples(_OFFSETS, _OFFSETS), st.sampled_from((0.0, -0.0, 0.3, -0.8, 2.5)))
+@example((1, 2, 1, 3), 0.2, (1.2 + 0j, 0.8 + 0j), (0.1 + 0j, 1e308j), 0.0)
+@example((1, 2, 1, 3), 0.2, (1.2 + 0j, 0.8 + 0j), (400j, 0j), 0.0)
+def test_row_matches_the_former_peak_bit_for_bit(labels, theta, sigmas, cs, z):
+    # the row reduces each entry inline: (delta, q0, u, t, K, value), the
+    # radius and every overflow text are those of the former peak and
+    # theta_args, at u != 0, r > 1 and z != 0 alike
+    _check_row_against_reference(labels, theta, sigmas, cs, z)
+
+
+def test_row_reference_cases_reach_every_branch():
+    # a row at z != 0 with r = gcd(m, l) = 2, where entries move their
+    # representative (u != 0) and others keep it
+    rows = _check_row_against_reference((1, 2, 1, 4), 0.2, (1.1 + 0.2j, 0.9 - 0.1j),
+                                        (0.3 - 0.2j, 0.1j), 0.3)
+    us = {entry[2] for row in rows for entry in row}
+    assert product_params(1, 2, 1, 4, 0.2).r == 2
+    assert 0 in us and us - {0}
+
+
 def test_closed_form_matches_direct_sum():
     rng = random.Random(53)
     p = _canonical()
@@ -533,15 +635,15 @@ def test_closed_form_q0_shift_consistency():
     form = tensor_gaussian_closed(1.2, 0.1, 0.8, -0.2, p)
     q0 = form.q0(0, 0, 1)
     coefs = form.n_coefficients(0.3)
-    t, k = form.theta_args(coefs, p.M * q0 - p.l)
-    t_next, k_next = form.theta_args(coefs, p.M * (q0 + p.L) - p.l)
+    t, k = _theta_args_ref(form, coefs, p.M * q0 - p.l)
+    t_next, k_next = _theta_args_ref(form, coefs, p.M * (q0 + p.L) - p.l)
     assert abs(t_next - t - form.s) < 1e-13 * abs(form.s)
     value = theta(form.s, t, k=k)
     assert abs(theta(form.s, t_next, k=k_next) - value) <= 1e-13 * abs(value)
-    u, t_peak, k_peak = form.peak(coefs, p.M * q0 - p.l)
+    u, t_peak, k_peak = _peak_ref(form, coefs, p.M * q0 - p.l)
     assert abs(t_peak.imag) <= form.s.imag / 2
     # the peak is one integer N, whichever representative it is reached from
-    assert form.peak(coefs, p.M * (q0 + 3 * p.L) - p.l) == (u - 3, t_peak, k_peak)
+    assert _peak_ref(form, coefs, p.M * (q0 + 3 * p.L) - p.l) == (u - 3, t_peak, k_peak)
     assert abs(theta(form.s, t_peak, k=k_peak) - value) <= 1e-13 * abs(value)
     # a one-entry row takes the entry's own radius, as theta() does
     assert form.evaluate(0, 0, 0.3, 1) == theta(form.s, t_peak, k=k_peak)
@@ -759,6 +861,15 @@ def test_structure_constants_shape_and_zeros():
                 assert (sc.value(alpha, beta, gamma) != 0) == solvable
 
 
+def test_structure_constants_value_rejects_indices_outside_the_shape():
+    sc = structure_constants(_canonical(), ComplexStructure(tau=-1j))
+    assert sc.value(1, 2, 4) == sc.values[1][2][4]
+    for index in ((2, 0, 0), (0, 3, 0), (0, 0, 5), (-1, 0, 0), (0, 0, -1)):
+        with pytest.raises(IndexOutOfRange) as info:
+            sc.value(*index)
+        assert str(info.value) == f"{index} outside shape (2, 3, 5)"
+
+
 def test_structure_constants_provenance_reproduces_values():
     from nctorus.theta import theta_truncated, truncation_radius
     p = _canonical()
@@ -774,7 +885,7 @@ def test_structure_constants_provenance_reproduces_values():
             assert q0 == crt_q0(alpha, beta, gamma, p)
             # (t, K) are those at q = q0 + u*L, a member of q0's class mod L
             q = q0 + u * p.L
-            assert form.theta_args(coefs, p.M * q - p.l * gamma) == (t, k)
+            assert _theta_args_ref(form, coefs, p.M * q - p.l * gamma) == (t, k)
 
 
 def test_structure_constants_reconstruct_products():
@@ -856,17 +967,19 @@ def test_table_and_single_value_raise_the_same_overflow():
 
 @pytest.mark.parametrize("sum_fails, gamma", [(True, 1), (False, 3)])
 def test_structure_constants_report_the_first_failing_entry(monkeypatch, sum_fails, gamma):
-    # a row builds every peak before it sums any entry: a peak that fails at
-    # gamma = 3 is reported unless the sum of an earlier entry fails first,
-    # and the row of pair (0, 0) at z = 0 reports it as delta = gamma
+    # a row reduces every entry to its peak before it sums any: a reduction
+    # that fails at gamma = 3 is reported unless the sum of an earlier entry
+    # fails first, and the row of pair (0, 0) at z = 0 reports it as delta =
+    # gamma.  Each reduction rounds -Im t/Im s once, so a failing round is a
+    # failing reduction, as round of an infinite ratio is.
     calls = {"peak": 0, "sum": 0}
-    peak, theta_truncated = tensor.ProductClosedForm.peak, tensor.theta_truncated
+    theta_truncated = tensor.theta_truncated
 
-    def failing_peak(self, coefs, n):
+    def failing_round(x):
         calls["peak"] += 1
         if calls["peak"] == 4:
             raise OverflowError("peak fails")
-        return peak(self, coefs, n)
+        return round(x)
 
     def failing_sum(*args):
         calls["sum"] += 1
@@ -874,7 +987,7 @@ def test_structure_constants_report_the_first_failing_entry(monkeypatch, sum_fai
             raise OverflowError("sum fails")
         return theta_truncated(*args)
 
-    monkeypatch.setattr(tensor.ProductClosedForm, "peak", failing_peak)
+    monkeypatch.setattr(tensor, "round", failing_round, raising=False)
     monkeypatch.setattr(tensor, "theta_truncated", failing_sum)
     with pytest.raises(SeriesOverflow) as info:
         structure_constants(_canonical(), ComplexStructure(tau=-1j))

@@ -84,6 +84,9 @@ def test_validation():
         truncation_radius(1.0 + 0j, 0.0)
     with pytest.raises(ValueError, match="radius must be >= 0, got -1"):
         theta_truncated(1j, 0, -1)
+    for eps in (0.0, -1e-13):
+        with pytest.raises(ValueError, match=f"^eps must be positive, got {eps}$"):
+            truncation_radius(1j, 0j, eps)
 
 
 def _log_bound(s, t, radius):

@@ -35,7 +35,10 @@ denominators A = n + m*theta and B = k - l*theta are both positive, or of
 the ``--label`` values alone.  ``--seed``
 takes a comma list or an inclusive range such as ``0-199``.  It prints the
 count of points by exit code, exit 1 by failing check and exit 2 by
-failing stage.  ``--json`` writes the points' records as ``record`` does.
+failing stage, then the margins: per check, the worst residual/tol over
+all points and the point where it occurs, so a loss of accuracy shows
+before it changes an exit code.  ``--json`` writes the points' records as
+``record`` does.
 It runs the ``nctorus`` of this checkout's ``src`` and refuses any other.
 
 The grid of 142 calls covers every subcommand over the five benchmark
@@ -82,6 +85,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import re
 import resource
@@ -376,6 +380,39 @@ def failing(entry: dict) -> list[str]:
     return [stage[1] if stage else text] if entry["exit"] else []
 
 
+def margins(results: dict) -> dict[str, tuple[float, str]]:
+    """Per check, the worst residual/tol over the records' JSON reports and its argv.
+
+    Records without a JSON report (exit 2) and skipped checks are passed
+    over; a nan residual is the worst, and tol 0 makes any residual inf.
+    """
+    worst: dict[str, tuple[float, str]] = {}
+    for key, entry in results.items():
+        try:
+            checks = json.loads(entry["stdout"])["checks"]
+        except (json.JSONDecodeError, KeyError, TypeError):
+            continue
+        for check in checks:
+            if "residual" not in check:
+                continue
+            residual, tol = check["residual"], check["tol"]
+            ratio = residual / tol if tol else (math.inf if residual else 0.0)
+            name = check["name"]
+            if name not in worst or _rank(ratio) > _rank(worst[name][0]):
+                worst[name] = (ratio, key)
+    return worst
+
+
+def _rank(ratio: float) -> float:
+    return math.inf if math.isnan(ratio) else ratio
+
+
+def print_margins(results: dict) -> None:
+    print("margins, worst residual/tol per check:")
+    for name, (ratio, key) in sorted(margins(results).items()):
+        print(f"  {name}: {ratio:.1e} at {key}")
+
+
 def sweep(nct, labels: list | None, seeds: list[int], out: Path | None) -> int:
     sweeps = {"labels": labels} if labels else {
         f"grid {name}": grid for name, grid in GRIDS.items()}
@@ -391,6 +428,7 @@ def sweep(nct, labels: list | None, seeds: list[int], out: Path | None) -> int:
         for failure, count in sorted(by_failure.items()):
             print(f"    {failure}: {count}")
         results |= entries
+    print_margins(results)
     if out:
         write(results, out)
     return 0
