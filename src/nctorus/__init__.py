@@ -42,6 +42,7 @@ from .errors import (
     NCTorusError,
     NoHolomorphicVectors,
     NonConvergent,
+    NonFiniteParameter,
     NotCoprime,
     SeriesOverflow,
     SignAssumptionViolated,
@@ -94,6 +95,7 @@ __all__ = [
     "NCTorusError",
     "NoHolomorphicVectors",
     "NonConvergent",
+    "NonFiniteParameter",
     "NotCoprime",
     "PolyGaussTerm",
     "PolyGaussVector",

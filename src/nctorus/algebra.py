@@ -19,8 +19,8 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import NotCoprime
 
 Index = tuple[int, int]
@@ -28,8 +28,7 @@ Index = tuple[int, int]
 TWO_PI_I = 2j * math.pi
 
 
-@dataclass(frozen=True)
-class TorusElement:
+class TorusElement(Record):
     """Finitely supported coefficient map; exact zeros are never stored.
 
     Treat ``coeffs`` as immutable.  Build instances through :func:`element`
@@ -39,7 +38,10 @@ class TorusElement:
     :func:`_canonical`, which must keep its ``0j + v``.
     """
 
-    coeffs: Mapping[Index, complex]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Mapping[Index, complex]) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
 
 
 def element(coeffs: Mapping[Index, complex] | Iterable[tuple[Index, complex]]) -> TorusElement:

@@ -40,7 +40,7 @@ import operator
 import random
 import re
 import sys
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from . import gaussians as gs
 from .algebra import (

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from . import gaussians as g
+from ._record import Record
 from .algebra import TorusElement, derivation, scale as a_scale
 from .errors import NoHolomorphicVectors
 from .modules import ModuleTag, act_element
@@ -33,17 +33,18 @@ from .modules import ModuleTag, act_element
 TWO_PI = 2 * math.pi
 
 
-@dataclass(frozen=True)
-class ComplexStructure:
+class ComplexStructure(Record):
     """tau with Im(tau) != 0 and the connection offsets c1, c2."""
 
-    tau: complex
-    c1: complex = 0j
-    c2: complex = 0j
+    __slots__ = ("tau", "c1", "c2")
 
-    def __post_init__(self) -> None:
-        if self.tau.imag == 0:
-            raise ValueError(f"Im(tau) must be nonzero, got tau = {self.tau}")
+    def __init__(self, tau: complex, c1: complex = 0j, c2: complex = 0j) -> None:
+        if tau.imag == 0:
+            raise ValueError(f"Im(tau) must be nonzero, got tau = {tau}")
+        set_field = object.__setattr__
+        set_field(self, "tau", tau)
+        set_field(self, "c1", c1)
+        set_field(self, "c2", c2)
 
     @property
     def offset(self) -> complex:

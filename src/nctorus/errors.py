@@ -30,7 +30,11 @@ class IndexOutOfRange(NCTorusError):
 
 
 class InvalidSigma(NCTorusError):
-    """A Gaussian width sigma with Re(sigma) <= 0 was supplied."""
+    """A Gaussian width sigma with Re(sigma) <= 0, or not finite, was supplied."""
+
+
+class NonFiniteParameter(NCTorusError):
+    """A Gaussian offset c or centre x0 that is inf or nan was supplied."""
 
 
 class InvalidS(NCTorusError):

@@ -24,10 +24,17 @@ paths yield structurally equal vectors.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import math
+from collections.abc import Iterable, Sequence
 
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidSigma, SeriesOverflow
+from ._record import Record
+from .errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    InvalidSigma,
+    NonFiniteParameter,
+    SeriesOverflow,
+)
 
 PRUNE_TOL = 1e-14
 
@@ -69,27 +76,40 @@ def _poly_eval(p: Poly, x: complex) -> complex:
     return acc
 
 
-@dataclass(frozen=True)
-class PolyGaussTerm:
-    """One term P(u) * exp(-sigma*u**2/2 - c*u), u = x - x0, on component mu."""
+class PolyGaussTerm(Record):
+    """One term P(u) * exp(-sigma*u**2/2 - c*u), u = x - x0, on component mu.
 
-    poly: Poly
-    sigma: complex
-    c: complex
-    mu: int
-    x0: float = 0.0
+    InvalidSigma unless sigma is finite with Re(sigma) > 0, and
+    NonFiniteParameter unless c and x0 are finite: a term that is nan
+    everywhere would read as zero in every residual norm.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.sigma.real > 0:
-            raise InvalidSigma(f"Re(sigma) must be positive, got sigma = {self.sigma}")
+    __slots__ = ("poly", "sigma", "c", "mu", "x0")
+
+    def __init__(self, poly: Poly, sigma: complex, c: complex, mu: int, x0: float = 0.0) -> None:
+        if not sigma.real > 0:
+            raise InvalidSigma(f"Re(sigma) must be positive, got sigma = {sigma}")
+        if not cmath.isfinite(sigma):
+            raise InvalidSigma(f"sigma must be finite, got sigma = {sigma}")
+        if not (cmath.isfinite(c) and math.isfinite(x0)):
+            raise NonFiniteParameter(f"Gaussian offset c = {c} and centre x0 = {x0} "
+                                     "must be finite")
+        set_field = object.__setattr__
+        set_field(self, "poly", poly)
+        set_field(self, "sigma", sigma)
+        set_field(self, "c", c)
+        set_field(self, "mu", mu)
+        set_field(self, "x0", x0)
 
 
-@dataclass(frozen=True)
-class PolyGaussVector:
+class PolyGaussVector(Record):
     """Canonical finite sum of PolyGaussTerms on R x Z_m."""
 
-    m: int
-    terms: tuple[PolyGaussTerm, ...]
+    __slots__ = ("m", "terms")
+
+    def __init__(self, m: int, terms: tuple[PolyGaussTerm, ...]) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "terms", terms)
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -31,15 +31,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from . import gaussians as g
+from ._record import Record
 from .algebra import TWO_PI_I, TorusElement, bezout
 from .errors import DegenerateDenominator, DimensionMismatch
 
 
-@dataclass(frozen=True)
-class ModuleTag:
+class ModuleTag(Record):
     """Label (n, m), angle theta and Bezout pair (a, b) of a basic module.
 
     a*n - b*m = 1 fixes the identification of End(E) with the torus at
@@ -49,11 +48,15 @@ class ModuleTag:
     :meth:`over_denominator`, then raises DegenerateDenominator.
     """
 
-    n: int
-    m: int
-    theta: float
-    a: int
-    b: int
+    __slots__ = ("n", "m", "theta", "a", "b")
+
+    def __init__(self, n: int, m: int, theta: float, a: int, b: int) -> None:
+        set_field = object.__setattr__
+        set_field(self, "n", n)
+        set_field(self, "m", m)
+        set_field(self, "theta", theta)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
 
     @property
     def denominator(self) -> float:

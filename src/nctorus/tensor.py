@@ -61,10 +61,10 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from . import gaussians as gs
+from ._record import Record
 from .algebra import TWO_PI_I
 from .connections import ComplexStructure
 from .errors import (
@@ -96,8 +96,7 @@ _TINY = sys.float_info.min
 TABLE_LIMIT = 500_000
 
 
-@dataclass(frozen=True)
-class ProductParams:
+class ProductParams(Record):
     """Labels, factor modules, and derived constants of one tensor product.
 
     Build through :func:`product_params`.  ``right`` is the module (n, m)
@@ -114,18 +113,23 @@ class ProductParams:
     rotation parameter that divides by it raises DegenerateDenominator.
     """
 
-    n: int
-    m: int
-    k: int
-    l: int
-    theta: float
-    right: ModuleTag
-    left: ModuleTag
-    A: float
-    B: float
-    M: int
-    r: int
-    L: int
+    __slots__ = ("n", "m", "k", "l", "theta", "right", "left", "A", "B", "M", "r", "L")
+
+    def __init__(self, n: int, m: int, k: int, l: int, theta: float, right: ModuleTag,
+                 left: ModuleTag, A: float, B: float, M: int, r: int, L: int) -> None:
+        set_field = object.__setattr__
+        set_field(self, "n", n)
+        set_field(self, "m", m)
+        set_field(self, "k", k)
+        set_field(self, "l", l)
+        set_field(self, "theta", theta)
+        set_field(self, "right", right)
+        set_field(self, "left", left)
+        set_field(self, "A", A)
+        set_field(self, "B", B)
+        set_field(self, "M", M)
+        set_field(self, "r", r)
+        set_field(self, "L", L)
 
     @property
     def theta_prime(self) -> float:
@@ -347,8 +351,7 @@ def tensor_direct(
     return series.evaluate(z, delta)
 
 
-@dataclass(frozen=True)
-class ProductClosedForm:
+class ProductClosedForm(Record):
     """Theta-series form of a product of factor Gaussians, every component pair at once.
 
     sigma1, c1, sigma2, c2 are the factor Gaussians; ``x_n`` and ``y_n``
@@ -358,14 +361,19 @@ class ProductClosedForm:
     None at a delta where it is incompatible and the product vanishes.
     """
 
-    params: ProductParams
-    sigma1: complex
-    c1: complex
-    sigma2: complex
-    c2: complex
-    x_n: float
-    y_n: float
-    s: complex
+    __slots__ = ("params", "sigma1", "c1", "sigma2", "c2", "x_n", "y_n", "s")
+
+    def __init__(self, params: ProductParams, sigma1: complex, c1: complex, sigma2: complex,
+                 c2: complex, x_n: float, y_n: float, s: complex) -> None:
+        set_field = object.__setattr__
+        set_field(self, "params", params)
+        set_field(self, "sigma1", sigma1)
+        set_field(self, "c1", c1)
+        set_field(self, "sigma2", sigma2)
+        set_field(self, "c2", c2)
+        set_field(self, "x_n", x_n)
+        set_field(self, "y_n", y_n)
+        set_field(self, "s", s)
 
     def q0(self, alpha: int, beta: int, delta: int) -> int | None:
         """The :func:`crt_q0` of (alpha, beta) at delta, each index checked in that order."""
@@ -404,9 +412,9 @@ class ProductClosedForm:
         since every reduced entry has |Im t| <= Im s.  Every entry is
         reduced before any sum.  IndexOutOfRange for alpha, then beta, then,
         before any sum, the first delta outside range(M); SeriesOverflow,
-        from the OverflowError, of the first entry whose reduction or sum
-        fails, a reduction also unless K is finite and |Im t| <= Im s; no
-        sum runs after it.
+        from the OverflowError or ValueError, of the first entry whose
+        reduction or sum fails, a reduction also unless K is finite and
+        |Im t| <= Im s; no sum runs after it.
         """
         p = self.params
         _check_index("alpha", alpha, p.m)
@@ -433,7 +441,7 @@ class ProductClosedForm:
                 k = -(kappa * n / 2 + lam) * n - k0
                 if not (cmath.isfinite(k) and abs(t.imag) <= s_im):
                     raise OverflowError(f"peak t = {t}, K = {k} is not reduced")
-            except OverflowError as exc:
+            except (OverflowError, ValueError) as exc:  # ValueError: round of a nan ratio
                 failed = exc
                 break
             reduced.append((delta, q0, u, t, k))
@@ -446,7 +454,7 @@ class ProductClosedForm:
             if failed is not None:
                 at = delta  # the failing reduction, once every entry before it is summed
                 raise failed
-        except OverflowError as exc:
+        except (OverflowError, ValueError) as exc:  # ValueError: cmath.exp's domain error
             raise SeriesOverflow(
                 f"ProductClosedForm.row: {exc} at (alpha, beta) = ({alpha}, {beta}), "
                 f"delta = {at}, z = {z} of {p}"
@@ -521,8 +529,7 @@ def product_basis(p: ProductParams, cs: ComplexStructure) -> list[gs.PolyGaussVe
     return [gs.gaussian(p.M, sigma_p, c_p, gamma) for gamma in range(p.M)]
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(Record):
     """Coefficients c^gamma_{alpha,beta} with the theta series they were summed from.
 
     values[alpha][beta][gamma] is the coefficient.  rows[alpha, beta] is
@@ -534,10 +541,16 @@ class StructureConstants:
     has no entry and the value 0j.
     """
 
-    shape: tuple[int, int, int]
-    values: tuple[tuple[tuple[complex, ...], ...], ...]
-    rows: Mapping[tuple[int, int], tuple[int, list[tuple]]]
-    s: complex
+    __slots__ = ("shape", "values", "rows", "s")
+
+    def __init__(self, shape: tuple[int, int, int],
+                 values: tuple[tuple[tuple[complex, ...], ...], ...],
+                 rows: Mapping[tuple[int, int], tuple[int, list[tuple]]], s: complex) -> None:
+        set_field = object.__setattr__
+        set_field(self, "shape", shape)
+        set_field(self, "values", values)
+        set_field(self, "rows", rows)
+        set_field(self, "s", s)
 
     def value(self, alpha: int, beta: int, gamma: int) -> complex:
         m, l, big_m = self.shape

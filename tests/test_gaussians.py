@@ -8,7 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nctorus.errors import DimensionMismatch, IndexOutOfRange, InvalidSigma, SeriesOverflow
+from nctorus.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    InvalidSigma,
+    NonFiniteParameter,
+    SeriesOverflow,
+)
 from nctorus.gaussians import (
     PRUNE_TOL,
     PolyGaussTerm,
@@ -56,11 +62,23 @@ def test_sigma_must_decay():
         gaussian(1, -0.5)
     with pytest.raises(InvalidSigma):
         gaussian(1, 2j)
-    # a nan width evaluates to nan, which grid_abs_max skips, so a difference
-    # with such a vector would read as 0.0
-    for sigma in (float("nan"), complex(float("nan"), 1.0)):
+    # a nan or infinite width evaluates to nan, which grid_abs_max skips, so
+    # a difference with such a vector would read as 0.0
+    for sigma in (float("nan"), complex(float("nan"), 1.0), complex(1, math.inf), math.inf):
         with pytest.raises(InvalidSigma):
             gaussian(1, sigma)
+
+
+def test_offset_and_centre_must_be_finite():
+    # gaussian(1, 1.0, c=complex(0, inf)) read 0.0 in grid_abs_max the same way
+    for c in (complex(0, math.inf), complex(math.nan, 0)):
+        with pytest.raises(NonFiniteParameter):
+            gaussian(1, 1.0, c)
+    for x0 in (math.inf, -math.inf, math.nan):
+        with pytest.raises(NonFiniteParameter):
+            PolyGaussTerm((1 + 0j,), 1.0, 0j, 0, x0)
+        with pytest.raises(NonFiniteParameter):
+            translate(gaussian(1, 1.0), x0, 0)
 
 
 def test_overflowing_coefficient_modulus_is_typed():

@@ -503,7 +503,8 @@ def _peak_ref(self, coefs, n):
 
 
 def _row_ref(self, alpha, beta, z, deltas):
-    # the former ProductClosedForm.row, which called peak per entry
+    # the former ProductClosedForm.row, which called peak per entry, typing
+    # a ValueError as SeriesOverflow as the row does
     from nctorus.tensor import _check_index
     from nctorus.theta import theta_truncated, truncation_radius
     p = self.params
@@ -519,7 +520,7 @@ def _row_ref(self, alpha, beta, z, deltas):
             continue
         try:
             u, t, k = _peak_ref(self, coefs, p.M * q0 - p.l * delta)
-        except OverflowError as exc:
+        except (OverflowError, ValueError) as exc:
             failed = exc
             break
         peaks.append((delta, q0, u, t, k))
@@ -531,7 +532,7 @@ def _row_ref(self, alpha, beta, z, deltas):
         if failed is not None:
             at = delta
             raise failed
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:
         raise SeriesOverflow(
             f"ProductClosedForm.row: {exc} at (alpha, beta) = ({alpha}, {beta}), "
             f"delta = {at}, z = {z} of {p}"
@@ -1020,6 +1021,20 @@ def test_row_stops_at_the_first_failing_sum(monkeypatch):
     assert str(info.value).startswith("ProductClosedForm.row: sum fails at (alpha, beta) = "
                                       "(0, 0), delta = 2, z = 0.3 of ")
     assert sums == [t for _, _, _, t, _, _ in want[:3]]
+
+
+@pytest.mark.parametrize("c1, c2, delta, what", [
+    (0.1, 1e308j, 1, "math domain error"),  # cmath.exp of an inf - inf exponent in the sum
+    (1e308j, 1e308, 0, "cannot convert float NaN to integer"),  # round of a nan ratio
+])
+def test_row_types_a_value_error(c1, c2, delta, what):
+    # both were a bare ValueError; the row now names the entry, as for an overflow
+    form = tensor_gaussian_closed(1.2, c1, 0.8, c2, _canonical())
+    with pytest.raises(SeriesOverflow) as info:
+        form.row(0, 0, 0.0, range(5))
+    assert isinstance(info.value.__cause__, ValueError)
+    assert str(info.value) == (f"ProductClosedForm.row: {what} at (alpha, beta) = (0, 0), "
+                               f"delta = {delta}, z = 0.0 of (1, 2) x (1, 3) at theta = 0.2")
 
 
 def test_closed_form_evaluate_overflow_is_typed():

@@ -8,9 +8,11 @@ Usage:
 
 ``record`` runs ``python -m nctorus.cli`` with ``PYTHONPATH=SRC/src`` once
 per argv of the grid and stores its exit code, stdout and stderr, plus the
-files written by the ``--output`` calls.  Each child runs under an address
-space limit of 2 GiB and a CPU limit of 120 s, set in the child alone, so a
-checkout that runs away on some call fails that call and not the machine.
+files written by the ``--output`` calls.  Its summary line ends with the
+children's total wall time, start-up included: the end-to-end cost of the
+CLI over the fixed grid.  Each child runs under an address space limit of
+2 GiB and a CPU limit of 120 s, set in the child alone, so a checkout that
+runs away on some call fails that call and not the machine.
 ``compare`` lists every argv whose record differs between two recordings
 and exits 1 if any does, so a refactor that must not change output can be
 checked against the parent checkout.  It names the fields that differ
@@ -22,10 +24,11 @@ record file against a digest file is hashed first, as ``digest`` does:
     python3 tools/cli_grid.py record . /tmp/change.json
     python3 tools/cli_grid.py compare /tmp/parent.json /tmp/change.json
 
-``digest`` runs the same children and writes, per argv, only the SHA-256 of
-(exit code, stdout, stderr, written file).  ``tests/data/cli_grid_digests.json``
-is that file, and ``tests/test_cli.py`` runs the grid in process against it,
-so Tier-1 names every call whose output moved.
+``digest`` runs the same children, timed alike, and writes, per argv, only
+the SHA-256 of (exit code, stdout, stderr, written file).
+``tests/data/cli_grid_digests.json`` is that file, and ``tests/test_cli.py``
+runs the grid in process against it, so Tier-1 names every call whose
+output moved.
 
 ``sweep`` runs ``verify-all --theta TH --nm=N,M --kl=K,L --seed S`` in
 process at theta = 0.2 and sqrt2-1, for every label of grids A (n -2..4,
@@ -92,6 +95,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -456,9 +460,11 @@ def main(argv: list[str]) -> int:
         return sweep(nctorus, args.label, args.seed, args.json)
     if args.command == "compare":
         return compare(args.a, args.b)
+    start = time.perf_counter()
     results = collect(args.a.resolve())
+    wall = time.perf_counter() - start
     write(digests(results) if args.command == "digest" else results, args.b)
-    print(f"recorded {len(results)} calls to {args.b}")
+    print(f"recorded {len(results)} calls to {args.b} in {wall:.1f} s")
     return 0
 
 
