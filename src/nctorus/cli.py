@@ -64,7 +64,7 @@ from .connections import (
     holomorphic_basis,
     leibniz_defect,
 )
-from .errors import NCTorusError, SeriesOverflow
+from .errors import NCTorusError, NonFiniteParameter, SeriesOverflow
 from .modules import ModuleTag, act_element, act_U1, act_U2, act_Z1, act_Z2, module_tag
 from .tensor import (
     DEFAULT_QMAX,
@@ -508,7 +508,7 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
                         (_structure_constant_checks, "structure_constants")):
         try:
             stage(args, checks)
-        except SeriesOverflow:
+        except (SeriesOverflow, NonFiniteParameter):
             raise  # a failed evaluation, not an inapplicable stage
         except NCTorusError as exc:
             checks.skip(name, str(exc))

@@ -41,10 +41,7 @@ class ComplexStructure(Record):
     def __init__(self, tau: complex, c1: complex = 0j, c2: complex = 0j) -> None:
         if tau.imag == 0:
             raise ValueError(f"Im(tau) must be nonzero, got tau = {tau}")
-        set_field = object.__setattr__
-        set_field(self, "tau", tau)
-        set_field(self, "c1", c1)
-        set_field(self, "c2", c2)
+        Record.__init__(self, tau, c1, c2)
 
     @property
     def offset(self) -> complex:

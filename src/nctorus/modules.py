@@ -50,14 +50,6 @@ class ModuleTag(Record):
 
     __slots__ = ("n", "m", "theta", "a", "b")
 
-    def __init__(self, n: int, m: int, theta: float, a: int, b: int) -> None:
-        set_field = object.__setattr__
-        set_field(self, "n", n)
-        set_field(self, "m", m)
-        set_field(self, "theta", theta)
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-
     @property
     def denominator(self) -> float:
         return self.n + self.m * self.theta

@@ -61,7 +61,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 
 from . import gaussians as gs
 from ._record import Record
@@ -77,7 +77,7 @@ from .errors import (
     SignAssumptionViolated,
     TableTooLarge,
 )
-from .modules import ModuleTag, act_U1, act_U2, act_Z1, act_Z2, module_tag
+from .modules import act_U1, act_U2, act_Z1, act_Z2, module_tag
 from .theta import log_tail, theta_truncated, truncation_radius
 
 # Probe points in z used by the verification routines.
@@ -114,22 +114,6 @@ class ProductParams(Record):
     """
 
     __slots__ = ("n", "m", "k", "l", "theta", "right", "left", "A", "B", "M", "r", "L")
-
-    def __init__(self, n: int, m: int, k: int, l: int, theta: float, right: ModuleTag,
-                 left: ModuleTag, A: float, B: float, M: int, r: int, L: int) -> None:
-        set_field = object.__setattr__
-        set_field(self, "n", n)
-        set_field(self, "m", m)
-        set_field(self, "k", k)
-        set_field(self, "l", l)
-        set_field(self, "theta", theta)
-        set_field(self, "right", right)
-        set_field(self, "left", left)
-        set_field(self, "A", A)
-        set_field(self, "B", B)
-        set_field(self, "M", M)
-        set_field(self, "r", r)
-        set_field(self, "L", L)
 
     @property
     def theta_prime(self) -> float:
@@ -363,18 +347,6 @@ class ProductClosedForm(Record):
 
     __slots__ = ("params", "sigma1", "c1", "sigma2", "c2", "x_n", "y_n", "s")
 
-    def __init__(self, params: ProductParams, sigma1: complex, c1: complex, sigma2: complex,
-                 c2: complex, x_n: float, y_n: float, s: complex) -> None:
-        set_field = object.__setattr__
-        set_field(self, "params", params)
-        set_field(self, "sigma1", sigma1)
-        set_field(self, "c1", c1)
-        set_field(self, "sigma2", sigma2)
-        set_field(self, "c2", c2)
-        set_field(self, "x_n", x_n)
-        set_field(self, "y_n", y_n)
-        set_field(self, "s", s)
-
     def q0(self, alpha: int, beta: int, delta: int) -> int | None:
         """The :func:`crt_q0` of (alpha, beta) at delta, each index checked in that order."""
         p = self.params
@@ -542,15 +514,6 @@ class StructureConstants(Record):
     """
 
     __slots__ = ("shape", "values", "rows", "s")
-
-    def __init__(self, shape: tuple[int, int, int],
-                 values: tuple[tuple[tuple[complex, ...], ...], ...],
-                 rows: Mapping[tuple[int, int], tuple[int, list[tuple]]], s: complex) -> None:
-        set_field = object.__setattr__
-        set_field(self, "shape", shape)
-        set_field(self, "values", values)
-        set_field(self, "rows", rows)
-        set_field(self, "s", s)
 
     def value(self, alpha: int, beta: int, gamma: int) -> complex:
         m, l, big_m = self.shape

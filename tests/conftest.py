@@ -8,11 +8,17 @@ draw the same instances.
 
 import random
 
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from nctorus import vector
 from nctorus.cli import _random_element as random_element, _random_gaussian as random_gaussian
 from nctorus.gaussians import PolyGaussTerm
+
+# Every Hypothesis test draws the same examples on every run and writes no
+# example database; a test's own @settings sets only max_examples.
+settings.register_profile("reproducible", derandomize=True, database=None, deadline=None)
+settings.load_profile("reproducible")
 
 # Hypothesis parts of a coefficient: signed zeros, values at and below 1e-14
 # (gaussians.PRUNE_TOL) and ordinary ones; COEFFS builds complex numbers of them.

@@ -80,7 +80,7 @@ def test_monomial_inverse():
 
 # ---------------------------------------------------------------- ring laws
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 10**9), st.floats(0.01, 0.99))
 def test_associativity(seed, theta):
     rng = random.Random(seed)
@@ -89,7 +89,7 @@ def test_associativity(seed, theta):
                        mul(f, mul(g, h, theta), theta))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 10**9), st.floats(0.01, 0.99))
 def test_involution_antihomomorphism(seed, theta):
     rng = random.Random(seed)
@@ -114,7 +114,7 @@ def test_distributivity():
 
 # ------------------------------------------------------------------- trace
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 10**9), st.floats(0.01, 0.99))
 def test_trace_cyclic(seed, theta):
     rng = random.Random(seed)
@@ -149,7 +149,7 @@ def test_derivation_on_monomial():
     assert _close(coeff(d2, 2, -3), 2j * math.pi * (-3))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 10**9), st.floats(0.01, 0.99), st.sampled_from([1, 2]))
 def test_derivation_leibniz(seed, theta, axis):
     rng = random.Random(seed)
@@ -304,7 +304,7 @@ _SIGNED = TorusElement({(1, 0): complex(-0.0, 1e-14), (0, 1): complex(5e-15, -0.
                         (1, 2): complex(0.3, -0.7)})
 
 
-@settings(max_examples=75, deadline=None)
+@settings(max_examples=75)
 @given(_RAW, _RAW, st.sampled_from((0.2, math.sqrt(2) - 1, 0.5)), COEFFS)
 @example(_SIGNED, _SIGNED, 0.2, complex(-1.0, -0.0))
 @example(_SIGNED, _SIGNED, 0.5, complex(-0.0, 1.0))
@@ -342,7 +342,7 @@ _NEAR_TOL = TorusElement({(0, 0): complex(math.nextafter(1e-14, 1), -0.0),
                           (1, 2): complex(-0.3, 0.7 + 2 * math.ulp(0.7))})
 
 
-@settings(max_examples=75, deadline=None)
+@settings(max_examples=75)
 @given(_RAW, _RAW)
 @example(_SIGNED, _SIGNED)
 @example(_SIGNED, _NEAR_TOL)

@@ -253,6 +253,43 @@ def test_sweep_margins_name_the_worst_point_per_check(capsys):
         "  c: nan at verify-all --seed 0\n")
 
 
+def test_compare_of_records_prints_both_margins(capsys, tmp_path):
+    # two hand-built records that differ: per check the worst residual/tol of
+    # each side and B/A, then every residual that grew more than 4x, from 0
+    # and to nan included; an equal compare prints only its count line
+    def report(*residuals):
+        return {"exit": 0, "stderr": "", "stdout": json.dumps({"checks": [
+            {"name": name, "residual": residual, "tol": 1e-9} for name, residual in residuals]})}
+
+    parent = {"verify-all --seed 0": report(("a", 1e-12), ("b", 2e-12), ("c", 0.0)),
+              "verify-all --seed 1": report(("a", 4e-12), ("b", 1e-13), ("d", 1e-12)),
+              "verify-all --seed 2": {"exit": 2, "stdout": "", "stderr": "error: x: y\n"}}
+    change = {"verify-all --seed 0": report(("a", 1e-12), ("b", 8.1e-12), ("c", 1e-15)),
+              "verify-all --seed 1": report(("a", 2e-12), ("b", float("nan")), ("e", 1e-12)),
+              "verify-all --seed 2": report(("a", 1e-10))}
+    paths = [tmp_path / "parent.json", tmp_path / "change.json"]
+    for path, results in zip(paths, (parent, change)):
+        cli_grid.write(results, path)
+    assert cli_grid.main(["compare", *map(str, paths)]) == 1
+    assert capsys.readouterr().out == (
+        "verify-all --seed 0: stdout differ\n"
+        "verify-all --seed 1: stdout differ\n"
+        "verify-all --seed 2: exit, stdout, stderr differ\n"
+        "3 of 3 calls differ\n"
+        "margins, worst residual/tol per check, A and B:\n"
+        "  a: A 4.0e-03, B 1.0e-01, B/A 25\n"
+        "  b: A 2.0e-03, B nan, B/A inf\n"
+        "  c: A 0.0e+00, B 1.0e-06, B/A inf\n"
+        "  d: only in A\n"
+        "  e: only in B\n"
+        "residuals grown more than 4x: 3\n"
+        "  verify-all --seed 0: b 2.0e-12 -> 8.1e-12\n"
+        "  verify-all --seed 0: c 0.0e+00 -> 1.0e-15\n"
+        "  verify-all --seed 1: b 1.0e-13 -> nan\n")
+    assert cli_grid.main(["compare", str(paths[0]), str(paths[0])]) == 0
+    assert capsys.readouterr().out == "0 of 3 calls differ\n"
+
+
 def test_sweep_grids_hold_their_strict_valid_points():
     points = {name: len(list(cli_grid.sweep_calls(nctorus, grid, [0])))
               for name, grid in cli_grid.GRIDS.items()}
@@ -466,25 +503,31 @@ def test_oracle_reports_the_first_failing_point(capsys, monkeypatch, sum_at, pea
     assert captured.out == ""
 
 
-_RANGE = "|v(x, mu)| exceeds double range"
-_DOMAIN = "an exponent of v(x, mu) is not finite"
+_RANGE = "gaussians.grid_abs_max: |v(x, mu)| exceeds double range at (x, mu) = (-5.0, 0)"
 _PROBE_FAILURES = [
-    (["theta-basis", "--c1=1e308,1e308"], _RANGE, -5.0),
+    (["theta-basis", "--c1=1e308,1e308"], _RANGE),
     # the holomorphic stage of verify-all fails on it, it is not skipped
-    (["verify-all", "--c1=1e308,1e308"], _RANGE, -5.0),
-    # a width with Im ~ -1e307: the term's phase at the probe point is infinite
-    (["theta-basis", "--side", "left", "--tau=-1e307,-1"], _DOMAIN, -5.0),
-    (["verify-all", "--tau=-1e307,-1"], _DOMAIN, -4.75),
+    (["verify-all", "--c1=1e308,1e308"], _RANGE),
+    # a width with |Im| ~ 1e307: the x coefficient of the dbar residual, about
+    # 2*pi*sigma, is infinite, a NonFiniteParameter before any probe point
+    (["theta-basis", "--side", "left", "--tau=-1e307,-1"],
+     "Gaussian polynomial coefficients (0j, (-20.943951023931955+infj)) must be finite"),
+    (["verify-all", "--tau=-1e307,-1"],
+     "Gaussian polynomial coefficients (0j, (-47.12388980384691+infj)) must be finite"),
+    # the same at Re(sigma) ~ 7.5e307 of the left mirror, whose closure once
+    # read 0.0 and passed until the table's theta modulus overflowed
+    (["verify-all", "--tau=-1,-1e307"],
+     "Gaussian polynomial coefficients (0j, (-inf+47.12388980384691j)) must be finite"),
 ]
 
 
-@pytest.mark.parametrize("argv, what, x", _PROBE_FAILURES,
+@pytest.mark.parametrize("argv, what", _PROBE_FAILURES,
                          ids=[f"argv{i}" for i in range(len(_PROBE_FAILURES))])
-def test_overflowing_basis_value_is_typed(capsys, argv, what, x):
-    # the basis vector is finite, its value at a probe point is not
+def test_overflowing_basis_value_is_typed(capsys, argv, what):
+    # the basis vector is finite, its value at a probe point or its dbar residual is not
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: gaussians.grid_abs_max: {what} at (x, mu) = ({x}, 0)\n"
+    assert captured.err == f"error: {what}\n"
     assert "math range error" not in captured.err
     assert "math domain error" not in captured.err
     assert captured.out == ""
@@ -513,7 +556,6 @@ def test_non_finite_holomorphic_width_is_typed(capsys):
     (["structure-constants", "--tau=-1e307,-1"], "(inf+nanj)"),
     (["tensor", "--tau=-1e307,-1"], "(inf+nanj)"),
     (["structure-constants", "--tau=-1,-1e307"], "(nan+infj)"),
-    (["verify-all", "--tau=-1,-1e307"], "(nan+infj)"),
 ])
 def test_overflowing_theta_modulus_is_typed(capsys, argv, s):
     assert main(argv) == 2

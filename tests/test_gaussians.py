@@ -81,6 +81,17 @@ def test_offset_and_centre_must_be_finite():
             translate(gaussian(1, 1.0), x0, 0)
 
 
+def test_polynomial_coefficients_must_be_finite():
+    # both vectors were nan at every probe point, and
+    # grid_abs_max(sub(v, gaussian(1, 1.0))) read 0.0
+    for poly in ((math.nan,), (1.0, math.inf)):
+        with pytest.raises(NonFiniteParameter, match=r"^Gaussian polynomial coefficients "
+                                                     r"\(.*\) must be finite$"):
+            gaussian(1, 1.0, poly=poly)
+    with pytest.raises(NonFiniteParameter):
+        vector(1, [PolyGaussTerm((1 + 0j, complex(0, -math.inf)), 1.0, 0j, 0)])
+
+
 def test_overflowing_coefficient_modulus_is_typed():
     # finite parts whose modulus exceeds double range: abs() raises OverflowError
     with pytest.raises(SeriesOverflow, match="coefficient modulus exceeds double range"):
@@ -94,7 +105,7 @@ def _two_centres(rng, m):
     return add(random_vector(rng, m), translate(random_vector(rng, m), rng.uniform(-1.5, 1.5), 0))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(st.integers(0, 10**9))
 def test_shift_pointwise(seed):
     rng = random.Random(seed)
@@ -109,7 +120,7 @@ def test_shift_pointwise(seed):
         assert abs(got - want) <= 1e-12 * (1 + abs(want))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(st.integers(0, 10**9))
 def test_modulate_pointwise(seed):
     rng = random.Random(seed)
@@ -245,7 +256,7 @@ def test_edge_vectors_meet_where_intended():
     assert len(modulate(meet_c, 1.0, [1.0, 1.0]).terms) == 1
 
 
-@settings(max_examples=75, deadline=None)
+@settings(max_examples=75)
 @given(st.integers(0, 10**9), st.integers(1, 4))
 def test_fused_actions_are_bit_exact(seed, m):
     # translate is one canonical pass for a shift and a roll, modulate one
@@ -345,7 +356,7 @@ _SIGNED = [
 ]
 
 
-@settings(max_examples=75, deadline=None)
+@settings(max_examples=75)
 @given(st.lists(_TERMS, max_size=4))
 @example(_SIGNED)
 @example(_SIGNED[:1])

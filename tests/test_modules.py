@@ -279,7 +279,7 @@ _SIGNED_KEYS = gs.vector(2, [_term((1,), c=complex(-0.0, 0.0), mu=1),
                              _term((2,), mu=1, x0=_TAGS[1].denominator / 2)])
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(_tagged_vectors(), _ELEMENTS)
 @example(*_CANCEL)
 @example((_TAGS[0], _NEG_CENTRE), _POWER0)

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +49,22 @@ RECORDS = [
 ]
 
 
+def _subclass(cls):
+    """cls with ``__slots__ = ()``, bound in this module so that pickle finds it."""
+    name = f"Sub{cls.__name__}"
+    sub = globals()[name] = type(name, (cls,), {"__slots__": (), "__module__": __name__})
+    return sub
+
+
+SUBCLASSES = {entry[0]: _subclass(entry[0]) for entry in RECORDS}
+
+
+def _changed(fields):
+    """fields with the last one changed: plus 1 if a number, else empty."""
+    last = fields[-1]
+    return (*fields[:-1], last + 1 if isinstance(last, (int, float, complex)) else type(last)())
+
+
 def _bypassing_init(cls, fields):
     record = object.__new__(cls)
     for name, value in zip(cls.__slots__, fields):
@@ -71,19 +88,26 @@ def test_record_contract(cls, fields, defaults, text, invalid):
     for name in names:
         with pytest.raises(AttributeError):
             delattr(record, name)
-    # equality and hash are those of the field tuple, within one class
-    sub = type("Sub", (cls,), {"__slots__": ()})
-    assert record != fields and record != sub(*fields)
+    # equality and hash are those of the field tuple, within one class; a
+    # subclass without slots of its own keeps its parent's fields
+    sub = SUBCLASSES[cls]
+    sub_record, changed = sub(*fields), sub(*_changed(fields))
+    assert record != fields and record != sub_record
     assert record.__eq__(fields) is NotImplemented
+    assert sub_record == sub(*fields) and sub_record != changed
+    assert repr(sub_record) == "Sub" + text
+    assert sub._fields == cls._fields == names
     try:
         want = hash(fields)
     except TypeError:  # a dict field
         with pytest.raises(TypeError):
             hash(record)
     else:
-        assert hash(record) == want
-    for other in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
-        assert type(other) is cls and other == record
+        assert hash(record) == hash(sub_record) == want != hash(changed)
+    for original in (record, sub_record):
+        for other in (copy.copy(original), copy.deepcopy(original),
+                      pickle.loads(pickle.dumps(original))):
+            assert type(other) is type(original) and other == original
     if invalid is not None:
         bad, error = invalid
         with pytest.raises(error):
@@ -104,3 +128,21 @@ def test_cli_import_loads_no_code_generation_modules():
     done = subprocess.run([sys.executable, "-S", "-E", "-c", code],
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("cls", [ModuleTag, ProductParams, ProductClosedForm, StructureConstants])
+def test_record_constructor_names_its_fields(cls):
+    # the records without a constructor of their own bind through Record's
+    assert "__init__" not in vars(cls)
+    fields = next(entry[1] for entry in RECORDS if entry[0] is cls)
+    names = cls._fields
+    assert cls(*fields[:2], **dict(zip(names[2:], fields[2:]))) == cls(*fields)
+    signature = re.escape(f"{cls.__name__}({', '.join(names)}) takes each field once, got ")
+    # one too many, two missing, an unknown one, one twice
+    for values, by_name, given in (
+            ((*fields, None), {}, f"{len(fields) + 1} by position and ()"),
+            (fields[:-2], {}, f"{len(fields) - 2} by position and ()"),
+            (fields[1:], {"other": None}, f"{len(fields) - 1} by position and (other)"),
+            (fields, {names[0]: fields[0]}, f"{len(fields)} by position and ({names[0]})")):
+        with pytest.raises(TypeError, match=f"^{signature}{re.escape(given)} by name$"):
+            cls(*values, **by_name)

@@ -260,7 +260,7 @@ def _largest_piece(p, f, g, q, gamma, s):
                abs(tg.c * y), math.pi * s.imag)
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @example((-1, 6, 11, 7, 0.37, 0, 2))
 @example((5, 6, 4, 7, 0.37, 3, 0))
 @given(_sweep_cases())
@@ -336,7 +336,7 @@ def _assert_certified(s, t, k_exp, radius, got, eps=DEFAULT_EPS):
 VERIFY_LABELS = tuple((*pair, th) for pair in PAIRS for th in THETAS) + ((1, 2, 14, 1, 0.2),)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @example((3, 2, 1, 2, 0.2, 0, 0), -1j, VERIFY_LABELS[0], 3)  # every row at radius 3
 @given(_sweep_cases(st.sampled_from(THETAS)), st.sampled_from((-1j, 0.3 - 1.2j)),
        st.sampled_from(VERIFY_LABELS), st.integers(0, 2**32 - 1))
@@ -389,7 +389,7 @@ def _vector_ref(v, u, mu) -> mpmath.mpc:
     return acc
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(st.integers(0, 10**9), st.floats(-1e6, 1e6))
 @example(0, 1e6)
 @example(0, -37.5)

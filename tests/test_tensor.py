@@ -409,7 +409,7 @@ def _outcome(fn, *args):
 _SERIES_LABELS = ((1, 2, 1, 4), (1, 4, 1, 6), (1, 2, 1, 3), (3, 2, 2, 3), (2, 3, 3, 5))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.sampled_from(_SERIES_LABELS), st.sampled_from(("random", "zero", "overflow")),
        st.sampled_from((2, 16, tensor.DEFAULT_QMAX)), st.integers(0, 2**32 - 1))
 def test_direct_series_is_bit_exact(label, kind, qmax, seed):
@@ -454,7 +454,7 @@ _ENVELOPE = st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(1e-3
                       st.floats(0, 50))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(_ENVELOPE, min_size=1, max_size=3), st.sampled_from((1, -1)),
        st.integers(-1000, 1000))
 def test_log_tail_through_theta_is_bit_exact(envelopes, side, u):
@@ -562,7 +562,7 @@ _OFFSETS = st.builds(lambda x, y, scale: complex(x, y) * scale, st.floats(-1, 1)
                      st.floats(-1, 1), st.sampled_from((1.0, 30.0, 400.0, 1e200, 1e308)))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(_LABELS, st.sampled_from((0.2, math.sqrt(2) - 1, 0.05)), st.tuples(_WIDTHS, _WIDTHS),
        st.tuples(_OFFSETS, _OFFSETS), st.sampled_from((0.0, -0.0, 0.3, -0.8, 2.5)))
 @example((1, 2, 1, 3), 0.2, (1.2 + 0j, 0.8 + 0j), (0.1 + 0j, 1e308j), 0.0)

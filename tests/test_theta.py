@@ -37,7 +37,7 @@ def test_against_brute_force_samples():
         assert abs(got - want) <= 1e-12 * (1 + abs(want))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.floats(-1, 1), st.floats(0.25, 2.0), st.floats(-1, 1), st.floats(-0.5, 0.5))
 def test_quasi_periodicity(sre, sim, tre, tim):
     # Theta(s, t + s) = exp(-pi i s - 2 pi i t) Theta(s, t)
@@ -133,7 +133,7 @@ def _linear_radius(s, t, eps):
     return radius
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.floats(-3, 3), st.floats(-3, 4), st.booleans(), st.floats(-15, -3))
 def test_radius_matches_linear_bound(log_s, log_t, negative, log_eps):
     # the log-space bound picks the same radius wherever the linear one
@@ -184,7 +184,7 @@ def test_wide_imaginary_offset():
     assert abs(got - want) <= 1e-11 * (1 + abs(want))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(st.floats(-3, 3), st.floats(0, 1), st.floats(0, 1), st.floats(-1, 1), st.floats(-1, 1))
 @example(math.log10(0.5), 0.0, 1.0, 0.0, 0.0)
 def test_radius_is_nondecreasing_up_to_im_s(log_s, x, y, re_s, re_t):

@@ -17,7 +17,11 @@ runs away on some call fails that call and not the machine.
 and exits 1 if any does, so a refactor that must not change output can be
 checked against the parent checkout.  It names the fields that differ
 between two records, and compares two ``digest`` files entry by entry; a
-record file against a digest file is hashed first, as ``digest`` does:
+record file against a digest file is hashed first, as ``digest`` does.
+When two record files differ, it then prints the margins of both sides,
+per check the worst residual/tol of A and of B and their ratio B/A, and
+names every call and check whose residual grew more than 4x, so a
+digit-changing change shows how much accuracy it gained or lost:
 
     git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
     python3 tools/cli_grid.py record /tmp/parent /tmp/parent.json
@@ -337,6 +341,8 @@ def compare(a: Path, b: Path) -> int:
     for line in differ:
         print(line)
     print(f"{len(differ)} of {len(left.keys() | right.keys())} calls differ")
+    if differ and not _is_digest(left):
+        print_margin_changes(left, right)
     return 1 if differ else 0
 
 
@@ -384,26 +390,31 @@ def failing(entry: dict) -> list[str]:
     return [stage[1] if stage else text] if entry["exit"] else []
 
 
-def margins(results: dict) -> dict[str, tuple[float, str]]:
-    """Per check, the worst residual/tol over the records' JSON reports and its argv.
+def _residuals(results: dict):
+    """(argv, check name, residual, tol) of every residual in the records' JSON reports.
 
-    Records without a JSON report (exit 2) and skipped checks are passed
-    over; a nan residual is the worst, and tol 0 makes any residual inf.
+    Records without a JSON report (exit 2) and skipped checks are passed over.
     """
-    worst: dict[str, tuple[float, str]] = {}
     for key, entry in results.items():
         try:
             checks = json.loads(entry["stdout"])["checks"]
         except (json.JSONDecodeError, KeyError, TypeError):
             continue
         for check in checks:
-            if "residual" not in check:
-                continue
-            residual, tol = check["residual"], check["tol"]
-            ratio = residual / tol if tol else (math.inf if residual else 0.0)
-            name = check["name"]
-            if name not in worst or _rank(ratio) > _rank(worst[name][0]):
-                worst[name] = (ratio, key)
+            if "residual" in check:
+                yield key, check["name"], check["residual"], check["tol"]
+
+
+def margins(results: dict) -> dict[str, tuple[float, str]]:
+    """Per check, the worst residual/tol over the records' JSON reports and its argv.
+
+    A nan residual is the worst, and tol 0 makes any residual inf.
+    """
+    worst: dict[str, tuple[float, str]] = {}
+    for key, name, residual, tol in _residuals(results):
+        ratio = residual / tol if tol else (math.inf if residual else 0.0)
+        if name not in worst or _rank(ratio) > _rank(worst[name][0]):
+            worst[name] = (ratio, key)
     return worst
 
 
@@ -411,10 +422,37 @@ def _rank(ratio: float) -> float:
     return math.inf if math.isnan(ratio) else ratio
 
 
+def _growth(before: float, after: float) -> float:
+    """after/before with nan ranked as inf: 1 where they are equal, inf from 0."""
+    before, after = _rank(before), _rank(after)
+    if before == after:
+        return 1.0
+    return after / before if before else math.inf
+
+
 def print_margins(results: dict) -> None:
     print("margins, worst residual/tol per check:")
     for name, (ratio, key) in sorted(margins(results).items()):
         print(f"  {name}: {ratio:.1e} at {key}")
+
+
+def print_margin_changes(before: dict, after: dict) -> None:
+    """Per check, the worst residual/tol of A and of B and B/A; every residual grown over 4x."""
+    worst_a, worst_b = margins(before), margins(after)
+    print("margins, worst residual/tol per check, A and B:")
+    for name in sorted(worst_a.keys() | worst_b.keys()):
+        if name in worst_a and name in worst_b:
+            a, b = worst_a[name][0], worst_b[name][0]
+            print(f"  {name}: A {a:.1e}, B {b:.1e}, B/A {_growth(a, b):.2g}")
+        else:
+            print(f"  {name}: only in {'A' if name in worst_a else 'B'}")
+    residual_a = {(key, name): residual for key, name, residual, _ in _residuals(before)}
+    grown = sorted((key, name, residual_a[key, name], residual)
+                   for key, name, residual, _ in _residuals(after)
+                   if (key, name) in residual_a and _growth(residual_a[key, name], residual) > 4)
+    print(f"residuals grown more than 4x: {len(grown)}")
+    for key, name, a, b in grown:
+        print(f"  {key}: {name} {a:.1e} -> {b:.1e}")
 
 
 def sweep(nct, labels: list | None, seeds: list[int], out: Path | None) -> int:
