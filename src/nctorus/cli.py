@@ -357,6 +357,8 @@ def _structure_constant_checks(
     )
     oracle = 0.0
     recon = 0.0
+    zs = (0.3, -0.5)
+    phis = [[gs.evaluate(basis[gamma], z, gamma) for z in zs] for gamma in range(p.M)]
     for alpha in range(m):
         for beta in range(l):
             series = DirectSeries(basis_f[alpha], basis_g[beta], p, args.qmax)
@@ -365,9 +367,9 @@ def _structure_constant_checks(
                 d0 = series.evaluate(0.0, gamma)
                 # phi_gamma(0) = 1, so the coefficient itself is the value at z = 0.
                 oracle = max(oracle, abs(val - d0) / (1 + abs(d0)))
-                for z in (0.3, -0.5):
+                for z, phi in zip(zs, phis[gamma]):
                     dz = series.evaluate(z, gamma)
-                    recon = max(recon, abs(dz - val * gs.evaluate(basis[gamma], z, gamma)))
+                    recon = max(recon, abs(dz - val * phi))
     checks.add("structure_constants_vs_direct", oracle, ORACLE_TOL)
     checks.add("basis_reconstruction", recon / (1 + cmax), BASIS_TOL)
     return sc, p, cs, basis[0].terms[0]

@@ -13,6 +13,8 @@ changes), multiplication by exp(beta*x) times a per-component factor
 module actions, connections, and tensor products in this library are
 expressed through these operations, so nothing is ever discretized;
 floating error enters only through complex arithmetic on the parameters.
+A pointwise value (:func:`evaluate`) sums each term's P(u) by Horner's
+rule, the only polynomial evaluation here.
 
 Because a translation never touches P, coefficients stay at the scale of
 the term's own centre.  Canonicalization merges terms sharing
@@ -70,13 +72,6 @@ def _poly_scale(alpha: complex, p: Poly) -> Poly:
 
 def _poly_deriv(p: Poly) -> Poly:
     return tuple(complex(k) * p[k] for k in range(1, len(p)))
-
-
-def _poly_eval(p: Poly, x: complex) -> complex:
-    acc = 0j
-    for coef in reversed(p):
-        acc = acc * x + coef
-    return acc
 
 
 class PolyGaussTerm(Record):
@@ -163,14 +158,17 @@ def gaussian(
 
 
 def evaluate(v: PolyGaussVector, x: float, mu: int) -> complex:
-    """Pointwise value v(x, mu)."""
+    """Pointwise value v(x, mu), each term's P(u) by Horner's rule from 0j."""
     if not 0 <= mu < v.m:
         raise IndexOutOfRange(f"component {mu} outside range(0, {v.m})")
     acc = 0j
     for t in v.terms:
         if t.mu == mu:
             u = x - t.x0
-            acc += _poly_eval(t.poly, u) * cmath.exp(-0.5 * t.sigma * u * u - t.c * u)
+            poly = 0j
+            for coef in reversed(t.poly):
+                poly = poly * u + coef
+            acc += poly * cmath.exp(-0.5 * t.sigma * u * u - t.c * u)
     return acc
 
 

@@ -14,6 +14,13 @@ onto the component pair (alpha, beta); the pair is compatible iff
 a*Delta - alpha = beta (mod r), r = gcd(m, l), in which case the solutions
 are q0 + u*L, u in Z, with L = m*l/r.
 
+The direct sum, :class:`DirectSeries`, splits the q-line by the factors'
+terms instead: each pair of an f-term on component mu and a g-term on nu
+is nonzero on one class q1 + j*L, found by stepping q, not by the CRT,
+and is walked outward from its peak until its own tails, certified by
+:func:`theta.log_tail`, are below the unit roundoff of its sum.  It is the
+oracle of the closed form below and shares none of its algebra.
+
 For Gaussian inputs the arithmetic sum over u is itself a theta series:
 completing the square in q = q0 + u*L gives
 
@@ -186,40 +193,26 @@ def crt_q0(alpha: int, beta: int, delta: int, p: ProductParams) -> int | None:
     return beta_mod + l * y
 
 
-def _log_tail(envelopes: list[tuple[float, ...]], side: int, u: int, log_count: float) -> float:
-    """Log bound on the class terms at j with side*j >= side*u; inf before a peak.
-
-    In j' = side*j >= side*u each pair's log bound c0 + b*j - a*j**2 + k*|j|
-    is the :func:`theta.log_tail` envelope with b -> side*b.  The pairs'
-    tails add up to at most their count, log_count = log(count), times the
-    largest.
-    """
-    worst = -math.inf
-    for c0, b, a, k in envelopes:
-        pair_tail = log_tail(c0, side * b, a, k, side * u)
-        if pair_tail > worst:
-            worst = pair_tail
-    return worst + log_count
-
-
 class DirectSeries:
-    """The q-series of f (x) g, set up once and summed class by class at any (z, delta).
+    """The q-series of f (x) g, set up once and summed term pair by term pair at any (z, delta).
 
-    Only q whose components a*delta - q (mod m) of f and q (mod l) of g both
-    carry a term contribute; for a component pair (mu, nu) these q form one
-    class q1 + j*L, found by stepping q through a*delta - mu (mod m) until
-    q = nu (mod l) and tabulated by a*delta mod m.  Each term pair bounds
-    its log summand at q1 + j*L by c0 + b*j - a*j**2 + k*|j|: with
-    u = x - x0 a factor's log modulus is -(Re sigma*u/2 + Re c)*u, plus at
-    most log ||P||_1 + deg P*|u|.  Set-up keeps all that depends on
-    neither z nor delta, a > 0 and k included; :meth:`evaluate` builds c0
-    and b, starts at the class member nearest the first pair's peak
-    b/(2a) and grows the side whose certified tail (:func:`_log_tail`,
-    the geometric bound :func:`theta.log_tail`) is larger, until both
-    tails together are below 2**-53 of |class sum| or below the smallest
-    normal double.  NonConvergent means that window left |q| <= qmax.  An
-    overflowing summand, term norm or total raises SeriesOverflow at the
-    call that reaches it.  Factors on other components than Z_m x Z_l raise
+    Each term pair of f.terms x g.terms, in that order, is one series: its
+    f-term on component mu and g-term on component nu are both nonzero only
+    at q = a*delta - mu (mod m) and q = nu (mod l), one class q1 + j*L,
+    found by stepping q through a*delta - mu (mod m) until q = nu (mod l)
+    and tabulated by a*delta mod m.  The pair bounds its log summand at
+    q1 + j*L by c0 + b*j - a*j**2 + k*|j|: with u = x - x0 a factor's log
+    modulus is -(Re sigma*u/2 + Re c)*u, plus at most log ||P||_1 +
+    deg P*|u|.  Set-up keeps all that depends on neither z nor delta, a > 0
+    and k included; :meth:`evaluate` builds c0 and b, starts at the class
+    member nearest the peak b/(2a) and grows the side whose certified tail
+    (:func:`theta.log_tail`, with b -> -b on the left) is larger, until both
+    tails together are below 2**-53 of |pair sum| or below the smallest
+    normal double.  So the omitted total is at most 2**-53 times the sum of
+    the pairs' |sums|, the order of the rounding of adding them.
+    NonConvergent means that window left |q| <= qmax.  An overflowing
+    summand, term norm or total raises SeriesOverflow at the call that
+    reaches it.  Factors on other components than Z_m x Z_l raise
     DimensionMismatch, and qmax < 1, which would sum nothing, a ValueError.
     """
 
@@ -232,69 +225,64 @@ class DirectSeries:
         if qmax < 1:
             raise ValueError(f"qmax must be >= 1, got {qmax}")
         m, l, big_l = p.m, p.l, p.L
-        self.f, self.g, self.p, self.qmax = f, g, p, qmax
+        self.p, self.qmax = p, qmax
         f_q, g_q = p.A / m, p.B / l
         dx, dy = -f_q * big_l, g_q * big_l
         # the steps of the f- and g-arguments in q, in j and in delta
         self._coefs = f_q, g_q, dx, dy, p.l * p.A / (m * p.M), p.B / p.M
-        classes: dict[tuple[int, int], list[tuple[gs.PolyGaussTerm, gs.PolyGaussTerm]]] = {}
+        self._pairs = []
         for tf in f.terms:
             for tg in g.terms:
-                classes.setdefault((tf.mu, tg.mu), []).append((tf, tg))
-        self._classes = []
-        for (mu, nu), pairs in classes.items():
-            # None where a*delta - mu != nu (mod r): no q carries the pair
-            q1s = [next((q for q in range((rho - mu) % m, big_l, m) if q % l == nu), None)
-                   for rho in range(m)]
-            fault, consts = None, []
-            for tf, tg in pairs:
+                mu, nu = tf.mu, tg.mu
+                # None where a*delta - mu != nu (mod r): no q carries the pair
+                q1s = [next((q for q in range((rho - mu) % m, big_l, m) if q % l == nu), None)
+                       for rho in range(m)]
                 sf, sg = tf.sigma.real, tg.sigma.real
                 deg_f, deg_g = len(tf.poly) - 1, len(tg.poly) - 1
+                fault = None
                 try:
                     log_norm = math.log(sum(map(abs, tf.poly)) * sum(map(abs, tg.poly)))
                 except (ArithmeticError, ValueError) as exc:
-                    fault, log_norm = fault or exc, math.nan
-                consts.append((tf.x0, tg.x0, sf, tf.c.real, sg, tg.c.real, log_norm, deg_f,
-                               deg_g, (sf * dx * dx + sg * dy * dy) / 2,
-                               deg_f * abs(dx) + deg_g * abs(dy)))
-            self._classes.append((mu, nu, q1s, math.log(len(pairs)), consts, fault))
+                    fault, log_norm = exc, math.nan
+                self._pairs.append((
+                    gs.PolyGaussVector(m, (tf,)), gs.PolyGaussVector(l, (tg,)), mu, nu, q1s,
+                    (tf.x0, tg.x0, sf, tf.c.real, sg, tg.c.real, log_norm, deg_f, deg_g,
+                     (sf * dx * dx + sg * dy * dy) / 2, deg_f * abs(dx) + deg_g * abs(dy)),
+                    fault,
+                ))
 
     def evaluate(self, z: float, delta: int) -> complex:
         """h(z, delta) for any integer delta; the series is M-periodic in delta."""
         evaluate = gs.evaluate
-        f, g, p, qmax = self.f, self.g, self.p, self.qmax
+        p, qmax = self.p, self.qmax
         big_l, rho, az = p.L, p.right.a * delta % p.m, p.A * z
         f_q, g_q, dx, dy, f_dn, g_dn = self._coefs
         f_delta, g_delta = f_dn * delta, g_dn * delta
         total = 0j
         try:
-            for mu, nu, q1s, log_count, consts, fault in self._classes:
+            for f_term, g_term, mu, nu, q1s, consts, fault in self._pairs:
                 q1 = q1s[rho]
                 if q1 is None:
                     continue
                 if fault is not None:
                     raise type(fault)(*fault.args)
-                x, y = az - f_q * q1 + f_delta, az + g_q * q1 - g_delta
-                envelopes = []
-                for x0_f, x0_g, sf, cf, sg, cg, log_norm, deg_f, deg_g, a, k in consts:
-                    u_f, u_g = x - x0_f, y - x0_g
-                    c0 = -(sf * u_f / 2 + cf) * u_f - (sg * u_g / 2 + cg) * u_g
-                    c0 += log_norm
-                    c0 += deg_f * abs(u_f) + deg_g * abs(u_g)
-                    envelopes.append((c0, -(sf * u_f + cf) * dx - (sg * u_g + cg) * dy, a, k))
-                # start at the class member nearest the first pair's peak
-                _, b, a, _ = envelopes[0]
+                x0_f, x0_g, sf, cf, sg, cg, log_norm, deg_f, deg_g, a, k = consts
+                u_f, u_g = az - f_q * q1 + f_delta - x0_f, az + g_q * q1 - g_delta - x0_g
+                c0 = -(sf * u_f / 2 + cf) * u_f - (sg * u_g / 2 + cg) * u_g
+                c0 += log_norm
+                c0 += deg_f * abs(u_f) + deg_g * abs(u_g)
+                b = -(sf * u_f + cf) * dx - (sg * u_g + cg) * dy
+                # start at the class member nearest the peak
                 lo = hi = round(b / (2 * a))
                 q = q1 + hi * big_l
-                right = _log_tail(envelopes, 1, hi + 1, log_count)
-                left = _log_tail(envelopes, -1, lo - 1, log_count)
+                right, left = log_tail(c0, b, a, k, hi + 1), log_tail(c0, -b, a, k, 1 - lo)
                 acc = 0j
                 while True:
                     if abs(q) > qmax:
                         raise NonConvergent(f"q-series not certified within |q| <= {qmax} "
                                             f"at z = {z}, delta = {delta}")
-                    acc += evaluate(f, az - f_q * q + f_delta, mu) * evaluate(
-                        g, az + g_q * q - g_delta, nu
+                    acc += evaluate(f_term, az - f_q * q + f_delta, mu) * evaluate(
+                        g_term, az + g_q * q - g_delta, nu
                     )
                     # the two tails together are at most twice the larger; a nan
                     # bound walks on, a non-finite acc stops (log inf) or walks on
@@ -303,10 +291,10 @@ class DirectSeries:
                         break
                     if right >= left:
                         hi += 1
-                        q, right = q1 + hi * big_l, _log_tail(envelopes, 1, hi + 1, log_count)
+                        q, right = q1 + hi * big_l, log_tail(c0, b, a, k, hi + 1)
                     else:
                         lo -= 1
-                        q, left = q1 + lo * big_l, _log_tail(envelopes, -1, lo - 1, log_count)
+                        q, left = q1 + lo * big_l, log_tail(c0, -b, a, k, 1 - lo)
                 total += acc
             if not cmath.isfinite(total):
                 raise OverflowError(f"non-finite sum {total}")
@@ -325,10 +313,11 @@ def tensor_direct(
     delta: int,
     qmax: int = DEFAULT_QMAX,
 ) -> complex:
-    """The bilinear map evaluated pointwise by direct summation over q.
+    """The bilinear map evaluated pointwise by direct summation over q, term pair by term pair.
 
-    One throwaway :class:`DirectSeries`; a caller that sums the same factors
-    at many (z, delta) builds the series once and calls its ``evaluate``.
+    One throwaway :class:`DirectSeries`, which certifies each term pair's
+    truncation on its own; a caller that sums the same factors at many
+    (z, delta) builds the series once and calls its ``evaluate``.
     """
     series = DirectSeries(f, g, p, qmax)
     _check_index("delta", delta, p.M)

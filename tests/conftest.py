@@ -7,8 +7,10 @@ draw the same instances.
 """
 
 import random
+import tempfile
 
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 from hypothesis import strategies as st
 
 from nctorus import vector
@@ -19,6 +21,11 @@ from nctorus.gaussians import PolyGaussTerm
 # example database; a test's own @settings sets only max_examples.
 settings.register_profile("reproducible", derandomize=True, database=None, deadline=None)
 settings.load_profile("reproducible")
+# Hypothesis caches constants it collects from the source under its home
+# directory whatever the database setting: a temporary home, removed when
+# the run exits, leaves the checkout as the run found it.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 # Hypothesis parts of a coefficient: signed zeros, values at and below 1e-14
 # (gaussians.PRUNE_TOL) and ordinary ones; COEFFS builds complex numbers of them.

@@ -36,6 +36,7 @@ from nctorus.tensor import (
     tensor_gaussian_closed,
     verify_identities,
 )
+from nctorus.theta import log_tail
 
 from conftest import coprime_pair, random_gaussian, random_theta, random_vector
 
@@ -340,9 +341,14 @@ def _old_pair_envelope(tf, tg, x, y, dx, dy):
     return c0, b, (sf * dx * dx + sg * dy * dy) / 2, deg_f * abs(dx) + deg_g * abs(dy)
 
 
-def _old_q_sum(f, g, p, z, delta, qmax):
+def _old_q_sum(f, g, p, z, delta, qmax, by_term_pair=False):
     """The former tensor._q_sum, which set every class up again at each call;
-    its class tails are _inline_log_tail, bit for bit the former _log_tail."""
+    its class tails are _inline_log_tail, bit for bit the former _log_tail.
+
+    by_term_pair walks each one-term factor pair of f.terms x g.terms, in
+    that order, as its own factors and adds their class sums into the one
+    total that is checked for finiteness: the term-pair walk of DirectSeries.
+    """
     if qmax < 1:
         raise ValueError(f"qmax must be >= 1, got {qmax}")
     m, l, big_l = p.m, p.l, p.L
@@ -351,42 +357,47 @@ def _old_q_sum(f, g, p, z, delta, qmax):
     f_q, f_delta = p.A / m, (p.l * p.A / (m * p.M)) * delta
     g_q, g_delta = p.B / l, (p.B / p.M) * delta
     dx, dy = -f_q * big_l, g_q * big_l
-    classes = {}
-    for tf in f.terms:
-        for tg in g.terms:
-            classes.setdefault((tf.mu, tg.mu), []).append((tf, tg))
+    factors = [(f, g)]
+    if by_term_pair:
+        factors = [(gs.PolyGaussVector(m, (tf,)), gs.PolyGaussVector(l, (tg,)))
+                   for tf, tg in itertools.product(f.terms, g.terms)]
     total = 0j
     try:
-        for (mu, nu), pairs in classes.items():
-            for q1 in range((a_delta - mu) % m, big_l, m):
-                if q1 % l == nu:
-                    break
-            else:
-                continue
-            x, y = az - f_q * q1 + f_delta, az + g_q * q1 - g_delta
-            envelopes = [_old_pair_envelope(tf, tg, x, y, dx, dy) for tf, tg in pairs]
-            _, b, a, _ = envelopes[0]
-            lo = hi = round(b / (2 * a))
-            q = q1 + hi * big_l
-            right = _inline_log_tail(envelopes, 1, hi + 1)
-            left = _inline_log_tail(envelopes, -1, lo - 1)
-            acc = 0j
-            while True:
-                if abs(q) > qmax:
-                    raise NonConvergent(
-                        f"q-series not certified within |q| <= {qmax} at z = {z}, delta = {delta}"
-                    )
-                acc += gs.evaluate(f, az - f_q * q + f_delta, mu) * gs.evaluate(
-                    g, az + g_q * q - g_delta, nu)
-                if max(right, left) <= math.log(max(sys.float_info.min, 2.0**-53 * abs(acc)) / 2):
-                    break
-                if right >= left:
-                    hi += 1
-                    q, right = q1 + hi * big_l, _inline_log_tail(envelopes, 1, hi + 1)
+        for f, g in factors:
+            classes = {}
+            for tf in f.terms:
+                for tg in g.terms:
+                    classes.setdefault((tf.mu, tg.mu), []).append((tf, tg))
+            for (mu, nu), pairs in classes.items():
+                for q1 in range((a_delta - mu) % m, big_l, m):
+                    if q1 % l == nu:
+                        break
                 else:
-                    lo -= 1
-                    q, left = q1 + lo * big_l, _inline_log_tail(envelopes, -1, lo - 1)
-            total += acc
+                    continue
+                x, y = az - f_q * q1 + f_delta, az + g_q * q1 - g_delta
+                envelopes = [_old_pair_envelope(tf, tg, x, y, dx, dy) for tf, tg in pairs]
+                _, b, a, _ = envelopes[0]
+                lo = hi = round(b / (2 * a))
+                q = q1 + hi * big_l
+                right = _inline_log_tail(envelopes, 1, hi + 1)
+                left = _inline_log_tail(envelopes, -1, lo - 1)
+                acc = 0j
+                while True:
+                    if abs(q) > qmax:
+                        raise NonConvergent(f"q-series not certified within |q| <= {qmax} "
+                                            f"at z = {z}, delta = {delta}")
+                    acc += gs.evaluate(f, az - f_q * q + f_delta, mu) * gs.evaluate(
+                        g, az + g_q * q - g_delta, nu)
+                    if max(right, left) <= math.log(
+                            max(sys.float_info.min, 2.0**-53 * abs(acc)) / 2):
+                        break
+                    if right >= left:
+                        hi += 1
+                        q, right = q1 + hi * big_l, _inline_log_tail(envelopes, 1, hi + 1)
+                    else:
+                        lo -= 1
+                        q, left = q1 + lo * big_l, _inline_log_tail(envelopes, -1, lo - 1)
+                total += acc
         if not cmath.isfinite(total):
             raise OverflowError(f"non-finite sum {total}")
     except (ArithmeticError, ValueError) as exc:
@@ -410,29 +421,33 @@ _SERIES_LABELS = ((1, 2, 1, 4), (1, 4, 1, 6), (1, 2, 1, 3), (3, 2, 2, 3), (2, 3,
 
 
 @settings(max_examples=60)
-@given(st.sampled_from(_SERIES_LABELS), st.sampled_from(("random", "zero", "overflow")),
+@given(st.sampled_from(_SERIES_LABELS), st.sampled_from(("random", "zero", "overflow", "inf")),
        st.sampled_from((2, 16, tensor.DEFAULT_QMAX)), st.integers(0, 2**32 - 1))
 def test_direct_series_is_bit_exact(label, kind, qmax, seed):
     # one series reused over shuffled (z, delta) gives every bit, and every
-    # error text, of the former per-call q-sum
+    # error text, of the former per-call q-sum over each term pair
     rng = random.Random(seed)
     p = product_params(*label, 0.2)
     if kind == "random":
         f, g = (random_vector(rng, p.m, nterms=3), random_vector(rng, p.l, nterms=3))
     elif kind == "zero":  # incompatible wherever a*delta is even when r = 2
         f, g = gs.gaussian(p.m, 1.0, mu=0), gs.gaussian(p.l, 1.0, mu=1)
-    else:  # a summand overflows, or a term norm does: only that class's calls raise
+    elif kind == "overflow":  # a summand or a term norm overflows: only that pair's calls raise
         f = gs.gaussian(p.m, 1.0, c=rng.choice((-30.0, -400.0)), mu=0)
         poly = rng.choice(((1 + 0j,), (1.5e308 + 1.5e308j,), ()))  # built raw: vector() rejects
         g = gs.PolyGaussVector(p.l, (gs.PolyGaussTerm(poly, 1 + 0j, 0j, 0),
                                      gs.PolyGaussTerm((1 + 0j,), 0.5 + 0j, 0j, 1)))
+    else:  # a product of finite values overflows: the pair sums add up before the check
+        f = gs.PolyGaussVector(p.m, (gs.PolyGaussTerm((1e200 + 0j,), 1 + 0j, 0j, 0),))
+        g = gs.PolyGaussVector(p.l, (gs.PolyGaussTerm((1e200 + 0j,), 1 + 0j, 0j, 0),
+                                     gs.PolyGaussTerm((1 + 1j,), 0.5 + 0j, 0j, 1)))
     points = [(z, delta) for delta in (-1, 0, p.M - 1, p.M, rng.randrange(p.M))
               for z in (-0.7, 0.0, rng.uniform(-1, 1))]
     rng.shuffle(points)
     series = DirectSeries(f, g, p, qmax)
     for z, delta in points:
         got = _outcome(series.evaluate, z, delta)
-        assert got == _outcome(_old_q_sum, f, g, p, z, delta, qmax)
+        assert got == _outcome(_old_q_sum, f, g, p, z, delta, qmax, True)
         if kind == "zero" and p.r == 2 and p.right.a * delta % 2 == 0:
             assert got == "0j"
 
@@ -455,13 +470,13 @@ _ENVELOPE = st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(1e-3
 
 
 @settings(max_examples=300)
-@given(st.lists(_ENVELOPE, min_size=1, max_size=3), st.sampled_from((1, -1)),
-       st.integers(-1000, 1000))
-def test_log_tail_through_theta_is_bit_exact(envelopes, side, u):
-    # the class tails read theta.log_tail with side folded into b and u;
+@given(_ENVELOPE, st.sampled_from((1, -1)), st.integers(-1000, 1000))
+def test_log_tail_through_theta_is_bit_exact(envelope, side, u):
+    # a pair's tails read theta.log_tail with side folded into b and u;
     # negation is exact, so every bit matches, inf included
-    got = tensor._log_tail(envelopes, side, u, math.log(len(envelopes)))
-    assert got.hex() == _inline_log_tail(envelopes, side, u).hex()
+    c0, b, a, k = envelope
+    got = log_tail(c0, side * b, a, k, side * u)
+    assert got.hex() == _inline_log_tail([envelope], side, u).hex()
 
 
 def test_direct_sum_rejects_delta_outside_fundamental_range():
