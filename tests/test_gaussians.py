@@ -57,43 +57,6 @@ def test_evaluate_rejects_bad_component():
         evaluate(g, 0.0, -1)
 
 
-def _evaluate_ref(v, x, mu):
-    # evaluate as it was with its polynomial in a helper, kept as a reference
-    def poly_eval(p, u):
-        acc = 0j
-        for coef in reversed(p):
-            acc = acc * u + coef
-        return acc
-
-    acc = 0j
-    for t in v.terms:
-        if t.mu == mu:
-            u = x - t.x0
-            acc += poly_eval(t.poly, u) * cmath.exp(-0.5 * t.sigma * u * u - t.c * u)
-    return acc
-
-
-# raw terms, so coefficients keep their signed zeros and degrees 0-8 their
-# trailing zeros, centred off 0
-_EVAL_TERMS = st.builds(
-    PolyGaussTerm,
-    poly=st.lists(COEFFS, min_size=1, max_size=9).map(tuple),
-    sigma=st.sampled_from((1.0 + 0j, complex(0.7, -0.0), 1.3 - 0.4j)),
-    c=st.sampled_from((0j, complex(-0.0, 0.3), 0.2 - 0.5j)),
-    mu=st.integers(0, 1),
-    x0=st.sampled_from((1.5, -2.25, 1e-17, -0.3)) | st.floats(-4, 4).filter(bool),
-)
-
-
-@settings(max_examples=150)
-@given(st.lists(_EVAL_TERMS, min_size=1, max_size=3), st.floats(-6, 6) | PARTS,
-       st.integers(0, 1))
-def test_evaluate_is_bit_exact(terms, x, mu):
-    # Horner's rule inline in evaluate keeps every bit of the former helper
-    v = PolyGaussVector(2, tuple(terms))
-    assert repr(evaluate(v, x, mu)) == repr(_evaluate_ref(v, x, mu))
-
-
 def test_sigma_must_decay():
     with pytest.raises(InvalidSigma):
         gaussian(1, -0.5)

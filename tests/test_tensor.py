@@ -341,13 +341,12 @@ def _old_pair_envelope(tf, tg, x, y, dx, dy):
     return c0, b, (sf * dx * dx + sg * dy * dy) / 2, deg_f * abs(dx) + deg_g * abs(dy)
 
 
-def _old_q_sum(f, g, p, z, delta, qmax, by_term_pair=False):
-    """The former tensor._q_sum, which set every class up again at each call;
-    its class tails are _inline_log_tail, bit for bit the former _log_tail.
-
-    by_term_pair walks each one-term factor pair of f.terms x g.terms, in
-    that order, as its own factors and adds their class sums into the one
-    total that is checked for finiteness: the term-pair walk of DirectSeries.
+def _old_q_sum(f, g, p, z, delta, qmax):
+    """The former tensor._q_sum, which set every class up again at each call,
+    run on each one-term factor pair of f.terms x g.terms in that order, its
+    class sums added into the one total that is checked for finiteness: the
+    term-pair walk of DirectSeries.  Its class tails are _inline_log_tail,
+    bit for bit the former _log_tail.
     """
     if qmax < 1:
         raise ValueError(f"qmax must be >= 1, got {qmax}")
@@ -357,47 +356,40 @@ def _old_q_sum(f, g, p, z, delta, qmax, by_term_pair=False):
     f_q, f_delta = p.A / m, (p.l * p.A / (m * p.M)) * delta
     g_q, g_delta = p.B / l, (p.B / p.M) * delta
     dx, dy = -f_q * big_l, g_q * big_l
-    factors = [(f, g)]
-    if by_term_pair:
-        factors = [(gs.PolyGaussVector(m, (tf,)), gs.PolyGaussVector(l, (tg,)))
-                   for tf, tg in itertools.product(f.terms, g.terms)]
     total = 0j
     try:
-        for f, g in factors:
-            classes = {}
-            for tf in f.terms:
-                for tg in g.terms:
-                    classes.setdefault((tf.mu, tg.mu), []).append((tf, tg))
-            for (mu, nu), pairs in classes.items():
-                for q1 in range((a_delta - mu) % m, big_l, m):
-                    if q1 % l == nu:
-                        break
+        for tf, tg in itertools.product(f.terms, g.terms):
+            f1, g1 = gs.PolyGaussVector(m, (tf,)), gs.PolyGaussVector(l, (tg,))
+            mu, nu = tf.mu, tg.mu
+            for q1 in range((a_delta - mu) % m, big_l, m):
+                if q1 % l == nu:
+                    break
+            else:
+                continue
+            x, y = az - f_q * q1 + f_delta, az + g_q * q1 - g_delta
+            envelopes = [_old_pair_envelope(tf, tg, x, y, dx, dy)]
+            _, b, a, _ = envelopes[0]
+            lo = hi = round(b / (2 * a))
+            q = q1 + hi * big_l
+            right = _inline_log_tail(envelopes, 1, hi + 1)
+            left = _inline_log_tail(envelopes, -1, lo - 1)
+            acc = 0j
+            while True:
+                if abs(q) > qmax:
+                    raise NonConvergent(f"q-series not certified within |q| <= {qmax} "
+                                        f"at z = {z}, delta = {delta}")
+                acc += gs.evaluate(f1, az - f_q * q + f_delta, mu) * gs.evaluate(
+                    g1, az + g_q * q - g_delta, nu)
+                if max(right, left) <= math.log(
+                        max(sys.float_info.min, 2.0**-53 * abs(acc)) / 2):
+                    break
+                if right >= left:
+                    hi += 1
+                    q, right = q1 + hi * big_l, _inline_log_tail(envelopes, 1, hi + 1)
                 else:
-                    continue
-                x, y = az - f_q * q1 + f_delta, az + g_q * q1 - g_delta
-                envelopes = [_old_pair_envelope(tf, tg, x, y, dx, dy) for tf, tg in pairs]
-                _, b, a, _ = envelopes[0]
-                lo = hi = round(b / (2 * a))
-                q = q1 + hi * big_l
-                right = _inline_log_tail(envelopes, 1, hi + 1)
-                left = _inline_log_tail(envelopes, -1, lo - 1)
-                acc = 0j
-                while True:
-                    if abs(q) > qmax:
-                        raise NonConvergent(f"q-series not certified within |q| <= {qmax} "
-                                            f"at z = {z}, delta = {delta}")
-                    acc += gs.evaluate(f, az - f_q * q + f_delta, mu) * gs.evaluate(
-                        g, az + g_q * q - g_delta, nu)
-                    if max(right, left) <= math.log(
-                            max(sys.float_info.min, 2.0**-53 * abs(acc)) / 2):
-                        break
-                    if right >= left:
-                        hi += 1
-                        q, right = q1 + hi * big_l, _inline_log_tail(envelopes, 1, hi + 1)
-                    else:
-                        lo -= 1
-                        q, left = q1 + lo * big_l, _inline_log_tail(envelopes, -1, lo - 1)
-                total += acc
+                    lo -= 1
+                    q, left = q1 + lo * big_l, _inline_log_tail(envelopes, -1, lo - 1)
+            total += acc
         if not cmath.isfinite(total):
             raise OverflowError(f"non-finite sum {total}")
     except (ArithmeticError, ValueError) as exc:
@@ -447,7 +439,7 @@ def test_direct_series_is_bit_exact(label, kind, qmax, seed):
     series = DirectSeries(f, g, p, qmax)
     for z, delta in points:
         got = _outcome(series.evaluate, z, delta)
-        assert got == _outcome(_old_q_sum, f, g, p, z, delta, qmax, True)
+        assert got == _outcome(_old_q_sum, f, g, p, z, delta, qmax)
         if kind == "zero" and p.r == 2 and p.right.a * delta % 2 == 0:
             assert got == "0j"
 
