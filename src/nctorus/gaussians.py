@@ -11,10 +11,11 @@ translation with a roll (:func:`translate`: x0 and mu move, nothing else
 changes), multiplication by exp(beta*x) times a per-component factor
 (:func:`modulate`) and by x, differentiation, and linear combination.  All
 module actions, connections, and tensor products in this library are
-expressed through these operations, so nothing is ever discretized;
-floating error enters only through complex arithmetic on the parameters.
-A pointwise value (:func:`evaluate`) sums each term's P(u) by Horner's
-rule, the only polynomial evaluation here.
+expressed through these operations, so no operation discretizes and floating
+error enters only through complex arithmetic on the parameters; only the
+residual norms sample, 41 points on [-5, 5] per component (PROBE_XS), blind
+to a term centred outside.  :func:`term_value`, P(u) by Horner's rule times
+one exp, is the one pointwise evaluation of a term; :func:`evaluate` sums it.
 
 Because a translation never touches P, coefficients stay at the scale of
 the term's own centre.  Canonicalization merges terms sharing
@@ -40,7 +41,7 @@ from .errors import (
 
 PRUNE_TOL = 1e-14
 
-# Evaluation grid used for residual norms.
+# Residual-norm probes: 41 points on [-5, 5] per component, blind to a term centred outside.
 PROBE_XS: tuple[float, ...] = tuple(i * 0.25 for i in range(-20, 21))
 
 Poly = tuple[complex, ...]
@@ -157,18 +158,23 @@ def gaussian(
     return vector(m, (PolyGaussTerm(tuple(map(complex, poly)), sigma, c, mu),))
 
 
+def term_value(t: PolyGaussTerm, x: float) -> complex:
+    """The term's value at x on its own component: P(u) by Horner's rule from 0j, one exp."""
+    u = x - t.x0
+    poly = 0j
+    for coef in reversed(t.poly):
+        poly = poly * u + coef
+    return poly * cmath.exp(-0.5 * t.sigma * u * u - t.c * u)
+
+
 def evaluate(v: PolyGaussVector, x: float, mu: int) -> complex:
-    """Pointwise value v(x, mu), each term's P(u) by Horner's rule from 0j."""
+    """Pointwise value v(x, mu): the :func:`term_value` of each term on mu, summed from 0j."""
     if not 0 <= mu < v.m:
         raise IndexOutOfRange(f"component {mu} outside range(0, {v.m})")
     acc = 0j
     for t in v.terms:
         if t.mu == mu:
-            u = x - t.x0
-            poly = 0j
-            for coef in reversed(t.poly):
-                poly = poly * u + coef
-            acc += poly * cmath.exp(-0.5 * t.sigma * u * u - t.c * u)
+            acc += term_value(t, x)
     return acc
 
 

@@ -203,19 +203,17 @@ class DirectSeries:
     and tabulated by a*delta mod m, once per (mu, nu).  The pair bounds its
     log summand at q1 + j*L by c0 + b*j - a*j**2 + k*|j|: with u = x - x0 a
     factor's log modulus is -(Re sigma*u/2 + Re c)*u, plus at most
-    log ||P||_1 + deg P*|u|.  Set-up keeps all that depends on neither z nor delta, a > 0
-    and k included; :meth:`evaluate` builds c0 and b, starts at the class
-    member nearest the peak b/(2a) and grows the side whose certified tail
-    (:func:`theta.log_tail`, with b -> -b on the left) is larger, until both
-    tails together are below 2**-53 of |pair sum| or below the smallest
-    normal double.  So the omitted total is at most 2**-53 times the sum of
-    the pairs' |sums|, the order of the rounding of adding them.  Each pair
-    is its own walk, so factors of several terms on one component cost a
-    walk per pair; the hot path, the basis products, has one-term factors.
-    NonConvergent means that window left |q| <= qmax.  An overflowing
-    summand, term norm or total raises SeriesOverflow at the call that
-    reaches it.  Factors on other components than Z_m x Z_l raise
-    DimensionMismatch, and qmax < 1, which would sum nothing, a ValueError.
+    log ||P||_1 + deg P*|u|.  Set-up keeps the two terms and all that does
+    not depend on z or delta, a > 0 and k included.  :meth:`evaluate` builds
+    c0 and b and walks from the class member nearest the peak b/(2a), each
+    summand a product of two :func:`gaussians.term_value`, out on the side
+    whose certified tail (:func:`theta.log_tail`, b -> -b on the left) is
+    larger, until both tails together are below 2**-53 of |pair sum| or the
+    smallest normal double: the omitted total is at most 2**-53 times the
+    sum of the pairs' |sums|.  NonConvergent means that window left
+    |q| <= qmax.  An overflowing summand, term norm or total raises
+    SeriesOverflow at the call that reaches it.  Factors on other components
+    than Z_m x Z_l raise DimensionMismatch, and qmax < 1, a ValueError.
     """
 
     def __init__(self, f: gs.PolyGaussVector, g: gs.PolyGaussVector, p: ProductParams,
@@ -250,23 +248,20 @@ class DirectSeries:
                     log_norm = math.log(sum(map(abs, tf.poly)) * sum(map(abs, tg.poly)))
                 except (ArithmeticError, ValueError) as exc:
                     fault, log_norm = exc, math.nan
-                self._pairs.append((
-                    gs.PolyGaussVector(m, (tf,)), gs.PolyGaussVector(l, (tg,)), mu, nu, q1s,
-                    (tf.x0, tg.x0, sf, tf.c.real, sg, tg.c.real, log_norm, deg_f, deg_g,
-                     (sf * dx * dx + sg * dy * dy) / 2, deg_f * abs(dx) + deg_g * abs(dy)),
-                    fault,
-                ))
+                self._pairs.append((tf, tg, q1s, (
+                    tf.x0, tg.x0, sf, tf.c.real, sg, tg.c.real, log_norm, deg_f, deg_g,
+                    (sf * dx * dx + sg * dy * dy) / 2, deg_f * abs(dx) + deg_g * abs(dy)), fault))
 
     def evaluate(self, z: float, delta: int) -> complex:
         """h(z, delta) for any integer delta; the series is M-periodic in delta."""
-        evaluate = gs.evaluate
+        term_value = gs.term_value
         p, qmax = self.p, self.qmax
         big_l, rho, az = p.L, p.right.a * delta % p.m, p.A * z
         f_q, g_q, dx, dy, f_dn, g_dn = self._coefs
         f_delta, g_delta = f_dn * delta, g_dn * delta
         total = 0j
         try:
-            for f_term, g_term, mu, nu, q1s, consts, fault in self._pairs:
+            for tf, tg, q1s, consts, fault in self._pairs:
                 q1 = q1s[rho]
                 if q1 is None:
                     continue
@@ -287,9 +282,8 @@ class DirectSeries:
                     if abs(q) > qmax:
                         raise NonConvergent(f"q-series not certified within |q| <= {qmax} "
                                             f"at z = {z}, delta = {delta}")
-                    acc += evaluate(f_term, az - f_q * q + f_delta, mu) * evaluate(
-                        g_term, az + g_q * q - g_delta, nu
-                    )
+                    acc += term_value(tf, az - f_q * q + f_delta) * term_value(
+                        tg, az + g_q * q - g_delta)
                     # the two tails together are at most twice the larger; a nan
                     # bound walks on, a non-finite acc stops (log inf) or walks on
                     # to the floor

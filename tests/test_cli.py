@@ -490,7 +490,7 @@ def test_oracle_reports_the_first_failing_point(capsys, monkeypatch, sum_at, pea
         with monkeypatch.context() as patch:
             patch.setattr(tensor, "round", round)
             if (z, delta) == (-1.0, direct_at):
-                patch.setattr(gs, "evaluate", fails)  # inside the q-sum's own error wrapper
+                patch.setattr(gs, "term_value", fails)  # inside the q-sum's own error wrapper
             return direct(self, z, delta)
 
     monkeypatch.setattr(tensor, "round", failing_round, raising=False)

@@ -303,8 +303,8 @@ def test_q_sum_against_every_q():
 
 def test_q_sum_evaluates_only_live_residues(monkeypatch):
     # with one term per factor only q in one class mod L = lcm(m, l) are
-    # evaluated, two evaluate calls each, within |q| <= 32; a series looks
-    # gs.evaluate up at each call, so one built before the patch is counted
+    # evaluated, two term_value calls each, within |q| <= 32; a series looks
+    # gs.term_value up at each call, so one built before the patch is counted
     # too, with the same calls as a throwaway one
     p = product_params(3, 2, 2, 3, 0.2)
     assert p.L == 6
@@ -312,13 +312,13 @@ def test_q_sum_evaluates_only_live_residues(monkeypatch):
     series = {(alpha, beta): DirectSeries(fb[alpha], gb[beta], p)
               for alpha in range(p.m) for beta in range(p.l)}
     calls = [0]
-    evaluate = gs.evaluate
+    term_value = gs.term_value
 
-    def counting(v, x, mu):
+    def counting(t, x):
         calls[0] += 1
-        return evaluate(v, x, mu)
+        return term_value(t, x)
 
-    monkeypatch.setattr(gs, "evaluate", counting)
+    monkeypatch.setattr(gs, "term_value", counting)
     for (alpha, beta), built in series.items():
         for delta in range(p.M):
             calls[0] = 0

@@ -11,9 +11,11 @@ one benchmark workload come from ``benchmarks/workloads.build_jobs`` (only
 imported, nothing under ``benchmarks/`` runs), in the shuffled order of
 ``workloads.pass_order``.  After one untimed warm-up pass per side, each job
 runs on both sides back to back, and the side that goes first alternates
-from job to job.  The tool prints the total-time ratio A/B and the median
-of the per-job ratios A/B (above 1 means B is faster), and exits 1 if any
-job's output differs between the sides.
+from job to job.  The tool prints the total-time ratio A/B, the median
+of the per-job ratios A/B (above 1 means B is faster) and the share of job
+runs in which B was faster (ties count for neither side), the form of a
+claim that needs 9 of 10 pairs won.  It exits 1 if any job's output
+differs between the sides.
 
 Timing noise on a shared machine comes in bursts that span many jobs, so
 timing one side's block of jobs and then the other's can swing a ratio
@@ -106,6 +108,9 @@ def main(argv: list[str]) -> int:
     print(f"A {args.src_a}: {totals[0]:.3f} s; B {args.src_b}: {totals[1]:.3f} s")
     print(f"total-time ratio A/B: {totals[0] / totals[1]:.3f}")
     print(f"median per-job ratio A/B: {statistics.median(ratios):.3f}")
+    b_faster = sum(ratio > 1 for ratio in ratios)
+    print(f"B faster in {b_faster} of {len(ratios)} job runs "
+          f"({b_faster / len(ratios):.3f}; ties count for neither side)")
     return 1 if differ else 0
 
 
