@@ -358,7 +358,8 @@ def _structure_constant_checks(
     oracle = 0.0
     recon = 0.0
     zs = (0.3, -0.5)
-    phis = [[gs.evaluate(basis[gamma], z, gamma) for z in zs] for gamma in range(p.M)]
+    # every phi_gamma is the one Gaussian placed on component gamma
+    phis = [gs.evaluate(basis[0], z, 0) for z in zs]
     for alpha in range(m):
         for beta in range(l):
             series = DirectSeries(basis_f[alpha], basis_g[beta], p, args.qmax)
@@ -367,7 +368,7 @@ def _structure_constant_checks(
                 d0 = series.evaluate(0.0, gamma)
                 # phi_gamma(0) = 1, so the coefficient itself is the value at z = 0.
                 oracle = max(oracle, abs(val - d0) / (1 + abs(d0)))
-                for z, phi in zip(zs, phis[gamma]):
+                for z, phi in zip(zs, phis):
                     dz = series.evaluate(z, gamma)
                     recon = max(recon, abs(dz - val * phi))
     checks.add("structure_constants_vs_direct", oracle, ORACLE_TOL)

@@ -200,8 +200,8 @@ class DirectSeries:
     f-term on component mu and g-term on component nu are both nonzero only
     at q = a*delta - mu (mod m) and q = nu (mod l), one class q1 + j*L,
     found by stepping q through a*delta - mu (mod m) until q = nu (mod l)
-    and tabulated by a*delta mod m, once per (mu, nu).  The pair bounds its
-    log summand at q1 + j*L by c0 + b*j - a*j**2 + k*|j|: with u = x - x0 a
+    and tabulated by a*delta mod m.  The pair bounds its log summand at
+    q1 + j*L by c0 + b*j - a*j**2 + k*|j|: with u = x - x0 a
     factor's log modulus is -(Re sigma*u/2 + Re c)*u, plus at most
     log ||P||_1 + deg P*|u|.  Set-up keeps the two terms and all that does
     not depend on z or delta, a > 0 and k included.  :meth:`evaluate` builds
@@ -230,17 +230,13 @@ class DirectSeries:
         dx, dy = -f_q * big_l, g_q * big_l
         # the steps of the f- and g-arguments in q, in j and in delta
         self._coefs = f_q, g_q, dx, dy, p.l * p.A / (m * p.M), p.B / p.M
-        self._pairs, classes = [], {}
+        self._pairs = []
         for tf in f.terms:
             for tg in g.terms:
                 mu, nu = tf.mu, tg.mu
                 # None where a*delta - mu != nu (mod r): no q carries the pair
-                q1s = classes.get((mu, nu))
-                if q1s is None:
-                    q1s = classes[mu, nu] = [
-                        next((q for q in range((rho - mu) % m, big_l, m) if q % l == nu), None)
-                        for rho in range(m)
-                    ]
+                q1s = [next((q for q in range((rho - mu) % m, big_l, m) if q % l == nu), None)
+                       for rho in range(m)]
                 sf, sg = tf.sigma.real, tg.sigma.real
                 deg_f, deg_g = len(tf.poly) - 1, len(tg.poly) - 1
                 fault = None

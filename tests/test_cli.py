@@ -156,6 +156,23 @@ def test_algebra_check_builds_each_operand_once(capsys, monkeypatch):
     assert 0 not in powers["act_U1"] + powers["act_U2"]
 
 
+def test_structure_constants_evaluates_phi_once_per_point(capsys, monkeypatch):
+    # every phi_gamma of the product basis is the one Gaussian placed on
+    # component gamma, so the reconstruction check evaluates it once at each
+    # of its two points, not once per gamma
+    calls = []
+    evaluate = gs.evaluate
+
+    def counting_evaluate(v, x, mu):
+        calls.append(mu)
+        return evaluate(v, x, mu)
+
+    monkeypatch.setattr(gs, "evaluate", counting_evaluate)
+    assert main(["structure-constants"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"]
+    assert len(calls) == 2
+
+
 def test_random_element_draws_as_randint():
     # randrange(5) - 2 and randint(-2, 2) both take one _randbelow(5): the
     # same elements, in the same order, and the same generator state
